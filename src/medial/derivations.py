@@ -30,6 +30,7 @@ from .terms import (
     ContextPath,
     Formula,
     Metavar,
+    ParseError,
     PathStep,
     Variable,
     context_at,
@@ -373,8 +374,16 @@ def _parse_fields(raw: str) -> dict:
     return fields
 
 
+def _require(fields: dict, names, raw: str) -> None:
+    missing = sorted(set(names) - set(fields))
+    if missing:
+        raise ParseError(f"step line lacks {', '.join(missing)}: {raw}")
+
+
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
-    """Parse a derivation file; returns (spec, derivation)."""
+    """Parse a derivation file; returns (spec, derivation).  A step line
+    that lacks its rule, path or a binding the rule needs raises
+    ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
@@ -402,19 +411,25 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     steps = []
     for raw in raw_steps:
         fields = _parse_fields(raw)
+        _require(fields, ("rule", "path"), raw)
         rule_id = fields.pop("rule")
         path = fields.pop("path")
         sides = () if path == "-" else tuple(path)
         direction = fields.pop("dir", "fwd")
+        if direction not in ("fwd", "bwd"):
+            raise ParseError(f"bad direction {direction!r}: {raw}")
         rel = fields.pop("rel", None)
         bindings = {k: parse_formula(v) for k, v in fields.items()}
         if rule_id == "acr":
+            _require(bindings, "AB", raw)
             rule = ac_instance(spec, bindings["A"], bindings["B"])
         elif rule_id.startswith("eq:"):
             axiom_id = rule_id[3:]
             negated = axiom_id.endswith(":n")
             if negated:
                 axiom_id = axiom_id[:-2]
+            if axiom_id in spec.axioms_by_id:
+                _require(bindings, spec.axioms_by_id[axiom_id].metavars(), raw)
             rule = eq_instance(spec, axiom_id, bindings, negated, direction)
         else:
             decl = spec.rules_by_id.get(rule_id)
@@ -422,6 +437,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
                 raise DerivationError(f"unknown rule id {rule_id!r}")
             if rel is not None and tuple(rel.split(",")) != (decl.alpha, decl.beta):
                 raise DerivationError(f"rule {rule_id} disagrees with rel={rel}")
+            _require(bindings, "ABCD", raw)
             rule = instantiate_rule(
                 spec, decl.scheme, bindings, decl.alpha, decl.beta, rule_id=decl.rule_id
             )

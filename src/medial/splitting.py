@@ -239,6 +239,20 @@ class _Splitter:
         self.nu = Constant(co_unit)
         self.recorder = recorder
         self.calls = 0
+        self.pairs = weak_units(self.spec)
+        self._costs: dict = {}  # id(rule) -> (rule, step cost); holds the rule
+
+    def _length(self, d: Optional[Derivation]) -> Optional[int]:
+        """The length of d, each rule's cost computed once per split."""
+        if d is None:
+            return None
+        costs, total = self._costs, 0
+        for s in d.steps:
+            hit = costs.get(id(s.rule))
+            if hit is None:
+                hit = costs[id(s.rule)] = (s.rule, step_cost(self.spec, self.pairs, s))
+            total += hit[1]
+        return total
 
     # -- helpers ----------------------------------------------------------
     def _validate_down(self, P: Derivation) -> None:
@@ -284,18 +298,11 @@ class _Splitter:
             b.splice((), dd)
             self._reconcile(b, btree, "split remainder")
             dd = b.derivation(btree)
+        rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
-            pairs = weak_units(spec)
-            rec = SplitRecord(
-                alpha,
-                kind,
-                sum(step_cost(spec, pairs, s) for s in P.steps),
-                sum(step_cost(spec, pairs, s) for s in q0.steps) if q0 else None,
-                sum(step_cost(spec, pairs, s) for s in q1.steps) if q1 else None,
-            )
             self.recorder.append(rec)
-            if not rec.bound_holds:
-                raise SplittingError(f"length bound violated: {rec}")
+        if not rec.bound_holds:
+            raise SplittingError(f"length bound violated: {rec}")
         return SplitResult(kind, alpha, k0, k1, dd, q0, q1)
 
     def _eq_rewrite(self, b: Builder, sides, target, what: str) -> None:
@@ -528,11 +535,9 @@ class _Splitter:
         if s_pre == a0 or s_pre == a1:
             # unit or weakening expansion at the node; the kept side is read
             # off the axiom patterns (the components may be equal formulas)
-            ax = spec.axioms_by_id[sigma.rule.axiom_id]
-            pl, pr = ax.lhs, ax.rhs
-            if sigma.rule.negated:
-                pl, pr = negate(spec, pl), negate(spec, pr)
-            pp, pc = (pl, pr) if sigma.rule.direction == "fwd" else (pr, pl)
+            rule = sigma.rule
+            oriented = spec.oriented_axioms[(rule.axiom_id, rule.negated, rule.direction)]
+            pp, pc = oriented.premise, oriented.conclusion
             if isinstance(pc, Compound) and pc.left == pp:
                 held = "L"
             elif isinstance(pc, Compound) and pc.right == pp:
@@ -741,11 +746,8 @@ class _Splitter:
         rule = sigma.rule
         p = tuple(sigma.sides)
         rel = occ[len(p) :]
-        ax = spec.axioms_by_id[rule.axiom_id]
-        pl, pr = ax.lhs, ax.rhs
-        if rule.negated:
-            pl, pr = negate(spec, pl), negate(spec, pr)
-        pp, pc = (pl, pr) if rule.direction == "fwd" else (pr, pl)
+        oriented = spec.oriented_axioms[(rule.axiom_id, rule.negated, rule.direction)]
+        pp, pc = oriented.premise, oriented.conclusion
         bindings = dict(rule.bindings)
         # descend the conclusion pattern along rel to the carrying metavar
         pat = pc

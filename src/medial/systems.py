@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .terms import (
     Compound,
@@ -48,6 +49,11 @@ class UnknownAxiom(SystemError):
 
 class UnknownSymbolError(SystemError):
     pass
+
+
+class MatchBudgetExhausted(SystemError):
+    """An axiom search ran out of its matching budget before finding an
+    instance; the answer is unknown, not "no instance"."""
 
 
 class Scheme(Enum):
@@ -123,6 +129,16 @@ class RuleInstance:
         raise KeyError(name)
 
 
+class OrientedAxiom(NamedTuple):
+    """One orientation of an axiom or of its negation: premise -> conclusion."""
+
+    axiom: Axiom
+    negated: bool
+    direction: str  # fwd (lhs->rhs) or bwd
+    premise: Formula
+    conclusion: Formula
+
+
 def _bind(**kw: Formula) -> tuple:
     return tuple(sorted(kw.items()))
 
@@ -170,6 +186,31 @@ class SystemSpec:
                     closure.add((a, d))
                     changed = True
         return frozenset(closure)
+
+    @cached_property
+    def oriented_axioms(self) -> dict:
+        """(axiom_id, negated, direction) -> OrientedAxiom for every axiom,
+        negated and not, in both directions; built on first use."""
+        table = {}
+        for ax in self.axioms:
+            for negated in (False, True):
+                pl, pr = ax.lhs, ax.rhs
+                if negated:
+                    pl, pr = negate(self, pl), negate(self, pr)
+                for direction, (pp, pc) in (("fwd", (pl, pr)), ("bwd", (pr, pl))):
+                    key = (ax.axiom_id, negated, direction)
+                    table[key] = OrientedAxiom(ax, negated, direction, pp, pc)
+        return table
+
+    @cached_property
+    def searched_axioms(self) -> tuple:
+        """The oriented axioms eq_step_for searches: those whose two sides
+        differ modulo AC.  An AC-silent one (associativity, commutativity)
+        only relates AC-equal formulas, which the checker equates anyway."""
+        return tuple(
+            o for o in self.oriented_axioms.values()
+            if not equal_mod_ac(self, o.premise, o.conclusion)
+        )
 
     # -- lookups used across modules -------------------------------------
     def negate_constant(self, name: str) -> str:
@@ -242,10 +283,6 @@ def instantiate(spec: SystemSpec, pattern: Formula, bindings: Mapping[str, Formu
     return pattern
 
 
-def negate_pattern(spec: SystemSpec, pattern: Formula) -> Formula:
-    return negate(spec, pattern)
-
-
 _MATCH_CAP = 64  # bounded AC fan-out per spine, matching cost guard
 
 
@@ -267,8 +304,14 @@ def iter_matches(
     pattern: Formula,
     term: Formula,
     bindings: Optional[dict] = None,
+    budget: Optional[list] = None,
 ):
-    yield from _match(spec, pattern, term, dict(bindings or {}), [_MATCH_CAP])
+    """All matches, lazily.  `budget` is a one-element list the regroupings
+    draw on (a fresh _MATCH_CAP by default); the search was cut short when
+    it ends at or below zero."""
+    if budget is None:
+        budget = [_MATCH_CAP]
+    yield from _match(spec, pattern, term, dict(bindings or {}), budget)
 
 
 def _match(spec, pattern, term, bindings, budget):
@@ -433,25 +476,17 @@ def eq_instance(
         ax = spec.axioms_by_id[axiom_id]
     except KeyError:
         raise UnknownAxiom(axiom_id) from None
-    lhs, rhs = ax.lhs, ax.rhs
-    if negated:
-        lhs, rhs = negate(spec, lhs), negate(spec, rhs)
     for t in subterms(ax.lhs):
         if isinstance(t, Metavar) and not _sort_ok(spec, t.sort, bindings[t.name]):
             raise SystemError(f"binding for {t.name} violates sort {t.sort}")
-    left = instantiate(spec, lhs, bindings)
-    right = instantiate(spec, rhs, bindings)
-    if direction == "fwd":
-        prem, conc = left, right
-    elif direction == "bwd":
-        prem, conc = right, left
-    else:
+    oriented = spec.oriented_axioms.get((axiom_id, negated, direction))
+    if oriented is None:
         raise SystemError(f"bad direction {direction!r}")
     return RuleInstance(
         scheme=Scheme.EQ_UP if negated else Scheme.EQ_DOWN,
         rule_id=f"eq:{axiom_id}" + (":n" if negated else ""),
-        premise=prem,
-        conclusion=conc,
+        premise=instantiate(spec, oriented.premise, bindings),
+        conclusion=instantiate(spec, oriented.conclusion, bindings),
         bindings=tuple(sorted(bindings.items())),
         axiom_id=axiom_id,
         negated=negated,
@@ -474,9 +509,15 @@ def ac_instance(spec: SystemSpec, premise: Formula, conclusion: Formula) -> Rule
 def eq_step_for(
     spec: SystemSpec, lhs: Formula, rhs: Formula
 ) -> Optional[RuleInstance]:
-    """Search declared axioms (and their negations, both orientations) for a
-    one-step proof of lhs -> rhs.  Premise/conclusion of the returned
-    instance are pattern-exact; callers bridge AC differences themselves."""
+    """A one-step proof of lhs -> rhs, or None when there is none.
+
+    AC-equal formulas get an `acr` rearrangement.  Otherwise the declared
+    axioms (and their negations, both orientations) are searched, except
+    the AC-silent ones, which cannot relate AC-distinct formulas.
+    Premise/conclusion of an axiom instance are pattern-exact; callers
+    bridge AC differences themselves.  Raises MatchBudgetExhausted when
+    _MATCH_CAP cut the search short and nothing was found; that outcome is
+    not cached."""
     key = (lhs, rhs)
     try:
         return spec.eq_cache[key]
@@ -487,26 +528,40 @@ def eq_step_for(
     return inst
 
 
+def _root_clash(pattern: Formula, term: Formula) -> bool:
+    """The roots alone rule the match out (the first test _match makes)."""
+    return isinstance(pattern, Compound) and not (
+        isinstance(term, Compound) and term.rel == pattern.rel
+    )
+
+
 def _eq_step_for(
     spec: SystemSpec, lhs: Formula, rhs: Formula
 ) -> Optional[RuleInstance]:
-    for ax in spec.axioms:
-        for negated in (False, True):
-            pl, pr = ax.lhs, ax.rhs
-            if negated:
-                pl, pr = negate(spec, pl), negate(spec, pr)
-            for direction, (pp, pc) in (("fwd", (pl, pr)), ("bwd", (pr, pl))):
-                for b in iter_matches(spec, pp, lhs):
-                    b2 = match_pattern(spec, pc, rhs, b)
-                    if b2 is None:
-                        continue
-                    if set(b2) != ax.metavars():
-                        continue
-                    inst = eq_instance(spec, ax.axiom_id, b2, negated, direction)
-                    if equal_mod_ac(spec, inst.premise, lhs) and equal_mod_ac(
-                        spec, inst.conclusion, rhs
-                    ):
-                        return inst
+    if equal_mod_ac(spec, lhs, rhs):
+        return ac_instance(spec, lhs, rhs)
+    cut_short = False
+    for ax, negated, direction, pp, pc in spec.searched_axioms:
+        if _root_clash(pp, lhs) or _root_clash(pc, rhs):
+            continue
+        budget = [_MATCH_CAP]
+        for b in iter_matches(spec, pp, lhs, None, budget):
+            budget_c = [_MATCH_CAP]
+            b2 = next(iter_matches(spec, pc, rhs, b, budget_c), None)
+            cut_short = cut_short or budget_c[0] <= 0
+            if b2 is None or set(b2) != ax.metavars():
+                continue
+            inst = eq_instance(spec, ax.axiom_id, b2, negated, direction)
+            if equal_mod_ac(spec, inst.premise, lhs) and equal_mod_ac(
+                spec, inst.conclusion, rhs
+            ):
+                return inst
+        cut_short = cut_short or budget[0] <= 0
+    if cut_short:
+        raise MatchBudgetExhausted(
+            f"matching budget ran out looking for {print_formula(lhs)} -> "
+            f"{print_formula(rhs)}"
+        )
     return None
 
 
@@ -627,50 +682,22 @@ def _unit_axiom(spec: SystemSpec, r: RelationSymbol) -> Optional[RuleInstance]:
 
 
 def _weakening_axiom(spec: SystemSpec, rel: str, side: str) -> Optional[Axiom]:
-    for ax in spec.axioms:
-        for negated in (False, True):
-            lhs = negate(spec, ax.lhs) if negated else ax.lhs
-            rhs = negate(spec, ax.rhs) if negated else ax.rhs
-            if not isinstance(lhs, Compound) or lhs.rel != rel:
-                continue
-            if side == "right" and isinstance(lhs.left, Metavar) and lhs.left.sort == "formula":
-                kept = lhs.left
-                junk = lhs.right
-            elif side == "left" and isinstance(lhs.right, Metavar) and lhs.right.sort == "formula":
-                kept = lhs.right
-                junk = lhs.left
-            else:
-                continue
-            if not (isinstance(junk, Metavar) and junk.sort == "formula"):
-                continue
-            if isinstance(rhs, Metavar) and rhs.name == kept.name and rhs.negated == kept.negated:
-                return ax
-    return None
-
-
-def weakening_axiom_for(spec: SystemSpec, rel: str) -> Optional[tuple]:
-    """(axiom, negated, kept_side) realising the weakening equation of rel."""
-    r = spec.relation(rel)
-    side = "right" if r.right_weakening else "left" if r.left_weakening else None
-    if side is None:
-        return None
-    for negated in (False, True):
-        for ax in spec.axioms:
-            lhs = negate(spec, ax.lhs) if negated else ax.lhs
-            rhs = negate(spec, ax.rhs) if negated else ax.rhs
-            if not isinstance(lhs, Compound) or lhs.rel != rel:
-                continue
-            kept = lhs.left if side == "right" else lhs.right
-            junk = lhs.right if side == "right" else lhs.left
-            if (
-                isinstance(kept, Metavar)
-                and isinstance(junk, Metavar)
-                and kept.sort == junk.sort == "formula"
-                and isinstance(rhs, Metavar)
-                and rhs.name == kept.name
-                and rhs.negated == kept.negated
-            ):
-                return ax, negated, side, kept.name, junk.name
+    for o in spec.oriented_axioms.values():
+        lhs, rhs = o.premise, o.conclusion
+        if o.direction != "fwd" or not isinstance(lhs, Compound) or lhs.rel != rel:
+            continue
+        if side == "right" and isinstance(lhs.left, Metavar) and lhs.left.sort == "formula":
+            kept = lhs.left
+            junk = lhs.right
+        elif side == "left" and isinstance(lhs.right, Metavar) and lhs.right.sort == "formula":
+            kept = lhs.right
+            junk = lhs.left
+        else:
+            continue
+        if not (isinstance(junk, Metavar) and junk.sort == "formula"):
+            continue
+        if isinstance(rhs, Metavar) and rhs.name == kept.name and rhs.negated == kept.negated:
+            return o.axiom
     return None
 
 
@@ -794,22 +821,20 @@ def _eq_redexes(spec, sub, wanted, expansion_targets):
         negated_opts.append(False)
     if Scheme.EQ_UP in wanted:
         negated_opts.append(True)
-    for ax in spec.axioms:
-        for negated in negated_opts:
-            pl = negate(spec, ax.lhs) if negated else ax.lhs
-            pr = negate(spec, ax.rhs) if negated else ax.rhs
-            mvs = ax.metavars()
-            for direction, (pp, pc) in (("fwd", (pl, pr)), ("bwd", (pr, pl))):
-                b = match_pattern(spec, pp, sub)
-                if b is None:
-                    continue
-                if set(b) == mvs:
-                    out.append(eq_instance(spec, ax.axiom_id, b, negated, direction))
-                    continue
-                for target in expansion_targets:
-                    b2 = match_pattern(spec, pc, target, b)
-                    if b2 is not None and set(b2) == mvs:
-                        out.append(eq_instance(spec, ax.axiom_id, b2, negated, direction))
+    for ax, negated, direction, pp, pc in spec.oriented_axioms.values():
+        if negated not in negated_opts:
+            continue
+        mvs = ax.metavars()
+        b = match_pattern(spec, pp, sub)
+        if b is None:
+            continue
+        if set(b) == mvs:
+            out.append(eq_instance(spec, ax.axiom_id, b, negated, direction))
+            continue
+        for target in expansion_targets:
+            b2 = match_pattern(spec, pc, target, b)
+            if b2 is not None and set(b2) == mvs:
+                out.append(eq_instance(spec, ax.axiom_id, b2, negated, direction))
     return out
 
 

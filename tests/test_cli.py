@@ -1,3 +1,5 @@
+import pytest
+
 from medial.cli import run
 
 
@@ -64,3 +66,25 @@ def test_bench_deterministic(tmp_path):
                 "--samples", "3", "--seed", "4", "--out", str(b)]) == 0
     strip = lambda text: [",".join(r.split(",")[:5]) for r in text.splitlines()]
     assert strip(a.read_text()) == strip(b.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: line.replace("rule=", "", 1), "lacks rule"),
+        (lambda line: line.rsplit(" ", 1)[0], "lacks U"),
+        (lambda line: line.replace("dir=bwd", "dir=up", 1), "bad direction"),
+    ],
+    ids=["no-rule", "missing-binding", "bad-dir"],
+)
+def test_check_malformed_step_exits_2(tmp_path, capsys, edit, message):
+    good = tmp_path / "good.drv"
+    assert run(["prove", "(x | ~x)", "--out", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    assert lines[2] == "step: rule=eq:const_idem:n dir=bwd path=- U=F"
+    lines[2] = edit(lines[2])
+    bad = tmp_path / "bad.drv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["check", str(bad)]) == 2
+    assert message in capsys.readouterr().err

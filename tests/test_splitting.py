@@ -6,6 +6,8 @@ from medial.splitting import (
     FragmentError,
     IrreducibleCase,
     NotDownFragment,
+    SplitRecord,
+    SplittingError,
     context_reduce,
     eliminate_all_up,
     eliminate_up_step,
@@ -86,6 +88,13 @@ def test_shallow_split_length_bound_logged():
         p = derive_excluded_middle(spec, "&", parse_formula(text))
         shallow_split(frag, p, ("L",), rec)
     assert rec and all(r.bound_holds for r in rec)
+
+
+def test_length_bound_asserted_without_recorder(monkeypatch):
+    q = injected_corpus(seed=42, size=1)[0]
+    monkeypatch.setattr(SplitRecord, "bound_holds", property(lambda self: False))
+    with pytest.raises(SplittingError, match="length bound violated"):
+        eliminate_all_up(frag, q, None)
 
 
 def test_context_reduce_root_hole():

@@ -1,25 +1,39 @@
+import itertools
 import random
 
 import pytest
 
+import medial.systems as systems
 from medial.system_p import make_p_spec
 from medial.systems import (
+    MatchBudgetExhausted,
+    Metavar,
     RelationSymbol,
     Scheme,
     SideConditionViolated,
     SystemSpec,
+    ac_instance,
     classify_relation,
     enumerate_redexes,
+    eq_instance,
     eq_step_for,
     instantiate_rule,
+    iter_matches,
     match_pattern,
     spec_from_text,
     spec_to_text,
     validate_spec,
 )
-from medial.terms import Constant, Variable, equal_mod_ac, parse_formula
+from medial.terms import (
+    Constant,
+    Variable,
+    equal_mod_ac,
+    negate,
+    parse_formula,
+    subterms,
+)
 
-from helpers import random_formula
+from helpers import enumerate_formulas, random_formula
 
 spec = make_p_spec()
 a, b, c, d = (Variable(n) for n in "abcd")
@@ -184,3 +198,109 @@ def test_classify_stable_under_incomparable_additions():
     )
     for rel in ("a", "b"):
         assert classify_relation(small, rel) == classify_relation(widened, rel)
+
+
+# ---------------------------------------------------------------------------
+# eq_step_for against the exhaustive search it replaced
+
+
+def _reference_eq_step_for(spec, lhs, rhs):
+    """The axiom search as it was before AC-silent axioms were skipped and
+    pattern roots prefiltered: every axiom, negated and not, both ways."""
+    for ax in spec.axioms:
+        for negated in (False, True):
+            pl, pr = ax.lhs, ax.rhs
+            if negated:
+                pl, pr = negate(spec, pl), negate(spec, pr)
+            for direction, (pp, pc) in (("fwd", (pl, pr)), ("bwd", (pr, pl))):
+                for b in iter_matches(spec, pp, lhs):
+                    b2 = match_pattern(spec, pc, rhs, b)
+                    if b2 is None:
+                        continue
+                    if set(b2) != ax.metavars():
+                        continue
+                    inst = eq_instance(spec, ax.axiom_id, b2, negated, direction)
+                    if equal_mod_ac(spec, inst.premise, lhs) and equal_mod_ac(
+                        spec, inst.conclusion, rhs
+                    ):
+                        return inst
+    return None
+
+
+def _fresh_p_spec():
+    """A private copy of P, so the queries below fill no shared cache."""
+    return spec_from_text(spec_to_text(make_p_spec()))
+
+
+def _one_step_instances(spec, oriented, bindings_by_sort):
+    ax = oriented.axiom
+    sorts = {t.name: t.sort for t in subterms(ax.lhs) if isinstance(t, Metavar)}
+    names = sorted(sorts)
+    for combo in itertools.product(*(bindings_by_sort[sorts[n]] for n in names)):
+        yield eq_instance(
+            spec, ax.axiom_id, dict(zip(names, combo)), oriented.negated, oriented.direction
+        )
+
+
+LEAVES = (Variable("x"), Variable("x", True), Variable("y"))
+CONSTANTS = (Constant("T"), Constant("F"))
+
+
+def test_oriented_axioms_table():
+    table = spec.oriented_axioms
+    assert len(table) == 4 * len(spec.axioms)
+    o = table[("or_unit", True, "bwd")]
+    assert o.premise == Metavar("A", True)
+    assert o.conclusion == parse_formula("(~A & T)", metavars=True)
+    silent = {o.axiom.axiom_id for o in table.values()} - {
+        o.axiom.axiom_id for o in spec.searched_axioms
+    }
+    assert silent == {f"assoc_{t}" for t in ("and", "or", "p0", "p1")} | {
+        "comm_and", "comm_or"
+    }
+
+
+def test_eq_step_for_agrees_with_reference_search():
+    # every one-step instance of every searched P axiom, both directions,
+    # negated or not, with formula metavariables bound to formulas of
+    # height <= 2 over {x, ~x, y}
+    fresh = _fresh_p_spec()
+    by_sort = {
+        "formula": enumerate_formulas(2, LEAVES),
+        "literal": LEAVES,
+        "constant": CONSTANTS,
+    }
+    queries = {}
+    for oriented in fresh.searched_axioms:
+        for inst in _one_step_instances(fresh, oriented, by_sort):
+            queries.setdefault((inst.premise, inst.conclusion), inst)
+    assert len(queries) > 10000
+    for lhs, rhs in queries:
+        assert not equal_mod_ac(fresh, lhs, rhs)
+        assert eq_step_for(fresh, lhs, rhs) == _reference_eq_step_for(fresh, lhs, rhs)
+
+
+def test_eq_step_for_ac_equal_pairs_get_acr():
+    # the AC-silent axioms (assoc, comm) are never searched: their
+    # instances, bound to atoms, are answered by a rearrangement
+    fresh = _fresh_p_spec()
+    by_sort = {"formula": LEAVES, "literal": LEAVES, "constant": CONSTANTS}
+    silent = [o for o in fresh.oriented_axioms.values() if o not in fresh.searched_axioms]
+    for oriented in silent:
+        for inst in _one_step_instances(fresh, oriented, by_sort):
+            lhs, rhs = inst.premise, inst.conclusion
+            assert eq_step_for(fresh, lhs, rhs) == ac_instance(fresh, lhs, rhs)
+    lhs, rhs = parse_formula("((x & y) | z)"), parse_formula("(z | (y & x))")
+    got = eq_step_for(fresh, lhs, rhs)
+    assert got.rule_id == "acr" and (got.premise, got.conclusion) == (lhs, rhs)
+
+
+def test_eq_step_for_reports_exhausted_budget(monkeypatch):
+    fresh = _fresh_p_spec()
+    lhs, rhs = parse_formula("(x | ~x)"), Constant("T")
+    monkeypatch.setattr(systems, "_MATCH_CAP", 1)
+    with pytest.raises(MatchBudgetExhausted):
+        eq_step_for(fresh, lhs, rhs)
+    assert (lhs, rhs) not in fresh.eq_cache
+    monkeypatch.undo()
+    assert eq_step_for(fresh, lhs, rhs).axiom_id == "var_em"
