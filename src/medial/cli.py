@@ -258,19 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default="20,60")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("eval", help="evaluate a formula")
     p.add_argument("formula")
-    p.add_argument("--system", default="P")
     p.add_argument("--assign", default=None, help="x=1,y=0")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("taut", help="tautology test by truth-table enumeration")
     p.add_argument("formula")
-    p.add_argument("--system", default="P")
     p.set_defaults(handler=_cmd_taut)
     return parser
 

@@ -23,13 +23,13 @@ from .systems import (
     eq_instance,
     eq_step_for,
     instantiate_rule,
+    undeclared_symbol,
 )
 from .terms import (
     Compound,
     Constant,
     ContextPath,
     Formula,
-    Metavar,
     ParseError,
     PathStep,
     Variable,
@@ -41,7 +41,6 @@ from .terms import (
     print_formula,
     replace_at,
     subformula_at_sides,
-    subterms,
 )
 
 
@@ -104,13 +103,9 @@ class CheckFailure:
 
 def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     """None when d is valid for spec; otherwise the first failure."""
-    for t in subterms(d.premise):
-        if isinstance(t, Metavar):
-            return CheckFailure(-1, "metavariable in premise")
-        if isinstance(t, Constant) and t.name not in spec.constants:
-            return CheckFailure(-1, f"undeclared constant {t.name}")
-        if isinstance(t, Compound) and t.rel not in spec.relations:
-            return CheckFailure(-1, f"undeclared relation {t.rel}")
+    reason = undeclared_symbol(spec, d.premise)
+    if reason is not None:
+        return CheckFailure(-1, f"{reason} in premise")
     cur = d.premise
     for i, step in enumerate(d.steps):
         if not equal_mod_ac(spec, step.before, cur):
@@ -122,13 +117,6 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     if not equal_mod_ac(spec, cur, d.conclusion):
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
-
-
-def assert_checks(spec: SystemSpec, d: Derivation, what: str = "derivation") -> Derivation:
-    failure = check(spec, d)
-    if failure is not None:
-        raise DerivationError(f"{what} fails to check: {failure}")
-    return d
 
 
 # ---------------------------------------------------------------------------

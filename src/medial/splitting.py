@@ -16,6 +16,7 @@ from .derivations import (
     Derivation,
     DerivationError,
     Step,
+    exactify,
     identity,
     step_cost,
     weak_units,
@@ -35,6 +36,7 @@ from .terms import (
     Constant,
     Formula,
     Variable,
+    ac_canonical,
     equal_mod_ac,
     is_atom,
     join,
@@ -73,11 +75,15 @@ class SplittableFragment:
     down_rules: tuple  # splitting down-rule ids
     up_rules: tuple  # the corresponding splitting up-rule ids
 
-    def units_for(self, beta: str) -> tuple:
-        for b, u, nu in self.weak:
-            if b == beta:
-                return u, nu
-        raise FragmentError(f"{beta} is not a weak relation of the fragment")
+    def weak_for(self, premise: Formula) -> tuple:
+        """(beta, unit, co_unit), the units as constants, of the weak
+        relation whose co-unit is premise; splitting runs from there."""
+        for beta, unit, co_unit in self.weak:
+            if premise == Constant(co_unit):
+                return beta, Constant(unit), Constant(co_unit)
+        raise NotDownFragment(
+            f"expected a proof from a co-unit, not from {print_formula(premise)}"
+        )
 
 
 def make_fragment(spec: SystemSpec) -> SplittableFragment:
@@ -189,40 +195,32 @@ def _shallow(spec: SystemSpec, beta: str, tree: Formula, occ: tuple) -> bool:
     return True
 
 
+def _shallow_nodes(beta: str, tree: Formula, prefix: tuple = ()):
+    """(path, subtree) for every beta-shallow subtree of tree: pre-order,
+    left before right, descending only through beta nodes."""
+    yield prefix, tree
+    if isinstance(tree, Compound) and tree.rel == beta:
+        yield from _shallow_nodes(beta, tree.left, prefix + ("L",))
+        yield from _shallow_nodes(beta, tree.right, prefix + ("R",))
+
+
 def _find_shallow_occ(spec: SystemSpec, beta: str, tree: Formula, node: Formula):
-    """Some beta-shallow occurrence of an AC-equal copy of node."""
-
-    def walk(f: Formula, prefix: tuple):
-        if equal_mod_ac(spec, f, node):
-            return prefix
-        if isinstance(f, Compound) and f.rel == beta:
-            for side, child in (("L", f.left), ("R", f.right)):
-                got = walk(child, prefix + (side,))
-                if got is not None:
-                    return got
-        return None
-
-    return walk(tree, ())
+    """The first beta-shallow occurrence of an AC-equal copy of node."""
+    return next(
+        (p for p, f in _shallow_nodes(beta, tree) if equal_mod_ac(spec, f, node)), None
+    )
 
 
 def _find_aligned_occ(spec: SystemSpec, beta: str, tree: Formula, node: Formula):
     """A beta-shallow occurrence of node with the same top bipartition;
     returns (path, swapped) or None."""
-
-    def walk(f: Formula, prefix: tuple):
+    for p, f in _shallow_nodes(beta, tree):
         if isinstance(f, Compound) and f.rel == node.rel and equal_mod_ac(spec, f, node):
             if equal_mod_ac(spec, f.left, node.left):
-                return prefix, False
+                return p, False
             if spec.is_commutative(node.rel) and equal_mod_ac(spec, f.left, node.right):
-                return prefix, True
-        if isinstance(f, Compound) and f.rel == beta:
-            for side, child in (("L", f.left), ("R", f.right)):
-                got = walk(child, prefix + (side,))
-                if got is not None:
-                    return got
-        return None
-
-    return walk(tree, ())
+                return p, True
+    return None
 
 
 def _is_prefix(a: tuple, b: tuple) -> bool:
@@ -230,16 +228,12 @@ def _is_prefix(a: tuple, b: tuple) -> bool:
 
 
 class _Splitter:
-    def __init__(self, frag: SplittableFragment, beta: str, recorder: Optional[list]):
+    def __init__(self, frag: SplittableFragment, premise: Formula, recorder: Optional[list]):
         self.frag = frag
         self.spec = frag.spec
-        self.beta = beta
-        unit, co_unit = frag.units_for(beta)
-        self.u = Constant(unit)
-        self.nu = Constant(co_unit)
+        self.beta, self.u, self.nu = frag.weak_for(premise)
         self.recorder = recorder
         self.calls = 0
-        self.pairs = weak_units(self.spec)
         self._costs: dict = {}  # id(rule) -> (rule, step cost); holds the rule
 
     def _length(self, d: Optional[Derivation]) -> Optional[int]:
@@ -250,7 +244,7 @@ class _Splitter:
         for s in d.steps:
             hit = costs.get(id(s.rule))
             if hit is None:
-                hit = costs[id(s.rule)] = (s.rule, step_cost(self.spec, self.pairs, s))
+                hit = costs[id(s.rule)] = (s.rule, step_cost(self.spec, self.frag.weak, s))
             total += hit[1]
         return total
 
@@ -419,7 +413,7 @@ class _Splitter:
             if not (isinstance(tree, Compound) and tree.rel == alpha):
                 k = subformula_at_sides(q.conclusion, ("R",))
                 bid = fresh()
-                by_class.setdefault(_ac_key(spec, tree), []).append((bid, q, k))
+                by_class.setdefault(ac_canonical(spec, tree), []).append((bid, q, k))
                 return k, bid
             r = self.split(q, ("L",))
             _, lid = atomize(r.q0, tree.left)
@@ -434,7 +428,7 @@ class _Splitter:
         def rejoin(tree: Formula):
             """Proof of (tree beta K) following the reading's grouping."""
             if not (isinstance(tree, Compound) and tree.rel == alpha):
-                entries = by_class.get(_ac_key(spec, tree))
+                entries = by_class.get(ac_canonical(spec, tree))
                 if not entries:
                     raise IrreducibleCase("regrouped spine lost an element")
                 bid, q, k = entries.pop(0)
@@ -828,7 +822,7 @@ class _Splitter:
         k_kept = res1.k0 if kept_side == "L" else res1.k1
         d = Builder(spec, res2.d.premise)
         d.splice((), res2.d)
-        kpos = _find_element(spec, beta, d.current, k_kept)
+        kpos = next((p for p, f in _shallow_nodes(beta, d.current) if f == k_kept), None)
         if kpos is None:
             raise IrreducibleCase("lost the component remainder after erasure")
         ng = spec.dual(gamma)
@@ -870,12 +864,6 @@ def _relocate_after_delete(p: tuple, occ: tuple) -> tuple:
     return p
 
 
-def _ac_key(spec: SystemSpec, f: Formula) -> Formula:
-    from .terms import ac_canonical
-
-    return ac_canonical(spec, f)
-
-
 def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
                  target: Formula, what: str) -> None:
     """Steer the builder's formula to target, padding or dropping unit
@@ -911,30 +899,12 @@ def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
 
 def _element_diff(spec: SystemSpec, beta: str, big: Formula, small: Formula) -> list:
     """Multiset difference of beta-spine elements (AC-canonical keys)."""
-    from .terms import ac_canonical
-
     big_elems = [ac_canonical(spec, e) for e in spine(spec, big, beta)]
     small_elems = [ac_canonical(spec, e) for e in spine(spec, small, beta)]
     for e in small_elems:
         if e in big_elems:
             big_elems.remove(e)
     return big_elems
-
-
-def _find_element(spec: SystemSpec, beta: str, tree: Formula, wanted: Formula):
-    """Exact subtree occurrence of wanted placed under beta nodes only."""
-
-    def walk(f: Formula, prefix: tuple):
-        if f == wanted:
-            return prefix
-        if isinstance(f, Compound) and f.rel == beta:
-            for side, child in (("L", f.left), ("R", f.right)):
-                got = walk(child, prefix + (side,))
-                if got is not None:
-                    return got
-        return None
-
-    return walk(tree, ())
 
 
 def shallow_split(
@@ -945,17 +915,9 @@ def shallow_split(
 ) -> SplitResult:
     """Split a proof of (A0 a A1) b B (the a-node designated by occ) into
     component proofs and a remainder derivation, per the shallow splitting
-    theorem; the length bounds are asserted on every recursive call."""
-    from .derivations import exactify
-
-    beta = None
-    for b, _, nu in frag.weak:
-        if P.premise == Constant(nu):
-            beta = b
-            break
-    if beta is None:
-        raise NotDownFragment("shallow splitting expects a proof from a co-unit")
-    splitter = _Splitter(frag, beta, recorder)
+    theorem; the length bounds are asserted on every recursive call.  P is
+    exactified first, since the case analysis reads adjacent steps."""
+    splitter = _Splitter(frag, P.premise, recorder)
     splitter._validate_down(P)
     return splitter.split(exactify(frag.spec, P), tuple(occ))
 
@@ -1022,21 +984,11 @@ def context_reduce(
     recorder: Optional[list] = None,
 ) -> ContextReduction:
     """Reduce a proof of S{A} to a proof of A beta K plus a hole-uniform
-    derivation rebuilding S{ } around { } beta K."""
-    from .derivations import exactify
-
+    derivation rebuilding S{ } around { } beta K.  P may join its steps
+    modulo AC."""
     spec = frag.spec
-    P = exactify(spec, P)
     hole_sides = tuple(hole_sides)
-    beta = None
-    for b_, _, nu_ in frag.weak:
-        if P.premise == Constant(nu_):
-            beta = b_
-            break
-    if beta is None:
-        raise NotDownFragment("context reduction expects a proof from a co-unit")
-    unit, co_unit = frag.units_for(beta)
-    u, nu = Constant(unit), Constant(co_unit)
+    beta, u, nu = frag.weak_for(P.premise)
     C = P.conclusion
     hole_formula = subformula_at_sides(C, hole_sides)
 
@@ -1146,11 +1098,8 @@ def eliminate_up_step(
 ) -> Derivation:
     """Remove the up-rule step nearest the premise, per the admissibility
     theorem (context reduction, two layers of shallow splitting, and the
-    reassembly derivation)."""
-    from .derivations import exactify
-
+    reassembly derivation).  P may join its steps modulo AC."""
     spec = frag.spec
-    P = exactify(spec, P)
     i = first_up_index(frag, P)
     if i is None:
         return P
@@ -1179,12 +1128,7 @@ def eliminate_up_step(
 
     cr = context_reduce(frag, above, tuple(sigma.sides), recorder)
     gamma, alpha_t = sigma.rule.relations
-    beta = None
-    for b_, _, nu_ in frag.weak:
-        if P.premise == Constant(nu_):
-            beta = b_
-    unit, co_unit = frag.units_for(beta)
-    u, nu = Constant(unit), Constant(co_unit)
+    beta, _, nu = frag.weak_for(P.premise)
     if spec.dual(alpha_t) != beta:
         raise IrreducibleCase("up-rule over a relation without the weak dual")
     t_a = sigma.rule.binding("A")

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .terms import (
     Compound,
@@ -23,14 +23,12 @@ from .terms import (
     Metavar,
     TermError,
     Variable,
-    context_at,
     equal_mod_ac,
     join,
     negate,
     parse_formula,
     print_formula,
     spine,
-    subformula_at_sides,
     subterms,
 )
 
@@ -565,6 +563,19 @@ def _eq_step_for(
     return None
 
 
+def undeclared_symbol(spec: SystemSpec, f: Formula) -> Optional[str]:
+    """None when f is a formula over spec's alphabet; else a reason naming
+    the metavariable or undeclared constant or relation it holds."""
+    for t in subterms(f):
+        if isinstance(t, Metavar):
+            return f"metavariable {t.name}"
+        if isinstance(t, Constant) and t.name not in spec.constants:
+            return f"undeclared constant {t.name}"
+        if isinstance(t, Compound) and t.rel not in spec.relations:
+            return f"undeclared relation {t.rel}"
+    return None
+
+
 def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
     """None when the instance is valid for spec, else a reason string."""
     bindings = dict(rule.bindings)
@@ -592,9 +603,15 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
         if prem != rule.premise or conc != rule.conclusion:
             return f"stored formulas disagree with scheme shape for {rule.rule_id}"
         return None
-    # equational
+    # equational: the only rules whose bindings can bring in new symbols,
+    # since medial conclusions reuse the premise's material and acr only
+    # relates AC-equal formulas
     if rule.axiom_id is None or rule.axiom_id not in spec.axioms_by_id:
         return f"axiom not declared: {rule.axiom_id}"
+    for name, value in rule.bindings:
+        reason = undeclared_symbol(spec, value)
+        if reason is not None:
+            return f"{reason} in binding {name}"
     try:
         rebuilt = eq_instance(spec, rule.axiom_id, bindings, rule.negated, rule.direction)
     except (SystemError, KeyError) as e:
@@ -671,10 +688,6 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     return issues
 
 
-def _mv(name: str, sort: str = "formula", negated: bool = False) -> Metavar:
-    return Metavar(name, negated, sort)
-
-
 def _unit_axiom(spec: SystemSpec, r: RelationSymbol) -> Optional[RuleInstance]:
     """A unit equation instance A r u = A, possibly via a negated axiom."""
     probe = Variable("w")
@@ -699,143 +712,6 @@ def _weakening_axiom(spec: SystemSpec, rel: str, side: str) -> Optional[Axiom]:
         if isinstance(rhs, Metavar) and rhs.name == kept.name and rhs.negated == kept.negated:
             return o.axiom
     return None
-
-
-# ---------------------------------------------------------------------------
-# Redex enumeration
-
-
-def enumerate_redexes(
-    spec: SystemSpec,
-    f: Formula,
-    schemes: Optional[Iterable[Scheme]] = None,
-    expansion_targets: Sequence[Formula] = (),
-) -> list[tuple]:
-    """All (context, rule instance) pairs whose premise matches a subterm of
-    f (modulo AC, spine regroupings capped).  Equational expansions whose
-    bindings the redex side does not determine are only produced against the
-    supplied expansion_targets."""
-    wanted = set(schemes) if schemes is not None else set(Scheme) - {Scheme.AC}
-    out: list[tuple] = []
-    for sides in _all_paths(f):
-        sub = subformula_at_sides(f, sides)
-        ctx = context_at(f, sides)
-        if not isinstance(sub, Compound):
-            continue
-        for scheme in (s for s in wanted if s.is_medial):
-            out.extend((ctx, ri) for ri in _medial_redexes(spec, scheme, sub))
-        if Scheme.EQ_DOWN in wanted or Scheme.EQ_UP in wanted:
-            out.extend((ctx, ri) for ri in _eq_redexes(spec, sub, wanted, expansion_targets))
-    # atoms still admit equational redexes (e.g. unit expansion)
-    for sides in _all_paths(f):
-        sub = subformula_at_sides(f, sides)
-        if isinstance(sub, Compound):
-            continue
-        ctx = context_at(f, sides)
-        if Scheme.EQ_DOWN in wanted or Scheme.EQ_UP in wanted:
-            out.extend((ctx, ri) for ri in _eq_redexes(spec, sub, wanted, expansion_targets))
-    return out
-
-
-def _all_paths(f: Formula, prefix: tuple = ()) -> Iterator[tuple]:
-    yield prefix
-    if isinstance(f, Compound):
-        yield from _all_paths(f.left, prefix + ("L",))
-        yield from _all_paths(f.right, prefix + ("R",))
-
-
-def _medial_redexes(spec: SystemSpec, scheme: Scheme, sub: Compound) -> list[RuleInstance]:
-    out = []
-    root = sub.rel
-    if scheme is Scheme.SPLIT_DOWN:
-        # premise (A b B) root (C b D), side root < b
-        for b in spec.relations:
-            if not spec.precedes(root, b):
-                continue
-            if spec.rule_for(scheme, root, b) is None:
-                continue
-            for A, B in _two_splits(spec, b, sub.left):
-                for C, D in _two_splits(spec, b, sub.right):
-                    out.append(
-                        instantiate_rule(spec, scheme, dict(A=A, B=B, C=C, D=D), root, b)
-                    )
-    elif scheme is Scheme.CONTRACT_DOWN:
-        # premise (A a B) root (C a D), side a < root
-        for a in spec.relations:
-            if not spec.precedes(a, root):
-                continue
-            if spec.rule_for(scheme, a, root) is None:
-                continue
-            for A, B in _two_splits(spec, a, sub.left):
-                for C, D in _two_splits(spec, a, sub.right):
-                    out.append(
-                        instantiate_rule(spec, scheme, dict(A=A, B=B, C=C, D=D), a, root)
-                    )
-    elif scheme is Scheme.SPLIT_UP:
-        # premise (A a C) root (B ~a D), side a > root
-        for a in spec.relations:
-            if not spec.precedes(root, a):
-                continue
-            if spec.rule_for(scheme, a, root) is None:
-                continue
-            na = spec.dual(a)
-            for A, C in _two_splits(spec, a, sub.left):
-                for B, D in _two_splits(spec, na, sub.right):
-                    out.append(
-                        instantiate_rule(spec, scheme, dict(A=A, B=B, C=C, D=D), a, root)
-                    )
-    elif scheme is Scheme.CONTRACT_UP:
-        # premise (A b C) root (B b D), side root > b
-        for b in spec.relations:
-            if not spec.precedes(b, root):
-                continue
-            if spec.rule_for(scheme, root, b) is None:
-                continue
-            for A, C in _two_splits(spec, b, sub.left):
-                for B, D in _two_splits(spec, b, sub.right):
-                    out.append(
-                        instantiate_rule(spec, scheme, dict(A=A, B=B, C=C, D=D), root, b)
-                    )
-    return out
-
-
-def _two_splits(spec: SystemSpec, rel: str, f: Formula) -> list[tuple]:
-    """Ways to read f as (X rel Y), including AC regroupings (capped)."""
-    if isinstance(f, Compound) and f.rel == rel and not spec.is_associative(rel):
-        return [(f.left, f.right)]
-    if not (isinstance(f, Compound) and f.rel == rel):
-        return []
-    elems = spine(spec, f, rel)
-    out = []
-    for cut in range(1, len(elems)):
-        out.append((join(rel, elems[:cut]), join(rel, elems[cut:])))
-        if len(out) >= _MATCH_CAP:
-            break
-    return out
-
-
-def _eq_redexes(spec, sub, wanted, expansion_targets):
-    out = []
-    negated_opts = []
-    if Scheme.EQ_DOWN in wanted:
-        negated_opts.append(False)
-    if Scheme.EQ_UP in wanted:
-        negated_opts.append(True)
-    for ax, negated, direction, pp, pc in spec.oriented_axioms.values():
-        if negated not in negated_opts:
-            continue
-        mvs = ax.metavars()
-        b = match_pattern(spec, pp, sub)
-        if b is None:
-            continue
-        if set(b) == mvs:
-            out.append(eq_instance(spec, ax.axiom_id, b, negated, direction))
-            continue
-        for target in expansion_targets:
-            b2 = match_pattern(spec, pc, target, b)
-            if b2 is not None and set(b2) == mvs:
-                out.append(eq_instance(spec, ax.axiom_id, b2, negated, direction))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,6 @@ class TermError(Exception):
     pass
 
 
-class UnknownSymbol(TermError):
-    pass
-
-
 class PathMismatch(TermError):
     pass
 

@@ -1,6 +1,12 @@
+import argparse
+import inspect
+
 import pytest
 
-from medial.cli import run
+from medial.cli import build_parser, run
+from medial.derivations import Builder, to_text
+from medial.system_p import make_p_spec
+from medial.terms import Constant, parse_formula
 
 
 def test_taut_exit_codes(capsys):
@@ -88,3 +94,30 @@ def test_check_malformed_step_exits_2(tmp_path, capsys, edit, message):
     capsys.readouterr()
     assert run(["check", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_check_rejects_relation_from_binding(tmp_path, capsys):
+    spec = make_p_spec()
+    b = Builder(spec, Constant("T"))
+    b.apply_eq((), "p0_select", dict(A=Constant("T"), B=parse_formula("(x zz y)")),
+               direction="bwd")
+    path = tmp_path / "zz.drv"
+    path.write_text(to_text(spec, b.derivation()))
+    assert run(["check", str(path)]) == 1
+    assert "step 0: undeclared relation zz" in capsys.readouterr().err
+
+
+def test_every_cli_argument_is_read():
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    ignored = []
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("handler"))
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if f"args.{action.dest}" not in source:
+                ignored.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
+    assert ignored == []

@@ -20,7 +20,7 @@ from medial.derivations import (
 from medial.generators import derive_excluded_middle
 from medial.system_p import make_p_spec
 from medial.systems import Scheme
-from medial.terms import Compound, Constant, Variable, context_at, parse_formula
+from medial.terms import Compound, Constant, Metavar, Variable, context_at, parse_formula
 
 from helpers import random_formula
 
@@ -58,6 +58,20 @@ def test_check_undeclared_axiom_rejected():
     bad = Derivation(d.premise, (type(step)(step.context, bad_rule),), d.conclusion)
     failure = check(spec, bad)
     assert failure is not None
+
+
+@pytest.mark.parametrize(
+    "junk",
+    [parse_formula("(x zz y)"), Constant("Q"), Metavar("B")],
+    ids=["relation", "constant", "metavariable"],
+)
+def test_check_rejects_undeclared_symbol_in_binding(junk):
+    # p0_select backwards binds B to material no premise holds
+    b = Builder(spec, T)
+    b.apply_eq((), "p0_select", dict(A=T, B=junk), direction="bwd")
+    failure = check(spec, b.derivation())
+    assert failure is not None and failure.step_index == 0
+    assert "binding B" in failure.reason
 
 
 def test_length_examples():

@@ -1,6 +1,6 @@
 import pytest
 
-from medial.derivations import Builder, check
+from medial.derivations import Builder, Derivation, check, exactify, from_text, to_text
 from medial.generators import derive_excluded_middle
 from medial.splitting import (
     FragmentError,
@@ -179,3 +179,22 @@ def test_shallow_split_survives_spine_regrouping():
     assert res.q0.conclusion == Compound("|", Variable("x"), res.k0)
     assert res.q1.conclusion == Compound("|", parse_formula("(y & z)"), res.k1)
     assert all(r.bound_holds for r in rec)
+
+
+def test_eliminate_accepts_ac_joints():
+    # dropping an acr step above the first up-rule leaves a joint that holds
+    # only modulo AC; elimination must not depend on exact threading
+    q = injected_corpus(seed=20240817, size=2)[1]
+    j = next(
+        j for j, s in enumerate(q.steps[: first_up_index(frag, q)])
+        if s.rule.scheme is Scheme.AC
+    )
+    loose = Derivation(q.premise, q.steps[:j] + q.steps[j + 1 :], q.conclusion)
+    assert check(spec, loose) is None
+    assert exactify(spec, loose) != loose
+    r = eliminate_all_up(frag, loose)
+    assert check(spec, r) is None
+    assert first_up_index(frag, r) is None
+    assert r.premise == loose.premise and r.conclusion == loose.conclusion
+    text = to_text(spec, r)
+    assert to_text(spec, from_text(text, lambda name: spec)[1]) == text

@@ -14,7 +14,6 @@ from medial.systems import (
     SystemSpec,
     ac_instance,
     classify_relation,
-    enumerate_redexes,
     eq_instance,
     eq_step_for,
     instantiate_rule,
@@ -109,45 +108,6 @@ def test_split_down_up_are_inverse_shapes():
     up_prem, up_conc = _scheme_shapes(spec, Scheme.SPLIT_UP, "p0", "|", a, b, c, d)
     assert down_prem == up_conc
     assert down_conc == up_prem
-
-
-def test_enumerate_redexes_switch():
-    f = parse_formula("((a | b) & (c | d))")
-    found = enumerate_redexes(spec, f, schemes=(Scheme.SPLIT_DOWN,))
-    assert any(
-        ctx == () and rule.rule_id == "sd" and rule.premise == f
-        for ctx, rule in found
-    )
-
-
-def test_enumerate_redexes_atom_empty():
-    assert enumerate_redexes(spec, Variable("x"), schemes=(Scheme.SPLIT_DOWN,)) == []
-
-
-def test_enumerate_redexes_expansion_needs_hint():
-    t = Constant("T")
-    plain = enumerate_redexes(spec, t, schemes=(Scheme.EQ_DOWN,))
-    assert not any(r.axiom_id == "var_em" for _, r in plain)
-    hinted = enumerate_redexes(
-        spec, t, schemes=(Scheme.EQ_DOWN,),
-        expansion_targets=(parse_formula("(x | ~x)"),),
-    )
-    assert any(
-        r.axiom_id == "var_em" and r.conclusion == parse_formula("(x | ~x)")
-        for _, r in hinted
-    )
-
-
-def test_enumerate_redexes_sound():
-    rng = random.Random(5)
-    from medial.terms import context_at, subformula_at_sides
-
-    for _ in range(30):
-        f = random_formula(rng, 3)
-        for ctx, rule in enumerate_redexes(spec, f):
-            sides = tuple(p.hole_side for p in ctx)
-            sub = subformula_at_sides(f, sides)
-            assert equal_mod_ac(spec, sub, rule.premise)
 
 
 def test_eq_step_for_orientations():
