@@ -27,7 +27,7 @@ from .system_p import (
     audit_soundness,
     prove_tautology,
 )
-from .systems import SystemSpec, spec_from_text
+from .systems import SystemError, SystemSpec, spec_from_text, validate_spec
 from .terms import ParseError, TermError, parse_formula, print_formula
 
 
@@ -39,7 +39,14 @@ def resolve_system(name: str) -> SystemSpec:
     path = Path(name)
     if not path.exists():
         raise ParseError(f"unknown system {name!r} (not a builtin or a file)")
-    return spec_from_text(path.read_text())
+    try:
+        spec = spec_from_text(path.read_text())
+        issues = validate_spec(spec)
+    except (SystemError, ValueError) as e:
+        issues = [f"{type(e).__name__}: {e}"]
+    if issues:
+        raise ParseError(f"bad system file {name}: " + "; ".join(issues))
+    return spec
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -280,8 +287,11 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ParseError, FileNotFoundError) as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
     except TermError as e:
         print(f"error: {e}", file=sys.stderr)

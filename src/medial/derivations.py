@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 from .systems import (
     RuleInstance,
     Scheme,
+    SortViolation,
     SystemError,
     SystemSpec,
     ac_instance,
@@ -370,8 +371,8 @@ def _require(fields: dict, names, raw: str) -> None:
 
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     """Parse a derivation file; returns (spec, derivation).  A step line
-    that lacks its rule, path or a binding the rule needs raises
-    ParseError."""
+    that lacks its rule, path or a binding the rule needs, or binds a
+    metavariable outside its sort, raises ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
@@ -418,7 +419,10 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
                 axiom_id = axiom_id[:-2]
             if axiom_id in spec.axioms_by_id:
                 _require(bindings, spec.axioms_by_id[axiom_id].metavars(), raw)
-            rule = eq_instance(spec, axiom_id, bindings, negated, direction)
+            try:
+                rule = eq_instance(spec, axiom_id, bindings, negated, direction)
+            except SortViolation as e:
+                raise ParseError(f"{e}: {raw}") from None
         else:
             decl = spec.rules_by_id.get(rule_id)
             if decl is None:

@@ -9,33 +9,23 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .system_p import all_valuations, evaluate
+from .system_p import TRUTH_TABLES, all_valuations, evaluate
 from .systems import Metavar, RelationSymbol, SystemError, SystemSpec, instantiate
 from .terms import Compound, Constant, Formula, Variable, variables
 
-# 2x2 tables, rows ordered (F,F), (F,T), (T,F), (T,T)
+# the rows evaluate reads, for the eight implication/projection relations
 R23_TABLES = {
-    "->": (True, True, False, True),
-    "<-": (True, False, True, True),
-    "!>": (False, False, True, False),  # A and not B
-    "!<": (False, True, False, False),  # not A and B
-    "p0": (False, False, True, True),
-    "p1": (False, True, False, True),
-    "np0": (True, True, False, False),
-    "np1": (True, False, True, False),
+    rel: TRUTH_TABLES[rel] for rel in ("->", "<-", "!>", "!<", "p0", "p1", "np0", "np1")
 }
 
 # involutive negation coherent with negating compounds argumentwise:
-# table(~r)(a,b) = not table(r)(not a, not b)
+# table(~r)(a,b) = not table(r)(not a, not b); row i of (not a, not b) is 3 - i
 R23_NEGATION = {
-    "->": "!<",
-    "!<": "->",
-    "<-": "!>",
-    "!>": "<-",
-    "p0": "p0",
-    "p1": "p1",
-    "np0": "np0",
-    "np1": "np1",
+    rel: next(
+        dual for dual, other in R23_TABLES.items()
+        if other == tuple(not table[3 - i] for i in range(4))
+    )
+    for rel, table in R23_TABLES.items()
 }
 
 

@@ -8,7 +8,7 @@ guessing; the acceptance corpus must exercise none."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .derivations import (
@@ -16,6 +16,7 @@ from .derivations import (
     Derivation,
     DerivationError,
     Step,
+    concat,
     exactify,
     identity,
     step_cost,
@@ -30,11 +31,13 @@ from .systems import (
     ac_instance,
     eq_instance,
     eq_step_for,
+    instantiate,
 )
 from .terms import (
     Compound,
     Constant,
     Formula,
+    PathStep,
     Variable,
     ac_canonical,
     equal_mod_ac,
@@ -258,9 +261,6 @@ class _Splitter:
         last = P.steps[-1]
         return Derivation(P.premise, P.steps[:-1], last.before)
 
-    def _reconcile(self, b: Builder, target: Formula, what: str) -> None:
-        _steer_units(self.spec, self.beta, self.u, b, target, what)
-
     def _normalize(self, P: Derivation, occ: tuple, kind: str,
                    k0, k1, d, q0, q1) -> SplitResult:
         """Pin the result endpoints to this call's exact trees."""
@@ -271,14 +271,7 @@ class _Splitter:
         btree = _delete(C, occ)
 
         def fix_q(q, a_part, k):
-            if q is None:
-                return None
-            want = Compound(beta, a_part, k)
-            if q.conclusion == want:
-                return q
-            b = Builder(spec, q.premise)
-            b.splice((), q)
-            return b.derivation(want)
+            return None if q is None else concat(spec, q, identity(Compound(beta, a_part, k)))
 
         q0 = fix_q(q0, node.left, k0)
         q1 = fix_q(q1, node.right, k1)
@@ -290,7 +283,7 @@ class _Splitter:
         if dd.conclusion != btree:
             b = Builder(spec, dd.premise)
             b.splice((), dd)
-            self._reconcile(b, btree, "split remainder")
+            _steer_units(spec, beta, self.u, b, btree, "split remainder")
             dd = b.derivation(btree)
         rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
@@ -298,12 +291,6 @@ class _Splitter:
         if not rec.bound_holds:
             raise SplittingError(f"length bound violated: {rec}")
         return SplitResult(kind, alpha, k0, k1, dd, q0, q1)
-
-    def _eq_rewrite(self, b: Builder, sides, target, what: str) -> None:
-        try:
-            b.rewrite(sides, target)
-        except DerivationError as e:
-            raise IrreducibleCase(f"{what}: {e}") from None
 
     # -- main recursion ----------------------------------------------------
     def split(self, P: Derivation, occ: tuple) -> SplitResult:
@@ -317,14 +304,9 @@ class _Splitter:
             if not P.steps:
                 raise IrreducibleCase("bare atomic premise cannot hold the split node")
             last = P.steps[-1]
-            prev = last.before
-            pad_rule = eq_step_for(spec, prev, Compound(beta, prev, self.u))
-            if pad_rule is None:
-                raise IrreducibleCase("no unit axiom to pad a bare conclusion")
             b = Builder(spec, P.premise)
             b.splice((), self._drop_last(P))
-            b.apply((), pad_rule)
-            b.acr((), Compound(beta, prev, self.u))
+            _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
             b.apply(("L",) + tuple(last.sides), last.rule)
             return self.split(b.derivation(), ("L",))
         C = P.conclusion
@@ -398,9 +380,7 @@ class _Splitter:
         if occ2 is None:
             raise IrreducibleCase("AC step hides the split node")
         t = subformula_at_sides(P1.conclusion, occ2)
-        qb = Builder(spec, P1.premise)
-        qb.splice((), P1)
-        base = qb.derivation(Compound(beta, t, _delete(P1.conclusion, occ2)))
+        base = concat(spec, P1, identity(Compound(beta, t, _delete(P1.conclusion, occ2))))
         by_class: dict = {}  # element class -> [(id, q, K)], leftmost first
         chain: list = []  # (left_id, right_id, parent_id, remainder), bottom-up
         counter = [0]
@@ -437,8 +417,8 @@ class _Splitter:
             ql, kl = rejoin(tree.left)
             qr, kr = rejoin(tree.right)
             b = Builder(spec, self.nu)
-            self._eq_rewrite(b, (), Compound(alpha, self.nu, self.nu),
-                             "co-unit merge for regrouping")
+            _eq_rewrite(b, (), Compound(alpha, self.nu, self.nu),
+                        "co-unit merge for regrouping")
             b.splice(("L",), ql)
             b.splice(("R",), qr)
             b.apply_scheme(
@@ -475,25 +455,21 @@ class _Splitter:
         spec, beta = self.spec, self.beta
         res = self.split(P1, occ)
         rel_path = tuple(sigma.sides)[len(occ) + 1 :]
-        q0, q1 = res.q0, res.q1
-        if side == "L" and q0 is not None:
-            b = Builder(spec, q0.premise)
-            b.splice((), q0)
+        qs = [res.q0, res.q1]
+        host = 0 if side == "L" else 1
+        if qs[host] is not None:
+            b = Builder(spec, qs[host].premise)
+            b.splice((), qs[host])
             b.apply(("L",) + rel_path, sigma.rule)
-            q0 = b.derivation()
-        if side == "R" and q1 is not None:
-            b = Builder(spec, q1.premise)
-            b.splice((), q1)
-            b.apply(("L",) + rel_path, sigma.rule)
-            q1 = b.derivation()
-        return self._normalize(P, occ, kind, res.k0, res.k1, res.d, q0, q1)
+            qs[host] = b.derivation()
+        return self._normalize(P, occ, kind, res.k0, res.k1, res.d, *qs)
 
     def _make_pair_proof(self, atom: Formula) -> Derivation:
         """~u_beta -> (atom beta ~atom) for an atomic literal or constant."""
         spec, beta = self.spec, self.beta
         b = Builder(spec, self.nu)
-        self._eq_rewrite(b, (), Compound(beta, atom, negate(spec, atom)),
-                         "annihilation axiom for the split component")
+        _eq_rewrite(b, (), Compound(beta, atom, negate(spec, atom)),
+                    "annihilation axiom for the split component")
         return b.derivation()
 
     def _at_node_eq(self, P, P1, occ, sigma, kind) -> SplitResult:
@@ -520,9 +496,7 @@ class _Splitter:
                 direction="bwd" if sigma.rule.direction == "fwd" else "fwd",
             )
             d.apply((), flipped)  # ~node -> ~s_pre
-            pad = Builder(spec, P1.premise)
-            pad.splice((), P1)
-            padded = pad.derivation(Compound(beta, s_pre, btree))
+            padded = concat(spec, P1, identity(Compound(beta, s_pre, btree)))
             d.splice((), atomic_deduction(spec, beta, s_pre, btree, padded))
             return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
 
@@ -539,9 +513,7 @@ class _Splitter:
             else:
                 held = "L" if s_pre == a0 else "R"
             kept, other = (a0, a1) if held == "L" else (a1, a0)
-            qb = Builder(spec, P1.premise)
-            qb.splice((), P1)
-            q_kept = qb.derivation(Compound(beta, kept, btree))
+            q_kept = concat(spec, P1, identity(Compound(beta, kept, btree)))
             if kind == "unitary":
                 if other != Constant(spec.relation(alpha).unitary) or other != self.nu:
                     raise IrreducibleCase("unit expansion with a non-co-unit unit")
@@ -549,7 +521,7 @@ class _Splitter:
                     raise IrreducibleCase("unitary split needs the dual weak relation")
                 k_other = self.u
                 ob = Builder(spec, self.nu)
-                self._eq_rewrite(ob, (), Compound(beta, other, self.u), "unit padding")
+                _eq_rewrite(ob, (), Compound(beta, other, self.u), "unit padding")
                 q_other = ob.derivation()
                 d = Builder(
                     spec,
@@ -558,7 +530,7 @@ class _Splitter:
                     else Compound(na, k_other, btree),
                 )
                 d.acr((), Compound(beta, btree, self.u))
-                self._eq_rewrite(d, (), btree, "unit removal")
+                _eq_rewrite(d, (), btree, "unit removal")
             elif (kind == "right_weakening" and held == "L") or (
                 kind == "left_weakening" and held == "R"
             ):
@@ -570,7 +542,7 @@ class _Splitter:
                     if held == "L"
                     else Compound(na, other, btree),
                 )
-                self._eq_rewrite(d, (), btree, "weakening erasure")
+                _eq_rewrite(d, (), btree, "weakening erasure")
             else:
                 raise IrreducibleCase("expansion on the erased side of a weakening")
             if held == "L":
@@ -629,9 +601,6 @@ class _Splitter:
             res = self.split(P1, p)
             k0 = Compound(beta, X, res.k0)
             k1 = Compound(beta, Z, res.k1)
-            # the recursion split at a2 whose kind decides which proof exists
-            q0 = res.q0
-            q1 = res.q1
             d = Builder(spec, Compound(na, k0, k1))
             if not spec.precedes(na, beta):
                 raise IrreducibleCase("dual relation unusable under the split node")
@@ -639,17 +608,7 @@ class _Splitter:
                 (), Scheme.SPLIT_DOWN, dict(A=X, B=res.k0, C=Z, D=res.k1), na, beta
             )
             d.splice(("R",), res.d)
-            nq0 = None
-            nq1 = None
-            if q0 is not None:
-                nb = Builder(spec, q0.premise)
-                nb.splice((), q0)
-                nq0 = nb.derivation(Compound(beta, Y, k0))
-            if q1 is not None:
-                nb = Builder(spec, q1.premise)
-                nb.splice((), q1)
-                nq1 = nb.derivation(Compound(beta, W, k1))
-            return self._normalize(P, occ, kind, k0, k1, d.derivation(), nq0, nq1)
+            return self._normalize(P, occ, kind, k0, k1, d.derivation(), res.q0, res.q1)
         if rel[0] == "R" and spec.dual(a2) == beta:
             return self._spine_split(P, P1, occ, sigma, kind, rel)
         raise IrreducibleCase("split node buried by a splitting step")
@@ -694,11 +653,11 @@ class _Splitter:
             kpath = _find_shallow_occ(spec, beta, cur, keep)
             if kpath is None:
                 raise IrreducibleCase("lost the kept component in a spine split")
-        self._eq_rewrite(d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
+        _eq_rewrite(d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
         d.splice(kpath + ("R",), other)
         za, zb = away
         d.acr(kpath + ("R",), Compound(beta, za, Compound(beta, zb, k_other)))
-        self._eq_rewrite(d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
+        _eq_rewrite(d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
         d.apply_scheme(
             kpath, Scheme.SPLIT_DOWN,
             dict(A=keep, B=self.u, C=za, D=Compound(beta, zb, k_other)), nb, beta,
@@ -706,18 +665,13 @@ class _Splitter:
         # drop the unit introduced above, regroup, close with the outer proof
         rest = list(spine(spec, d.current, beta))
         rest.remove(self.u)
-        self._eq_rewrite_drop_unit(d, rest)
+        d.acr((), Compound(beta, join(beta, rest), self.u))
+        _eq_rewrite(d, (), join(beta, rest), "unit removal")
         d.acr((), self._arrange_with_pair(d.current, res1.k0, res1.k1))
         d.splice(("R",), res1.d)
         return self._normalize(
             P, occ, kind, res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1
         )
-
-    def _eq_rewrite_drop_unit(self, d: Builder, rest: list) -> None:
-        spec, beta = self.spec, self.beta
-        keep = join(beta, rest)
-        d.acr((), Compound(beta, keep, self.u))
-        self._eq_rewrite(d, (), keep, "unit removal")
 
     def _arrange_with_pair(self, cur: Formula, k0: Formula, k1: Formula) -> Formula:
         """Arrange cur as (rest b (k0 b k1)) so an outer proof can continue."""
@@ -762,34 +716,18 @@ class _Splitter:
         if not _shallow(spec, beta, P1.conclusion, occ2):
             return self._triad(P, P1, occ, sigma, kind)
         res = self.split(P1, occ2)
-        # patch d from the recursion's remainder to delete(C, occ)
-        btree = _delete(P.conclusion, occ)
-        bhat = res.d.conclusion
+        # patch d from the recursion's remainder towards delete(C, occ); a
+        # step that wrapped or unwrapped the whole node (r_m empty) leaves
+        # only a unit for _normalize to pad or drop
         d = Builder(spec, res.d.premise)
         d.splice((), res.d)
-        if r_m == ():
-            # the step wrapped or unwrapped the whole node; fix the unit
-            extra = _element_diff(spec, beta, btree, bhat)
-            if extra == [self.u]:
-                self._eq_rewrite(d, (), Compound(beta, d.current, self.u), "unit padding")
-            elif extra == []:
-                missing = _element_diff(spec, beta, bhat, btree)
-                if missing == [self.u]:
-                    rest = list(spine(spec, d.current, beta))
-                    rest.remove(self.u)
-                    self._eq_rewrite_drop_unit(d, rest)
-                elif missing:
-                    raise IrreducibleCase("node wrapper changes non-unit material")
-            else:
-                raise IrreducibleCase("node wrapper changes non-unit material")
-        else:
+        if r_m != ():
             new_binding = dict(bindings)
             new_binding[m_name] = _delete(bindings[m_name], r_m)
             patched = eq_instance(
                 spec, rule.axiom_id, new_binding, rule.negated, rule.direction
             )
-            p2 = _relocate_after_delete(p, occ2)
-            d.apply(p2, patched)
+            d.apply(_relocate_after_delete(p, occ2), patched)
         return self._normalize(P, occ, kind, res.k0, res.k1, d.derivation(), res.q0, res.q1)
 
     def _triad(self, P, P1, occ, sigma, kind) -> SplitResult:
@@ -827,9 +765,9 @@ class _Splitter:
             raise IrreducibleCase("lost the component remainder after erasure")
         ng = spec.dual(gamma)
         if kept_side == "L":
-            self._eq_rewrite(d, kpos, Compound(ng, k_kept, res1.k1), "re-expansion")
+            _eq_rewrite(d, kpos, Compound(ng, k_kept, res1.k1), "re-expansion")
         else:
-            self._eq_rewrite(d, kpos, Compound(ng, res1.k0, k_kept), "re-expansion")
+            _eq_rewrite(d, kpos, Compound(ng, res1.k0, k_kept), "re-expansion")
         d.splice(kpos, res1.d)
         return self._normalize(P, occ, kind, res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1)
 
@@ -864,6 +802,14 @@ def _relocate_after_delete(p: tuple, occ: tuple) -> tuple:
     return p
 
 
+def _eq_rewrite(b: Builder, sides, target: Formula, what: str) -> None:
+    """One equational step at sides to target; IrreducibleCase if none."""
+    try:
+        b.rewrite(sides, target)
+    except DerivationError as e:
+        raise IrreducibleCase(f"{what}: {e}") from None
+
+
 def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
                  target: Formula, what: str) -> None:
     """Steer the builder's formula to target, padding or dropping unit
@@ -885,10 +831,7 @@ def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
             b.apply((), inst)
             continue
         if missing and all(e == u for e in missing):
-            inst = eq_step_for(spec, b.current, Compound(beta, b.current, u))
-            if inst is None:
-                raise IrreducibleCase(f"{what}: no unit axiom")
-            b.apply((), inst)
+            _eq_rewrite(b, (), Compound(beta, b.current, u), what)
             continue
         raise IrreducibleCase(
             f"{what}: cannot reconcile {print_formula(b.current)} "
@@ -925,54 +868,39 @@ def shallow_split(
 # ---------------------------------------------------------------------------
 # Context reduction
 
-HOLE = Variable("_")
-
-
-def _subst_hole(spec: SystemSpec, f: Formula, x: Formula) -> Formula:
-    if isinstance(f, Variable) and f.name == "_":
-        return negate(spec, x) if f.negated else x
-    if isinstance(f, Compound):
-        return Compound(
-            f.rel, _subst_hole(spec, f.left, x), _subst_hole(spec, f.right, x)
-        )
-    return f
+# A metavariable: no parsed formula holds one and check rejects one, so the
+# hole cannot clash with the user's symbols
+HOLE = Metavar("_")
 
 
 def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
     """Plug a formula into every hole occurrence of a context derivation."""
-    from dataclasses import replace as _replace
-    from .terms import PathStep
+    binding = {HOLE.name: x}
+
+    def fill(f: Formula) -> Formula:
+        return instantiate(spec, f, binding)
 
     def fix_rule(rule: RuleInstance) -> RuleInstance:
-        return _replace(
+        return replace(
             rule,
-            premise=_subst_hole(spec, rule.premise, x),
-            conclusion=_subst_hole(spec, rule.conclusion, x),
-            bindings=tuple(
-                (k, _subst_hole(spec, v, x)) for k, v in rule.bindings
-            ),
+            premise=fill(rule.premise),
+            conclusion=fill(rule.conclusion),
+            bindings=tuple((k, fill(v)) for k, v in rule.bindings),
         )
 
     steps = tuple(
         Step(
-            tuple(
-                PathStep(p.rel, p.hole_side, _subst_hole(spec, p.sibling, x))
-                for p in s.context
-            ),
+            tuple(PathStep(p.rel, p.hole_side, fill(p.sibling)) for p in s.context),
             fix_rule(s.rule),
         )
         for s in d.steps
     )
-    return Derivation(
-        _subst_hole(spec, d.premise, x), steps, _subst_hole(spec, d.conclusion, x)
-    )
+    return Derivation(fill(d.premise), steps, fill(d.conclusion))
 
 
 @dataclass(frozen=True)
 class ContextReduction:
     k: Formula
-    hole: Formula  # the distinguished hole symbol (the context H is trivial)
-    provable_witness: Derivation  # H{~u_beta} -> ~u_beta
     ctx: Derivation  # from (HOLE beta K) to S{HOLE}
     q: Derivation  # from ~u_beta to (A beta K)
 
@@ -1004,24 +932,15 @@ def context_reduce(
         if hole_sides == ():
             qb = Builder(spec, P.premise)
             qb.splice((), P)
-            inst = eq_step_for(spec, C, Compound(beta, C, u))
-            if inst is None:
-                raise IrreducibleCase("no unit axiom to pad the shallow case")
-            qb.apply((), inst)
-            q = qb.derivation(Compound(beta, C, u))
+            _eq_rewrite(qb, (), Compound(beta, C, u), "shallow case pad")
             cb = Builder(spec, Compound(beta, HOLE, u))
-            drop = eq_step_for(spec, Compound(beta, HOLE, u), HOLE)
-            if drop is None:
-                raise IrreducibleCase("no unit axiom to close the shallow case")
-            cb.apply((), drop)
-            return ContextReduction(u, HOLE, identity(HOLE), cb.derivation(HOLE), q)
+            _eq_rewrite(cb, (), HOLE, "shallow case close")
+            return ContextReduction(u, cb.derivation(), qb.derivation())
         k = _delete(C, hole_sides)
-        qb = Builder(spec, P.premise)
-        qb.splice((), P)
-        q = qb.derivation(Compound(beta, hole_formula, k))
+        q = concat(spec, P, identity(Compound(beta, hole_formula, k)))
         cb = Builder(spec, Compound(beta, HOLE, k))
         cb.acr((), replace_at(C, hole_sides, HOLE))
-        return ContextReduction(k, HOLE, identity(HOLE), cb.derivation(), q)
+        return ContextReduction(k, cb.derivation(), q)
 
     pi0 = hole_sides[:depth]
     enode = subformula_at_sides(C, pi0)
@@ -1086,7 +1005,7 @@ def context_reduce(
         )
     b.splice(("R",), split.d)
     _steer_units(spec, beta, u, b, replace_at(C, hole_sides, HOLE), "context rebuild")
-    return ContextReduction(rec.k, HOLE, identity(HOLE), b.derivation(), rec.q)
+    return ContextReduction(rec.k, b.derivation(), rec.q)
 
 
 # ---------------------------------------------------------------------------

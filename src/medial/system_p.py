@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .derivations import (
     Builder,
@@ -113,7 +113,7 @@ _P_SPEC: Optional[SystemSpec] = None
 
 
 def make_p_spec() -> SystemSpec:
-    """The validated system P (cached: the spec is immutable)."""
+    """The validated system P, built once per process and shared."""
     global _P_SPEC
     if _P_SPEC is not None:
         return _P_SPEC
@@ -142,17 +142,19 @@ def make_p_spec() -> SystemSpec:
 # ---------------------------------------------------------------------------
 # Boolean semantics
 
-BOOL_OPS: dict[str, Callable[[bool, bool], bool]] = {
-    "&": lambda a, b: a and b,
-    "|": lambda a, b: a or b,
-    "p0": lambda a, b: a,
-    "p1": lambda a, b: b,
-    "np0": lambda a, b: not a,
-    "np1": lambda a, b: not b,
-    "->": lambda a, b: (not a) or b,
-    "<-": lambda a, b: a or (not b),
-    "!>": lambda a, b: a and not b,
-    "!<": lambda a, b: (not a) and b,
+# 2x2 tables, rows ordered (F,F), (F,T), (T,F), (T,T): P's relations and
+# the eight of R23
+TRUTH_TABLES: dict[str, tuple] = {
+    "&": (False, False, False, True),
+    "|": (False, True, True, True),
+    "->": (True, True, False, True),
+    "<-": (True, False, True, True),
+    "!>": (False, False, True, False),  # A and not B
+    "!<": (False, True, False, False),  # not A and B
+    "p0": (False, False, True, True),
+    "p1": (False, True, False, True),
+    "np0": (True, True, False, False),
+    "np1": (True, False, True, False),
 }
 
 
@@ -169,10 +171,10 @@ def evaluate(f: Formula, valuation: Mapping[str, bool]) -> bool:
         except KeyError:
             raise UnboundVariable(f.name) from None
         return (not value) if f.negated else value
-    op = BOOL_OPS.get(f.rel)
-    if op is None:
+    table = TRUTH_TABLES.get(f.rel)
+    if table is None:
         raise SystemError(f"relation {f.rel} has no boolean table")
-    return op(evaluate(f.left, valuation), evaluate(f.right, valuation))
+    return table[2 * evaluate(f.left, valuation) + evaluate(f.right, valuation)]
 
 
 def all_valuations(names: Sequence[str]) -> Iterable[dict]:
@@ -325,6 +327,8 @@ def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
         inner = _chain_insert(spec, kept, P, valuation)
         b2 = Builder(spec, inner.premise)
         b2.splice((), inner)
+        # a disjunction kept is inserted part by part; regroup it as one
+        b2.acr((), arranged(kept))
         kpath = ("R",) if not old_rest else ("R", "L")
         if element.rel == P0:
             b2.apply_eq(kpath, "p0_select", dict(A=kept, B=junk), direction="bwd")

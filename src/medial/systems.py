@@ -49,6 +49,10 @@ class UnknownSymbolError(SystemError):
     pass
 
 
+class SortViolation(SystemError):
+    pass
+
+
 class MatchBudgetExhausted(SystemError):
     """An axiom search ran out of its matching budget before finding an
     instance; the answer is unknown, not "no instance"."""
@@ -142,7 +146,8 @@ def _bind(**kw: Formula) -> tuple:
 
 
 class SystemSpec:
-    """Validated, immutable system descriptor.  Hash/eq by identity."""
+    """System descriptor: declarations fixed at construction, caches that
+    fill as it is used (not thread-safe).  Hash/eq by identity."""
 
     def __init__(
         self,
@@ -476,7 +481,7 @@ def eq_instance(
         raise UnknownAxiom(axiom_id) from None
     for t in subterms(ax.lhs):
         if isinstance(t, Metavar) and not _sort_ok(spec, t.sort, bindings[t.name]):
-            raise SystemError(f"binding for {t.name} violates sort {t.sort}")
+            raise SortViolation(f"binding for {t.name} violates sort {t.sort}")
     oriented = spec.oriented_axioms.get((axiom_id, negated, direction))
     if oriented is None:
         raise SystemError(f"bad direction {direction!r}")
@@ -680,6 +685,8 @@ def validate_spec(spec: SystemSpec) -> list[str]:
             issues.append(f"left_weakening flag on {r.name} has no axiom")
     # order-consistency of negation where duals are comparable at all
     for r in spec.relations.values():
+        if r.dual not in spec.relations:
+            continue  # reported above
         cls = classify_relation(spec, r.name)
         dual_cls = classify_relation(spec, r.dual)
         comparable = any(r.dual in pair for pair in spec.order_closure)

@@ -6,6 +6,7 @@ import pytest
 from medial.cli import build_parser, run
 from medial.derivations import Builder, to_text
 from medial.system_p import make_p_spec
+from medial.systems import spec_to_text
 from medial.terms import Constant, parse_formula
 
 
@@ -38,6 +39,7 @@ def test_usage_and_parse_errors(capsys):
     assert run(["no-such-command"]) == 2
     assert run(["taut", "(x |"]) == 2
     assert run(["check", "/nonexistent/file.drv"]) == 2
+    assert run(["check", "."]) == 2  # a directory, not a file
 
 
 def test_prove_lemma_eliminate_split(tmp_path):
@@ -121,3 +123,37 @@ def test_every_cli_argument_is_read():
             if f"args.{action.dest}" not in source:
                 ignored.append(f"{name} {'/'.join(action.option_strings) or action.dest}")
     assert ignored == []
+
+
+def test_check_sort_violation_exits_2(tmp_path, capsys):
+    lines = ["system: P", "premise: T", "step: rule=eq:var_em dir=bwd path=- X=x",
+             "conclusion: (x | ~x)"]
+    path = tmp_path / "em.drv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["check", str(path)]) == 0
+    lines[2] = lines[2].replace("X=x", "X=(x & y)")
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["check", str(path)]) == 2
+    assert "binding for X violates sort literal" in capsys.readouterr().err
+
+
+def test_deeply_nested_formula_exits_2(capsys):
+    chain = "(" + " | ".join(["x"] * 3000) + ")"
+    assert run(["taut", chain]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_check_validates_spec_file(tmp_path, capsys):
+    spec = make_p_spec()
+    proof = tmp_path / "proof.drv"
+    assert run(["prove", "(x | ~x)", "--out", str(proof)]) == 0
+    for name, text in [("good.spec", spec_to_text(spec)),
+                       ("bad.spec", spec_to_text(spec).replace("& dual=|", "& dual=zz"))]:
+        (tmp_path / name).write_text(text)
+        drv = tmp_path / f"{name}.drv"
+        drv.write_text(proof.read_text().replace("system: P", f"system: {tmp_path / name}"))
+    capsys.readouterr()
+    assert run(["check", str(tmp_path / "good.spec.drv")]) == 0
+    assert run(["check", str(tmp_path / "bad.spec.drv")]) == 2
+    assert "dual of & undeclared: zz" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from medial.derivations import Builder, Derivation, check, exactify, from_text, to_text
@@ -198,3 +200,16 @@ def test_eliminate_accepts_ac_joints():
     assert r.premise == loose.premise and r.conclusion == loose.conclusion
     text = to_text(spec, r)
     assert to_text(spec, from_text(text, lambda name: spec)[1]) == text
+
+
+def test_eliminate_with_underscore_variable():
+    # "_" is a valid variable name; the context hole must not capture it
+    for q in injected_corpus(seed=20240817, size=100):
+        text = to_text(spec, q)
+        renamed = from_text(re.sub(r"\bx\b", "_", text), lambda name: spec)[1]
+        r = eliminate_all_up(frag, renamed)
+        assert check(spec, r) is None
+        assert first_up_index(frag, r) is None
+        assert r.premise == renamed.premise and r.conclusion == renamed.conclusion
+        back = re.sub(r"\b_\b", "x", to_text(spec, r))
+        assert back == to_text(spec, eliminate_all_up(frag, q))

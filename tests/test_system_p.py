@@ -208,6 +208,27 @@ def test_prove_tautology_closed():
     assert d.conclusion == parse_formula("(T | F)")
 
 
+@pytest.mark.parametrize("text", ["(x | (y p1 (x | ~x)))", "(T | ((x | x) p0 y))"])
+def test_prove_tautology_disjunction_under_projection(text):
+    # the projection's kept side is a disjunction, inserted part by part
+    d = prove_tautology(parse_formula(text))
+    assert d.premise == T and d.conclusion == parse_formula(text)
+    assert check(spec, d) is None
+
+
+def test_prove_tautology_random_with_constants():
+    rng = random.Random(5)
+    proved = 0
+    while proved < 300:
+        f = random_formula(rng, 3, names=("x", "y"))
+        if not is_tautology(f):
+            continue
+        d = prove_tautology(f)
+        assert d.premise == T and d.conclusion == f
+        assert check(spec, d) is None, f
+        proved += 1
+
+
 def test_prove_tautology_rejects_falsifiable():
     with pytest.raises(NotATautology):
         prove_tautology(Variable("x"))
