@@ -371,8 +371,9 @@ def _require(fields: dict, names, raw: str) -> None:
 
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     """Parse a derivation file; returns (spec, derivation).  A step line
-    that lacks its rule, path or a binding the rule needs, or binds a
-    metavariable outside its sort, raises ParseError."""
+    that names an unknown axiom or rule, lacks its rule, path or a binding
+    the rule needs, or binds a metavariable outside its sort, raises
+    ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
@@ -417,8 +418,9 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             negated = axiom_id.endswith(":n")
             if negated:
                 axiom_id = axiom_id[:-2]
-            if axiom_id in spec.axioms_by_id:
-                _require(bindings, spec.axioms_by_id[axiom_id].metavars(), raw)
+            if axiom_id not in spec.axioms_by_id:
+                raise ParseError(f"unknown axiom {axiom_id!r}: {raw}")
+            _require(bindings, spec.axioms_by_id[axiom_id].metavars(), raw)
             try:
                 rule = eq_instance(spec, axiom_id, bindings, negated, direction)
             except SortViolation as e:
@@ -426,7 +428,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         else:
             decl = spec.rules_by_id.get(rule_id)
             if decl is None:
-                raise DerivationError(f"unknown rule id {rule_id!r}")
+                raise ParseError(f"unknown rule id {rule_id!r}: {raw}")
             if rel is not None and tuple(rel.split(",")) != (decl.alpha, decl.beta):
                 raise DerivationError(f"rule {rule_id} disagrees with rel={rel}")
             _require(bindings, "ABCD", raw)

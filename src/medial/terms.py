@@ -4,11 +4,19 @@ Formulas are immutable trees over constants, signed variables and binary
 relation symbols.  Only associativity/commutativity of relations declared
 by the governing system is ever normalised silently; every other equation
 is an explicit derivation step.
+
+Compounds are hash-consed: each live formula exists as exactly one
+object, so equality and hashing of compounds are by identity, while atoms
+compare by value.  The intern table is process-wide and weak: a formula
+leaves it when nothing else holds it.  Building terms from several
+threads at once needs a lock around construction; parallel work should
+use one process per worker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 
@@ -53,33 +61,74 @@ class Metavar:
         return "~" + self.name if self.negated else self.name
 
 
-@dataclass(frozen=True, eq=False)
+# (rel, left, right) -> weak reference to the one live Compound with those
+# fields.  Process-wide; an entry goes when its node is freed.
+_interned: dict = {}
+
+
+class _InternRef(weakref.ref):
+    """Weak reference from the intern table to a node, carrying its key, so
+    that every node shares the one callback `_forget` (a closure per node
+    would add a collector-tracked object per node)."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _InternRef, table: dict = _interned) -> None:
+    # the table is bound as a default so that a node freed while the
+    # interpreter shuts down still finds it
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
 class Compound:
+    """A binary node, hash-consed: constructing (rel, left, right) returns
+    the live node with those fields when there is one, so equal compounds
+    are one object and equality and hashing are by identity."""
+
+    __slots__ = ("rel", "left", "right", "__weakref__")
+
     rel: str
     left: Formula
     right: Formula
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.rel, self.left, self.right)))
+    def __new__(cls, rel: str, left: Formula, right: Formula) -> Compound:
+        key = (rel, left, right)
+        ref = _interned.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_rel(node, rel)
+        _set_left(node, left)
+        _set_right(node, right)
+        ref = _InternRef(node, _forget)
+        ref.key = key
+        _interned[key] = ref
+        return node
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned term")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Compound):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.rel == other.rel
-            and self.left == other.left
-            and self.right == other.right
-        )
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned term")
+
+    def __reduce__(self):
+        return Compound, (self.rel, self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"Compound(rel={self.rel!r}, left={self.left!r}, right={self.right!r})"
 
     def __str__(self) -> str:
         return print_formula(self)
+
+
+# slot setters: they bypass the raising __setattr__ and are faster than
+# object.__setattr__
+_set_rel = Compound.rel.__set__
+_set_left = Compound.left.__set__
+_set_right = Compound.right.__set__
 
 
 Formula = Union[Constant, Variable, Metavar, Compound]
@@ -200,7 +249,10 @@ def replace_at(f: Formula, sides: Sequence[str], sub: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Spec-dependent operations.  `spec` is any object exposing
 # negate_constant(name), dual(rel), is_associative(rel), is_commutative(rel)
-# and an `ac_cache` dict (see systems.SystemSpec).
+# and an `ac_cache` dict (see systems.SystemSpec).  Results are memoised on
+# the spec, not on the interned node: one node is shared by every spec,
+# and specs may declare the same relation symbol with different duals or
+# AC properties.
 
 
 def negate(spec, f: Formula) -> Formula:

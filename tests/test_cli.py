@@ -1,8 +1,12 @@
 import argparse
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
+import medial
 from medial.cli import build_parser, run
 from medial.derivations import Builder, to_text
 from medial.system_p import make_p_spec
@@ -22,6 +26,20 @@ def test_prove_and_check_round_trip(tmp_path, capsys):
     assert run(["prove", "(x | ~x)", "--out", str(out)]) == 0
     assert run(["check", str(out)]) == 0
     assert "ok:" in capsys.readouterr().out
+
+
+def test_prove_and_check_in_subprocesses_are_quiet(tmp_path):
+    # a fresh interpreter runs to exit, so freeing the interned terms at
+    # shutdown must print nothing (no "Exception ignored" from a callback)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(medial.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "proof.drv"
+    for argv in (["prove", "((x & y) | (~x | ~y))", "--out", str(out)],
+                 ["check", str(out)]):
+        proc = subprocess.run([sys.executable, "-m", "medial.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("ok:")
 
 
 def test_prove_not_a_tautology(capsys):
@@ -82,8 +100,10 @@ def test_bench_deterministic(tmp_path):
         (lambda line: line.replace("rule=", "", 1), "lacks rule"),
         (lambda line: line.rsplit(" ", 1)[0], "lacks U"),
         (lambda line: line.replace("dir=bwd", "dir=up", 1), "bad direction"),
+        (lambda line: line.replace("const_idem:n", "nosuch", 1), "unknown axiom 'nosuch'"),
+        (lambda line: line.replace("eq:const_idem:n", "nosuch", 1), "unknown rule id"),
     ],
-    ids=["no-rule", "missing-binding", "bad-dir"],
+    ids=["no-rule", "missing-binding", "bad-dir", "unknown-axiom", "unknown-rule"],
 )
 def test_check_malformed_step_exits_2(tmp_path, capsys, edit, message):
     good = tmp_path / "good.drv"
@@ -95,7 +115,9 @@ def test_check_malformed_step_exits_2(tmp_path, capsys, edit, message):
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["check", str(bad)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert lines[2].removeprefix("step: ") in err  # the step line is quoted
 
 
 def test_check_rejects_relation_from_binding(tmp_path, capsys):

@@ -1,11 +1,16 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
 
+from medial import terms
 from medial.system_p import make_p_spec
 from medial.terms import (
     Compound,
     Constant,
+    Metavar,
     ParseError,
     PathMismatch,
     PathStep,
@@ -137,3 +142,60 @@ def test_parse_atoms():
     assert parse_formula("T") == Constant("T")
     assert parse_formula("(x !> y)") == Compound("!>", x, y)
     assert parse_formula("(x np0 y)") == Compound("np0", x, y)
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing: one live object per formula
+
+
+def test_equal_formulas_are_one_object_random():
+    # atoms keep value equality; every compound is interned
+    rng = random.Random(6)
+    compounds = [f for f in (random_formula(rng, 4) for _ in range(300))
+                 if isinstance(f, Compound)]
+    assert len(compounds) > 150
+    for f in compounds:
+        text = print_formula(f)
+        assert parse_formula(text) is parse_formula(text) is f
+        assert negate(spec, negate(spec, f)) is f
+        c = ac_canonical(spec, f)
+        assert ac_canonical(spec, c) is c
+        sides, cur = [], f
+        while isinstance(cur, Compound) and rng.random() < 0.7:
+            side = rng.choice("LR")
+            sides.append(side)
+            cur = cur.left if side == "L" else cur.right
+        assert plug(context_at(f, sides), subformula_at_sides(f, sides)) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        assert copy.deepcopy(f) is f
+
+
+def test_interning_keeps_distinct_formulas_apart():
+    assert Compound("|", x, y) is not Compound("|", y, x)
+    assert Compound("|", x, y) != Compound("|", y, x)
+    assert Compound("|", x, y) is not Compound("&", x, y)
+    over_metavar = Compound("|", Metavar("X"), y)
+    over_variable = Compound("|", Variable("X"), y)
+    assert over_metavar is not over_variable
+    assert over_metavar != over_variable
+    assert Compound("|", Metavar("X", sort="literal"), y) is not over_metavar
+
+
+def test_compound_is_immutable():
+    f = Compound("|", x, y)
+    with pytest.raises(AttributeError):
+        f.rel = "&"
+    with pytest.raises(AttributeError):
+        del f.left
+    assert f.rel == "|" and Compound("|", x, y) is f
+
+
+def test_intern_table_is_weak():
+    gc.collect()
+    start = len(terms._interned)
+    rng = random.Random(7)
+    kept = [random_formula(rng, 5) for _ in range(10_000)]
+    assert len(terms._interned) > start
+    del kept
+    gc.collect()
+    assert len(terms._interned) == start
