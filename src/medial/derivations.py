@@ -4,7 +4,11 @@ Each step re-anchors itself with a full plugging context (path with
 siblings), so its before/after formulas are computable from the step
 alone.  The checker threads the derivation and treats AC equality
 silently at every joint; all other equalities must appear as explicit
-equational steps.
+equational steps.  It rebuilds every medial and equational step from what
+the step declares and accepts it only if the rebuilt instance is the
+stored one, labels included.  `converse` runs an equational or acr step
+backwards, optionally between negations; `reverse_equational` and
+`dualize` apply it to a whole derivation.
 """
 
 from __future__ import annotations
@@ -217,55 +221,52 @@ def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
     return Derivation(d.premise, tuple(steps), d.conclusion)
 
 
-def reverse_equational(spec: SystemSpec, d: Derivation) -> Derivation:
-    """Run an equational derivation backwards (the congruence is symmetric)."""
+def converse(spec: SystemSpec, rule: RuleInstance, negated: bool = False) -> RuleInstance:
+    """An equational or acr step run backwards, conclusion -> premise; with
+    negated, between the negations of its two formulas (an instance of the
+    negated axiom, the congruence being closed under negation)."""
+    if rule.scheme is Scheme.AC:
+        pre, con = rule.conclusion, rule.premise
+        if negated:
+            pre, con = negate(spec, pre), negate(spec, con)
+        return ac_instance(spec, pre, con)
+    if rule.scheme not in (Scheme.EQ_DOWN, Scheme.EQ_UP):
+        raise NonEquationalStep(f"cannot run {rule.rule_id} backwards")
+    return eq_instance(
+        spec,
+        rule.axiom_id,
+        dict(rule.bindings),
+        rule.negated != negated,
+        "bwd" if rule.direction == "fwd" else "fwd",
+    )
+
+
+def _backwards(spec: SystemSpec, d: Derivation, negated: bool) -> Derivation:
+    """d's steps in reverse order, each run backwards by converse."""
     steps = []
     for step in reversed(d.steps):
-        rule = step.rule
-        if rule.scheme is Scheme.AC:
-            new_rule = ac_instance(spec, rule.conclusion, rule.premise)
-        elif rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
-            new_rule = eq_instance(
-                spec,
-                rule.axiom_id,
-                dict(rule.bindings),
-                negated=rule.negated,
-                direction="bwd" if rule.direction == "fwd" else "fwd",
+        ctx = step.context
+        if negated:
+            ctx = tuple(
+                PathStep(spec.dual(p.rel), p.hole_side, negate(spec, p.sibling))
+                for p in ctx
             )
-        else:
-            raise NonEquationalStep(f"cannot reverse {rule.rule_id}")
-        steps.append(Step(step.context, new_rule))
-    return Derivation(d.conclusion, tuple(steps), d.premise)
+        steps.append(Step(ctx, converse(spec, step.rule, negated)))
+    premise, conclusion = d.conclusion, d.premise
+    if negated:
+        premise, conclusion = negate(spec, premise), negate(spec, conclusion)
+    return Derivation(premise, tuple(steps), conclusion)
+
+
+def reverse_equational(spec: SystemSpec, d: Derivation) -> Derivation:
+    """Run an equational derivation backwards (the congruence is symmetric)."""
+    return _backwards(spec, d, negated=False)
 
 
 def dualize(spec: SystemSpec, d: Derivation) -> Derivation:
     """Negate every formula and flip the derivation upside down.  Defined
     for purely equational derivations."""
-    steps = []
-    for step in reversed(d.steps):
-        ctx = tuple(
-            PathStep(spec.dual(p.rel), p.hole_side, negate(spec, p.sibling))
-            for p in step.context
-        )
-        rule = step.rule
-        if rule.scheme is Scheme.AC:
-            new_rule = ac_instance(
-                spec, negate(spec, rule.conclusion), negate(spec, rule.premise)
-            )
-        elif rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
-            new_rule = eq_instance(
-                spec,
-                rule.axiom_id,
-                dict(rule.bindings),
-                negated=not rule.negated,
-                direction="bwd" if rule.direction == "fwd" else "fwd",
-            )
-        else:
-            raise NonEquationalStep(f"cannot dualize {rule.rule_id}")
-        steps.append(Step(ctx, new_rule))
-    return Derivation(
-        negate(spec, d.conclusion), tuple(steps), negate(spec, d.premise)
-    )
+    return _backwards(spec, d, negated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +419,12 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             negated = axiom_id.endswith(":n")
             if negated:
                 axiom_id = axiom_id[:-2]
-            if axiom_id not in spec.axioms_by_id:
+            oriented = spec.oriented_axioms.get((axiom_id, negated, direction))
+            if oriented is None:
                 raise ParseError(f"unknown axiom {axiom_id!r}: {raw}")
-            _require(bindings, spec.axioms_by_id[axiom_id].metavars(), raw)
+            _require(bindings, oriented.metavars, raw)
             try:
-                rule = eq_instance(spec, axiom_id, bindings, negated, direction)
+                rule = oriented.instance(spec, bindings)
             except SortViolation as e:
                 raise ParseError(f"{e}: {raw}") from None
         else:
@@ -430,7 +432,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             if decl is None:
                 raise ParseError(f"unknown rule id {rule_id!r}: {raw}")
             if rel is not None and tuple(rel.split(",")) != (decl.alpha, decl.beta):
-                raise DerivationError(f"rule {rule_id} disagrees with rel={rel}")
+                raise ParseError(f"rule {rule_id} disagrees with rel={rel}: {raw}")
             _require(bindings, "ABCD", raw)
             rule = instantiate_rule(
                 spec, decl.scheme, bindings, decl.alpha, decl.beta, rule_id=decl.rule_id

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .system_p import TRUTH_TABLES, all_valuations, evaluate
+from .system_p import AUDIT_BINDINGS, TRUTH_TABLES, all_valuations, audit_instances, evaluate
 from .systems import Metavar, RelationSymbol, SystemError, SystemSpec, instantiate
 from .terms import Compound, Constant, Formula, Variable, variables
 
@@ -109,20 +109,15 @@ def audit_r23(rules: Optional[Sequence[R23Rule]] = None) -> list:
     if rules is None:
         rules = make_r23_rules()
     spec = make_r23_spec()
-    fresh = dict(A=Variable("a"), B=Variable("b"), C=Variable("c"), D=Variable("d"))
-    out = []
-    for rule in rules:
-        prem = instantiate(spec, rule.premise, fresh)
-        conc = instantiate(spec, rule.conclusion, fresh)
-        ok = all(
-            (not evaluate(prem, v)) or evaluate(conc, v)
-            for v in all_valuations(("a", "b", "c", "d"))
-        )
-        out.append((rule.rule_id, ok))
-    return out
+    return audit_instances(
+        (r.rule_id, instantiate(spec, r.premise, AUDIT_BINDINGS),
+         instantiate(spec, r.conclusion, AUDIT_BINDINGS))
+        for r in rules
+    )
 
 
 def audit_report_csv(report: Optional[Sequence[tuple]] = None) -> str:
+    """An audit report (R23's by default) as `rule,sound` CSV."""
     if report is None:
         report = audit_r23()
     lines = ["rule,sound"]

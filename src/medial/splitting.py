@@ -17,6 +17,7 @@ from .derivations import (
     DerivationError,
     Step,
     concat,
+    converse,
     exactify,
     identity,
     step_cost,
@@ -29,7 +30,6 @@ from .systems import (
     Scheme,
     SystemSpec,
     ac_instance,
-    eq_instance,
     eq_step_for,
     instantiate,
 )
@@ -488,14 +488,7 @@ class _Splitter:
             q0 = self._make_pair_proof(a0)
             q1 = self._make_pair_proof(a1)
             d = Builder(spec, Compound(na, k0, k1))
-            flipped = eq_instance(
-                spec,
-                sigma.rule.axiom_id,
-                dict(sigma.rule.bindings),
-                negated=not sigma.rule.negated,
-                direction="bwd" if sigma.rule.direction == "fwd" else "fwd",
-            )
-            d.apply((), flipped)  # ~node -> ~s_pre
+            d.apply((), converse(spec, sigma.rule, negated=True))  # ~node -> ~s_pre
             padded = concat(spec, P1, identity(Compound(beta, s_pre, btree)))
             d.splice((), atomic_deduction(spec, beta, s_pre, btree, padded))
             return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
@@ -724,10 +717,7 @@ class _Splitter:
         if r_m != ():
             new_binding = dict(bindings)
             new_binding[m_name] = _delete(bindings[m_name], r_m)
-            patched = eq_instance(
-                spec, rule.axiom_id, new_binding, rule.negated, rule.direction
-            )
-            d.apply(_relocate_after_delete(p, occ2), patched)
+            d.apply(_relocate_after_delete(p, occ2), oriented.instance(spec, new_binding))
         return self._normalize(P, occ, kind, res.k0, res.k1, d.derivation(), res.q0, res.q1)
 
     def _triad(self, P, P1, occ, sigma, kind) -> SplitResult:

@@ -23,6 +23,7 @@ from .systems import (
     SystemError,
     SystemSpec,
     RelationSymbol,
+    instantiate_rule,
     validate_spec,
 )
 from .terms import (
@@ -130,7 +131,6 @@ def make_p_spec() -> SystemSpec:
         order=((AND, P0), (AND, P1), (P0, OR), (P1, OR)),
         axioms=_axioms(),
         rules=_P_RULES,
-        scheme_flags={s.value: True for s in Scheme if s is not Scheme.AC},
     )
     issues = validate_spec(spec)
     if issues:
@@ -187,23 +187,29 @@ def is_tautology(f: Formula) -> bool:
     return all(evaluate(f, v) for v in all_valuations(names))
 
 
-def audit_soundness(spec: Optional[SystemSpec] = None) -> list[tuple[str, bool]]:
-    """For every declared rule, check that truth of the premise forces truth
-    of the conclusion over all assignments to the metavariables."""
-    from .systems import instantiate_rule
+AUDIT_BINDINGS = dict(A=Variable("a"), B=Variable("b"), C=Variable("c"), D=Variable("d"))
 
+
+def audit_instances(instances: Iterable[tuple]) -> list[tuple[str, bool]]:
+    """(rule_id, sound) for each (rule_id, premise, conclusion) over the
+    variables of AUDIT_BINDINGS: does truth of the premise force truth of
+    the conclusion under every assignment?"""
+    valuations = list(all_valuations(tuple(v.name for v in AUDIT_BINDINGS.values())))
+    return [
+        (rid, all((not evaluate(prem, v)) or evaluate(conc, v) for v in valuations))
+        for rid, prem, conc in instances
+    ]
+
+
+def audit_soundness(spec: Optional[SystemSpec] = None) -> list[tuple[str, bool]]:
+    """The soundness audit of every declared rule of spec (P by default)."""
     spec = spec or make_p_spec()
-    fresh = dict(A=Variable("a"), B=Variable("b"), C=Variable("c"), D=Variable("d"))
-    report = []
-    for decl in spec.rules:
-        rule = instantiate_rule(spec, decl.scheme, fresh, decl.alpha, decl.beta,
-                                rule_id=decl.rule_id)
-        ok = all(
-            (not evaluate(rule.premise, v)) or evaluate(rule.conclusion, v)
-            for v in all_valuations(("a", "b", "c", "d"))
-        )
-        report.append((decl.rule_id, ok))
-    return report
+    rules = (
+        instantiate_rule(spec, decl.scheme, AUDIT_BINDINGS, decl.alpha, decl.beta,
+                         rule_id=decl.rule_id)
+        for decl in spec.rules
+    )
+    return audit_instances((r.rule_id, r.premise, r.conclusion) for r in rules)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 A system declares its relations (with duals and unit/weakening flags), a
 strict partial order among them, a set of equational axioms given as
-patterns, and the medial-shape rules it enables.  Rule instances are fully
-instantiated premise/conclusion pairs; equational instances may use either
-orientation of an axiom, or of its negation (the congruence is closed
-under the involutive negation).
+patterns, and the medial-shape rules it declares (`rule:` lines of a spec
+file).  Rule instances are fully instantiated premise/conclusion pairs;
+equational instances may use either orientation of an axiom, or of its
+negation (the congruence is closed under the involutive negation).  Each
+of those four orientations is one `OrientedAxiom`, built once per spec,
+which holds the facts every instance of it shares and builds them.  The
+checker rebuilds each step from what it declares and compares the whole
+instance, labels included.
 """
 
 from __future__ import annotations
@@ -132,13 +136,34 @@ class RuleInstance:
 
 
 class OrientedAxiom(NamedTuple):
-    """One orientation of an axiom or of its negation: premise -> conclusion."""
+    """One orientation of an axiom or of its negation, premise -> conclusion,
+    with the facts its instances share."""
 
     axiom: Axiom
     negated: bool
     direction: str  # fwd (lhs->rhs) or bwd
     premise: Formula
     conclusion: Formula
+    rule_id: str  # eq:<axiom_id>, with :n for the negated axiom
+    metavars: frozenset  # the names an instance binds
+    sorts: tuple  # (name, sort) of the metavariables a binding must fit
+
+    def instance(self, spec: SystemSpec, bindings: Mapping[str, Formula]) -> RuleInstance:
+        """The rule instance under bindings; premise/conclusion are the exact
+        pattern instantiations."""
+        for name, sort in self.sorts:
+            if not _sort_ok(spec, sort, bindings[name]):
+                raise SortViolation(f"binding for {name} violates sort {sort}")
+        return RuleInstance(
+            scheme=Scheme.EQ_UP if self.negated else Scheme.EQ_DOWN,
+            rule_id=self.rule_id,
+            premise=instantiate(spec, self.premise, bindings),
+            conclusion=instantiate(spec, self.conclusion, bindings),
+            bindings=tuple(sorted(bindings.items())),
+            axiom_id=self.axiom.axiom_id,
+            negated=self.negated,
+            direction=self.direction,
+        )
 
 
 def _bind(**kw: Formula) -> tuple:
@@ -158,7 +183,6 @@ class SystemSpec:
         order: Iterable[tuple] = (),
         axioms: Iterable[Axiom] = (),
         rules: Iterable[RuleDecl] = (),
-        scheme_flags: Optional[Mapping[str, bool]] = None,
     ):
         self.name = name
         self.constants = frozenset(constants)
@@ -170,10 +194,6 @@ class SystemSpec:
         self.rules = tuple(rules)
         self.rules_by_id = {r.rule_id: r for r in self.rules}
         self._rule_index = {(r.scheme, r.alpha, r.beta): r for r in self.rules}
-        flags = dict(scheme_flags or {})
-        self.scheme_flags = {
-            s.value: flags.get(s.value, False) for s in Scheme if s is not Scheme.AC
-        }
         self.order_closure = self._transitive_closure(self.order)
         self.ac_cache: dict = {}
         self.eq_cache: dict = {}
@@ -196,13 +216,21 @@ class SystemSpec:
         negated and not, in both directions; built on first use."""
         table = {}
         for ax in self.axioms:
+            names = frozenset(ax.metavars())
+            sorts = tuple(sorted({
+                (t.name, t.sort) for side in (ax.lhs, ax.rhs) for t in subterms(side)
+                if isinstance(t, Metavar) and t.sort != "formula"
+            }))
             for negated in (False, True):
                 pl, pr = ax.lhs, ax.rhs
                 if negated:
                     pl, pr = negate(self, pl), negate(self, pr)
+                rule_id = f"eq:{ax.axiom_id}" + (":n" if negated else "")
                 for direction, (pp, pc) in (("fwd", (pl, pr)), ("bwd", (pr, pl))):
                     key = (ax.axiom_id, negated, direction)
-                    table[key] = OrientedAxiom(ax, negated, direction, pp, pc)
+                    table[key] = OrientedAxiom(
+                        ax, negated, direction, pp, pc, rule_id, names, sorts
+                    )
         return table
 
     @cached_property
@@ -247,13 +275,7 @@ class SystemSpec:
         return (a, b) in self.order_closure
 
     def rule_for(self, scheme: Scheme, alpha: str, beta: str) -> Optional[RuleDecl]:
-        decl = self._rule_index.get((scheme, alpha, beta))
-        if decl is not None:
-            return decl
-        if self.scheme_flags.get(scheme.value) and not self.rules:
-            # flag-only systems admit every order-compatible instance
-            return RuleDecl(f"{scheme.value}[{alpha},{beta}]", scheme, alpha, beta)
-        return None
+        return self._rule_index.get((scheme, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +496,13 @@ def eq_instance(
     direction: str = "fwd",
 ) -> RuleInstance:
     """Equational rule instance: one oriented application of an axiom (or of
-    its negation).  Premise/conclusion are the exact pattern instantiations."""
-    try:
-        ax = spec.axioms_by_id[axiom_id]
-    except KeyError:
-        raise UnknownAxiom(axiom_id) from None
-    for t in subterms(ax.lhs):
-        if isinstance(t, Metavar) and not _sort_ok(spec, t.sort, bindings[t.name]):
-            raise SortViolation(f"binding for {t.name} violates sort {t.sort}")
+    its negation), built by its entry in spec.oriented_axioms."""
     oriented = spec.oriented_axioms.get((axiom_id, negated, direction))
     if oriented is None:
-        raise SystemError(f"bad direction {direction!r}")
-    return RuleInstance(
-        scheme=Scheme.EQ_UP if negated else Scheme.EQ_DOWN,
-        rule_id=f"eq:{axiom_id}" + (":n" if negated else ""),
-        premise=instantiate(spec, oriented.premise, bindings),
-        conclusion=instantiate(spec, oriented.conclusion, bindings),
-        bindings=tuple(sorted(bindings.items())),
-        axiom_id=axiom_id,
-        negated=negated,
-        direction=direction,
-    )
+        if axiom_id not in spec.axioms_by_id:
+            raise UnknownAxiom(axiom_id)
+        raise SystemError(f"bad orientation negated={negated!r} direction={direction!r}")
+    return oriented.instance(spec, bindings)
 
 
 def ac_instance(spec: SystemSpec, premise: Formula, conclusion: Formula) -> RuleInstance:
@@ -544,7 +552,8 @@ def _eq_step_for(
     if equal_mod_ac(spec, lhs, rhs):
         return ac_instance(spec, lhs, rhs)
     cut_short = False
-    for ax, negated, direction, pp, pc in spec.searched_axioms:
+    for oriented in spec.searched_axioms:
+        pp, pc = oriented.premise, oriented.conclusion
         if _root_clash(pp, lhs) or _root_clash(pc, rhs):
             continue
         budget = [_MATCH_CAP]
@@ -552,9 +561,9 @@ def _eq_step_for(
             budget_c = [_MATCH_CAP]
             b2 = next(iter_matches(spec, pc, rhs, b, budget_c), None)
             cut_short = cut_short or budget_c[0] <= 0
-            if b2 is None or set(b2) != ax.metavars():
+            if b2 is None or b2.keys() != oriented.metavars:
                 continue
-            inst = eq_instance(spec, ax.axiom_id, b2, negated, direction)
+            inst = oriented.instance(spec, b2)
             if equal_mod_ac(spec, inst.premise, lhs) and equal_mod_ac(
                 spec, inst.conclusion, rhs
             ):
@@ -582,47 +591,39 @@ def undeclared_symbol(spec: SystemSpec, f: Formula) -> Optional[str]:
 
 
 def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
-    """None when the instance is valid for spec, else a reason string."""
-    bindings = dict(rule.bindings)
+    """None when the instance is valid for spec, else a reason string.
+
+    A medial or equational step is rebuilt from what it declares (scheme,
+    relations or axiom orientation, bindings) by the constructor that made
+    it, and must equal the rebuilt instance, labels included.  An acr step
+    needs only its label and AC-equal formulas."""
     if rule.scheme is Scheme.AC:
+        if rule.rule_id != "acr":
+            return f"ac step labelled {rule.rule_id}"
         if not equal_mod_ac(spec, rule.premise, rule.conclusion):
             return "ac step between AC-distinct formulas"
         return None
-    if rule.scheme.is_medial:
-        if rule.relations is None:
-            return "medial instance lacks relations"
-        alpha, beta = rule.relations
-        if alpha not in spec.relations or beta not in spec.relations:
-            return f"undeclared relation in {rule.relations}"
-        if not _side_condition_ok(spec, rule.scheme, alpha, beta):
-            return f"side condition fails for {rule.rule_id} at ({alpha},{beta})"
-        decl = spec.rule_for(rule.scheme, alpha, beta)
-        if decl is None:
-            return f"no declared rule {rule.scheme.value} at ({alpha},{beta})"
-        try:
-            prem, conc = _scheme_shapes(
-                spec, rule.scheme, alpha, beta, *(bindings[k] for k in "ABCD")
-            )
-        except KeyError as e:
-            return f"missing binding {e}"
-        if prem != rule.premise or conc != rule.conclusion:
-            return f"stored formulas disagree with scheme shape for {rule.rule_id}"
-        return None
-    # equational: the only rules whose bindings can bring in new symbols,
-    # since medial conclusions reuse the premise's material and acr only
-    # relates AC-equal formulas
-    if rule.axiom_id is None or rule.axiom_id not in spec.axioms_by_id:
-        return f"axiom not declared: {rule.axiom_id}"
-    for name, value in rule.bindings:
-        reason = undeclared_symbol(spec, value)
-        if reason is not None:
-            return f"{reason} in binding {name}"
+    bindings = dict(rule.bindings)
     try:
-        rebuilt = eq_instance(spec, rule.axiom_id, bindings, rule.negated, rule.direction)
+        if rule.scheme.is_medial:
+            if rule.relations is None:
+                return "medial instance lacks relations"
+            rebuilt = instantiate_rule(spec, rule.scheme, bindings, *rule.relations)
+        else:
+            # equational: the only rules whose bindings can bring in new
+            # symbols, since medial conclusions reuse the premise's material
+            # and acr only relates AC-equal formulas
+            for name, value in rule.bindings:
+                reason = undeclared_symbol(spec, value)
+                if reason is not None:
+                    return f"{reason} in binding {name}"
+            rebuilt = eq_instance(
+                spec, rule.axiom_id, bindings, rule.negated, rule.direction
+            )
     except (SystemError, KeyError) as e:
-        return f"bad equational instance: {e}"
-    if rebuilt.premise != rule.premise or rebuilt.conclusion != rule.conclusion:
-        return f"stored formulas disagree with axiom {rule.axiom_id}"
+        return f"bad instance of {rule.rule_id}: {e}"
+    if rebuilt != rule:
+        return f"step labelled {rule.rule_id} differs from the {rebuilt.rule_id} it declares"
     return None
 
 
@@ -683,6 +684,11 @@ def validate_spec(spec: SystemSpec) -> list[str]:
             issues.append(f"right_weakening flag on {r.name} has no axiom")
         if r.left_weakening and _weakening_axiom(spec, r.name, "left") is None:
             issues.append(f"left_weakening flag on {r.name} has no axiom")
+    # check rebuilds a medial step under the one rule its shape names
+    for r in spec.rules:
+        other = spec.rule_for(r.scheme, r.alpha, r.beta)
+        if other is not r:
+            issues.append(f"rule {r.rule_id} shares its shape with {other.rule_id}")
     # order-consistency of negation where duals are comparable at all
     for r in spec.relations.values():
         if r.dual not in spec.relations:
@@ -773,9 +779,6 @@ def spec_to_text(spec: SystemSpec) -> str:
         lines.append(
             f"rule: {decl.rule_id} {decl.scheme.value} {decl.alpha} {decl.beta}"
         )
-    enabled = [k for k, v in spec.scheme_flags.items() if v]
-    if enabled:
-        lines.append("schemes: " + " ".join(sorted(enabled)))
     return "\n".join(lines) + "\n"
 
 
@@ -787,7 +790,6 @@ def spec_from_text(text: str) -> SystemSpec:
     order: list = []
     axioms: list = []
     rules: list = []
-    flags: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -845,9 +847,6 @@ def spec_from_text(text: str) -> SystemSpec:
         elif key == "rule":
             rid, scheme_name, alpha, beta = rest.split()
             rules.append(RuleDecl(rid, Scheme(scheme_name), alpha, beta))
-        elif key == "schemes":
-            for part in rest.split():
-                flags[part] = True
         else:
             raise SystemError(f"line {lineno}: unknown section {key!r}")
     return SystemSpec(
@@ -858,5 +857,4 @@ def spec_from_text(text: str) -> SystemSpec:
         order=order,
         axioms=axioms,
         rules=rules,
-        scheme_flags=flags,
     )

@@ -95,29 +95,36 @@ def test_bench_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "rule, edit, message",
     [
-        (lambda line: line.replace("rule=", "", 1), "lacks rule"),
-        (lambda line: line.rsplit(" ", 1)[0], "lacks U"),
-        (lambda line: line.replace("dir=bwd", "dir=up", 1), "bad direction"),
-        (lambda line: line.replace("const_idem:n", "nosuch", 1), "unknown axiom 'nosuch'"),
-        (lambda line: line.replace("eq:const_idem:n", "nosuch", 1), "unknown rule id"),
+        ("eq:const_idem:n", lambda line: line.replace("rule=", "", 1), "lacks rule"),
+        ("eq:const_idem:n", lambda line: line.rsplit(" ", 1)[0], "lacks U"),
+        ("eq:const_idem:n", lambda line: line.replace("dir=bwd", "dir=up", 1),
+         "bad direction"),
+        ("eq:const_idem:n", lambda line: line.replace("const_idem:n", "nosuch", 1),
+         "unknown axiom 'nosuch'"),
+        ("eq:const_idem:n", lambda line: line.replace("eq:const_idem:n", "nosuch", 1),
+         "unknown rule id"),
+        ("sd", lambda line: line.replace("rel=&,|", "rel=p0,p1", 1),
+         "rule sd disagrees with rel=p0,p1"),
     ],
-    ids=["no-rule", "missing-binding", "bad-dir", "unknown-axiom", "unknown-rule"],
+    ids=["no-rule", "missing-binding", "bad-dir", "unknown-axiom", "unknown-rule",
+         "rel-disagrees"],
 )
-def test_check_malformed_step_exits_2(tmp_path, capsys, edit, message):
+def test_check_malformed_step_exits_2(tmp_path, capsys, rule, edit, message):
     good = tmp_path / "good.drv"
     assert run(["prove", "(x | ~x)", "--out", str(good)]) == 0
     lines = good.read_text().splitlines()
     assert lines[2] == "step: rule=eq:const_idem:n dir=bwd path=- U=F"
-    lines[2] = edit(lines[2])
+    n = next(n for n, line in enumerate(lines) if line.startswith(f"step: rule={rule} "))
+    lines[n] = edit(lines[n])
     bad = tmp_path / "bad.drv"
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["check", str(bad)]) == 2
     err = capsys.readouterr().err
     assert message in err
-    assert lines[2].removeprefix("step: ") in err  # the step line is quoted
+    assert lines[n].removeprefix("step: ") in err  # the step line is quoted
 
 
 def test_check_rejects_relation_from_binding(tmp_path, capsys):

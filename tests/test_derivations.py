@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from medial.derivations import (
     Derivation,
     JointMismatch,
     NonEquationalStep,
+    Step,
     check,
     concat,
     dualize,
@@ -18,9 +20,17 @@ from medial.derivations import (
     to_text,
 )
 from medial.generators import derive_excluded_middle
-from medial.system_p import make_p_spec
+from medial.system_p import make_p_spec, prove_tautology
 from medial.systems import Scheme
-from medial.terms import Compound, Constant, Metavar, Variable, context_at, parse_formula
+from medial.terms import (
+    Compound,
+    Constant,
+    Metavar,
+    Variable,
+    context_at,
+    negate,
+    parse_formula,
+)
 
 from helpers import random_formula
 
@@ -51,13 +61,27 @@ def test_check_thread_broken():
 
 def test_check_undeclared_axiom_rejected():
     d = em_step_derivation()
-    from dataclasses import replace
-
     step = d.steps[0]
     bad_rule = replace(step.rule, axiom_id="no_such_axiom", rule_id="eq:no_such_axiom")
     bad = Derivation(d.premise, (type(step)(step.context, bad_rule),), d.conclusion)
     failure = check(spec, bad)
     assert failure is not None
+
+
+@pytest.mark.parametrize(
+    "label, relabel",
+    [("sd", "ai0d"), ("eq:const_idem:n", "eq:p0_select"), ("acr", "sd")],
+)
+def test_check_rejects_mislabelled_step(label, relabel):
+    # the step keeps its formulas and bindings; only its label lies
+    d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))
+    assert check(spec, d) is None
+    i = next(i for i, s in enumerate(d.steps) if s.rule.rule_id == label)
+    steps = list(d.steps)
+    steps[i] = Step(steps[i].context, replace(steps[i].rule, rule_id=relabel))
+    failure = check(spec, Derivation(d.premise, tuple(steps), d.conclusion))
+    assert failure is not None and failure.step_index == i
+    assert relabel in failure.reason
 
 
 @pytest.mark.parametrize(
@@ -119,14 +143,37 @@ def test_dualize_identity_and_errors():
 
 def test_dualize_random_equational_chains():
     rng = random.Random(7)
+    F = Constant("F")
     for _ in range(50):
         f = random_formula(rng, 2)
-        b = Builder(spec, Compound("|", f, Constant("F")))
+        b = Builder(spec, Compound("|", f, F))
         b.apply_eq((), "or_unit", dict(A=f))
         b.apply_eq((), "or_unit", dict(A=f), direction="bwd")
         d = b.derivation()
         dual = dualize(spec, d)
         assert check(spec, dual) is None
+        # acr steps and negated-axiom steps, at the root and in a context
+        b.apply_eq((), "or_unit", dict(A=f))
+        b.apply_eq((), "or_unit", dict(A=negate(spec, f)), negated=True, direction="bwd")
+        b.acr((), Compound("&", T, f))
+        b.apply_eq(("R",), "or_unit", dict(A=f), direction="bwd")
+        b.acr(("R",), Compound("|", F, f))
+        b.acr((), Compound("&", Compound("|", f, F), T))
+        b.apply_eq((), "or_unit", dict(A=negate(spec, Compound("|", f, F))), negated=True)
+        d = b.derivation()
+        assert check(spec, d) is None
+        assert {s.rule.rule_id for s in d.steps} == {"eq:or_unit", "eq:or_unit:n", "acr"}
+        for flip in (lambda e: reverse_equational(spec, e), lambda e: dualize(spec, e)):
+            once = flip(d)
+            assert check(spec, once) is None
+            assert flip(once) == d
+
+
+def test_reverse_equational_rejects_medial_step():
+    d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
+    assert any(s.rule.scheme.is_medial for s in d.steps)
+    with pytest.raises(NonEquationalStep):
+        reverse_equational(spec, d)
 
 
 def test_nest():

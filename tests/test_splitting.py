@@ -4,6 +4,7 @@ import pytest
 
 from medial.derivations import Builder, Derivation, check, exactify, from_text, to_text
 from medial.generators import derive_excluded_middle
+from medial import splitting
 from medial.splitting import (
     FragmentError,
     IrreducibleCase,
@@ -21,7 +22,7 @@ from medial.splitting import (
 )
 from medial.system_p import make_p_spec
 from medial.systems import RelationSymbol, Scheme, SystemSpec
-from medial.terms import Compound, Constant, Variable, parse_formula
+from medial.terms import Compound, Constant, Variable, negate, parse_formula
 
 from helpers import injected_corpus
 
@@ -61,6 +62,41 @@ def test_shallow_split_unitary():
     assert res.d.premise == Compound("|", res.k0, res.k1)
     assert res.d.conclusion == parse_formula("(~x | ~y)")
     assert all(r.bound_holds for r in rec)
+
+
+@pytest.mark.parametrize("X", [Variable("x"), Variable("x", True)], ids=["x", "~x"])
+def test_shallow_split_atomic_creation(monkeypatch, X):
+    # the bottom step creates the split node (~X & X) from the atom F by
+    # the negated excluded-middle axiom, run backwards
+    F = Constant("F")
+    b = Builder(spec, T)
+    b.apply_eq((), "or_unit", dict(A=T), direction="bwd")
+    b.acr((), Compound("|", F, T))
+    b.apply_eq(("L",), "var_em", dict(X=X), negated=True, direction="bwd")
+    p = b.derivation()
+    node = Compound("&", negate(spec, X), X)
+    assert p.conclusion == Compound("|", node, T)
+    assert check(spec, p) is None
+    made = []
+    pair_proof = splitting._Splitter._make_pair_proof
+
+    def spy(self, atom):
+        made.append(atom)
+        return pair_proof(self, atom)
+
+    monkeypatch.setattr(splitting._Splitter, "_make_pair_proof", spy)
+    rec = []
+    res = shallow_split(frag, p, ("L",), rec)
+    assert made == [node.left, node.right]
+    assert res.kind == "unitary"
+    for q in (res.q0, res.q1, res.d):
+        assert q is not None and check(spec, q) is None
+    assert (res.k0, res.k1) == (X, negate(spec, X))
+    assert res.q0.premise == T and res.q0.conclusion == Compound("|", node.left, res.k0)
+    assert res.q1.premise == T and res.q1.conclusion == Compound("|", node.right, res.k1)
+    assert res.d.premise == Compound("|", res.k0, res.k1)
+    assert res.d.conclusion == T
+    assert rec and all(r.bound_holds for r in rec)
 
 
 def test_shallow_split_weakening_kinds():

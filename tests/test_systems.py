@@ -64,6 +64,12 @@ def test_validate_flags_exclusive():
     assert any("exclusive" in issue for issue in validate_spec(bad))
 
 
+def test_validate_flags_repeated_rule_shape():
+    # a step of either rule would be rebuilt under one label only
+    twin = spec_from_text(spec_to_text(spec) + "rule: sd2 split_down & |\n")
+    assert validate_spec(twin) == ["rule sd shares its shape with sd2"]
+
+
 def test_classify_relation():
     assert classify_relation(spec, "&") == "strong"
     assert classify_relation(spec, "|") == "weak"
