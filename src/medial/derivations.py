@@ -9,6 +9,11 @@ the step declares and accepts it only if the rebuilt instance is the
 stored one, labels included.  `converse` runs an equational or acr step
 backwards, optionally between negations; `reverse_equational` and
 `dualize` apply it to a whole derivation.
+
+Derivations compose one way, through `Builder`: it starts at a formula or
+continues a derivation, `splice` runs a derivation inside the subterm at a
+path (sequential composition at the root, deep applicability below it),
+and `derivation(target)` closes with an `acr` step onto an AC-equal target.
 """
 
 from __future__ import annotations
@@ -178,28 +183,7 @@ def length(spec: SystemSpec, d: Derivation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Composition
-
-
-def nest(ctx: ContextPath, d: Derivation) -> Derivation:
-    """Run d inside the hole of ctx (deep applicability)."""
-    ctx = tuple(ctx)
-    if not ctx:
-        return d
-    steps = tuple(Step(ctx + s.context, s.rule) for s in d.steps)
-    return Derivation(plug(ctx, d.premise), steps, plug(ctx, d.conclusion))
-
-
-def concat(spec: SystemSpec, d1: Derivation, d2: Derivation) -> Derivation:
-    steps = list(d1.steps)
-    if d1.conclusion != d2.premise:
-        if not equal_mod_ac(spec, d1.conclusion, d2.premise):
-            raise JointMismatch(
-                f"cannot join {print_formula(d1.conclusion)} with {print_formula(d2.premise)}"
-            )
-        steps.append(Step((), ac_instance(spec, d1.conclusion, d2.premise)))
-    steps.extend(d2.steps)
-    return Derivation(d1.premise, tuple(steps), d2.conclusion)
+# Exact joints and converses
 
 
 def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
@@ -270,29 +254,41 @@ def dualize(spec: SystemSpec, d: Derivation) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Builder: exact-threaded construction with automatic AC bridging
+# Builder: the one way to compose derivations, exactly threaded, bridging AC
 
 
 class Builder:
-    def __init__(self, spec: SystemSpec, start: Formula):
-        self.spec = spec
-        self.start = start
-        self.current = start
-        self.steps: list[Step] = []
+    """Composes derivations: starts at a formula, or continues a derivation
+    by adopting its steps, and threads each step exactly onto the last."""
 
-    def _bridge(self, sides: Sequence[str], target: Formula) -> None:
+    def __init__(self, spec: SystemSpec, start: Formula | Derivation):
+        self.spec = spec
+        if isinstance(start, Derivation):
+            self.start = start.premise
+            self.current = start.conclusion
+            self.steps: list[Step] = list(start.steps)
+        else:
+            self.start = start
+            self.current = start
+            self.steps = []
+
+    def acr(self, sides: Sequence[str], target: Formula) -> None:
+        """Rearrange the subterm at sides into target; no step when it
+        already is target, JointMismatch when the two are AC-distinct."""
         sub = subformula_at_sides(self.current, sides)
         if sub == target:
             return
-        ctx = context_at(self.current, sides)
-        self.steps.append(Step(ctx, ac_instance(self.spec, sub, target)))
+        try:
+            rule = ac_instance(self.spec, sub, target)
+        except SystemError:
+            raise JointMismatch(
+                f"cannot join {print_formula(sub)} with {print_formula(target)}"
+            ) from None
+        self.steps.append(Step(context_at(self.current, sides), rule))
         self.current = replace_at(self.current, sides, target)
 
-    def acr(self, sides: Sequence[str], target: Formula) -> None:
-        self._bridge(sides, target)
-
     def apply(self, sides: Sequence[str], rule: RuleInstance) -> None:
-        self._bridge(sides, rule.premise)
+        self.acr(sides, rule.premise)
         ctx = context_at(self.current, sides)
         self.steps.append(Step(ctx, rule))
         self.current = replace_at(self.current, sides, rule.conclusion)
@@ -313,19 +309,24 @@ class Builder:
                 f"no one-step equation {print_formula(sub)} -> {print_formula(target)}"
             )
         self.apply(sides, inst)
-        self._bridge(sides, target)
+        self.acr(sides, target)
 
     def splice(self, sides: Sequence[str], d: Derivation) -> None:
-        """Run a whole derivation inside the subterm at sides."""
-        self._bridge(sides, d.premise)
-        ctx = context_at(self.current, sides)
-        for s in d.steps:
-            self.steps.append(Step(ctx + s.context, s.rule))
+        """Run a whole derivation inside the subterm at sides; at the root
+        its steps are reused as they are."""
+        self.acr(sides, d.premise)
+        if sides:
+            ctx = context_at(self.current, sides)
+            self.steps.extend(Step(ctx + s.context, s.rule) for s in d.steps)
+        else:
+            self.steps.extend(d.steps)
         self.current = replace_at(self.current, sides, d.conclusion)
 
     def derivation(self, conclusion: Optional[Formula] = None) -> Derivation:
+        """The derivation built so far; given a conclusion, closed by an acr
+        step onto it unless the built formula already is that conclusion."""
         if conclusion is not None:
-            self._bridge((), conclusion)
+            self.acr((), conclusion)
         return Derivation(self.start, tuple(self.steps), self.current)
 
 
@@ -370,11 +371,19 @@ def _require(fields: dict, names, raw: str) -> None:
         raise ParseError(f"step line lacks {', '.join(missing)}: {raw}")
 
 
+def _bind_exactly(bindings: dict, names, rule_id: str, raw: str) -> None:
+    """The step binds every name its rule takes, and nothing else."""
+    _require(bindings, names, raw)
+    extra = sorted(set(bindings) - set(names))
+    if extra:
+        raise ParseError(f"rule {rule_id} takes no binding {', '.join(extra)}: {raw}")
+
+
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     """Parse a derivation file; returns (spec, derivation).  A step line
     that names an unknown axiom or rule, lacks its rule, path or a binding
-    the rule needs, or binds a metavariable outside its sort, raises
-    ParseError."""
+    the rule needs, binds a name the rule does not take, or binds a
+    metavariable outside its sort, raises ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
@@ -412,7 +421,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         rel = fields.pop("rel", None)
         bindings = {k: parse_formula(v) for k, v in fields.items()}
         if rule_id == "acr":
-            _require(bindings, "AB", raw)
+            _bind_exactly(bindings, "AB", rule_id, raw)
             rule = ac_instance(spec, bindings["A"], bindings["B"])
         elif rule_id.startswith("eq:"):
             axiom_id = rule_id[3:]
@@ -422,7 +431,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             oriented = spec.oriented_axioms.get((axiom_id, negated, direction))
             if oriented is None:
                 raise ParseError(f"unknown axiom {axiom_id!r}: {raw}")
-            _require(bindings, oriented.metavars, raw)
+            _bind_exactly(bindings, oriented.metavars, rule_id, raw)
             try:
                 rule = oriented.instance(spec, bindings)
             except SortViolation as e:
@@ -433,10 +442,8 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
                 raise ParseError(f"unknown rule id {rule_id!r}: {raw}")
             if rel is not None and tuple(rel.split(",")) != (decl.alpha, decl.beta):
                 raise ParseError(f"rule {rule_id} disagrees with rel={rel}: {raw}")
-            _require(bindings, "ABCD", raw)
-            rule = instantiate_rule(
-                spec, decl.scheme, bindings, decl.alpha, decl.beta, rule_id=decl.rule_id
-            )
+            _bind_exactly(bindings, "ABCD", rule_id, raw)
+            rule = instantiate_rule(spec, decl.scheme, bindings, decl.alpha, decl.beta)
         sub = subformula_at_sides(cur, sides)
         if sub != rule.premise:
             raise DerivationError(

@@ -16,10 +16,8 @@ from .derivations import (
     Derivation,
     DerivationError,
     Step,
-    concat,
     converse,
     exactify,
-    identity,
     step_cost,
     weak_units,
 )
@@ -271,20 +269,17 @@ class _Splitter:
         btree = _delete(C, occ)
 
         def fix_q(q, a_part, k):
-            return None if q is None else concat(spec, q, identity(Compound(beta, a_part, k)))
+            if q is None:
+                return None
+            return Builder(spec, q).derivation(Compound(beta, a_part, k))
 
         q0 = fix_q(q0, node.left, k0)
         q1 = fix_q(q1, node.right, k1)
-        want_prem = Compound(spec.dual(alpha), k0, k1)
-        steps = list(d.steps)
-        if d.premise != want_prem:
-            steps.insert(0, Step((), ac_instance(spec, want_prem, d.premise)))
-        dd = Derivation(want_prem, tuple(steps), d.conclusion)
-        if dd.conclusion != btree:
-            b = Builder(spec, dd.premise)
-            b.splice((), dd)
+        b = Builder(spec, Compound(spec.dual(alpha), k0, k1))
+        b.splice((), d)
+        if b.current != btree:
             _steer_units(spec, beta, self.u, b, btree, "split remainder")
-            dd = b.derivation(btree)
+        dd = b.derivation(btree)
         rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
             self.recorder.append(rec)
@@ -304,8 +299,7 @@ class _Splitter:
             if not P.steps:
                 raise IrreducibleCase("bare atomic premise cannot hold the split node")
             last = P.steps[-1]
-            b = Builder(spec, P.premise)
-            b.splice((), self._drop_last(P))
+            b = Builder(spec, self._drop_last(P))
             _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
             b.apply(("L",) + tuple(last.sides), last.rule)
             return self.split(b.derivation(), ("L",))
@@ -380,7 +374,7 @@ class _Splitter:
         if occ2 is None:
             raise IrreducibleCase("AC step hides the split node")
         t = subformula_at_sides(P1.conclusion, occ2)
-        base = concat(spec, P1, identity(Compound(beta, t, _delete(P1.conclusion, occ2))))
+        base = Builder(spec, P1).derivation(Compound(beta, t, _delete(P1.conclusion, occ2)))
         by_class: dict = {}  # element class -> [(id, q, K)], leftmost first
         chain: list = []  # (left_id, right_id, parent_id, remainder), bottom-up
         counter = [0]
@@ -458,8 +452,7 @@ class _Splitter:
         qs = [res.q0, res.q1]
         host = 0 if side == "L" else 1
         if qs[host] is not None:
-            b = Builder(spec, qs[host].premise)
-            b.splice((), qs[host])
+            b = Builder(spec, qs[host])
             b.apply(("L",) + rel_path, sigma.rule)
             qs[host] = b.derivation()
         return self._normalize(P, occ, kind, res.k0, res.k1, res.d, *qs)
@@ -489,7 +482,7 @@ class _Splitter:
             q1 = self._make_pair_proof(a1)
             d = Builder(spec, Compound(na, k0, k1))
             d.apply((), converse(spec, sigma.rule, negated=True))  # ~node -> ~s_pre
-            padded = concat(spec, P1, identity(Compound(beta, s_pre, btree)))
+            padded = Builder(spec, P1).derivation(Compound(beta, s_pre, btree))
             d.splice((), atomic_deduction(spec, beta, s_pre, btree, padded))
             return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
 
@@ -506,7 +499,7 @@ class _Splitter:
             else:
                 held = "L" if s_pre == a0 else "R"
             kept, other = (a0, a1) if held == "L" else (a1, a0)
-            q_kept = concat(spec, P1, identity(Compound(beta, kept, btree)))
+            q_kept = Builder(spec, P1).derivation(Compound(beta, kept, btree))
             if kind == "unitary":
                 if other != Constant(spec.relation(alpha).unitary) or other != self.nu:
                     raise IrreducibleCase("unit expansion with a non-co-unit unit")
@@ -628,8 +621,7 @@ class _Splitter:
         occ2 = ("L", "R") + rel[2:]
         res2 = self.split(host, occ2)
         keep, away = (X, (Z, W)) if in_y else (Z, (X, Y))
-        d = Builder(spec, res2.d.premise)
-        d.splice((), res2.d)
+        d = Builder(spec, res2.d)
         # conclusion: (keep b partdel) b k_host, or (keep b k_host) if the
         # whole component was the split node
         cur = d.current
@@ -712,8 +704,7 @@ class _Splitter:
         # patch d from the recursion's remainder towards delete(C, occ); a
         # step that wrapped or unwrapped the whole node (r_m empty) leaves
         # only a unit for _normalize to pad or drop
-        d = Builder(spec, res.d.premise)
-        d.splice((), res.d)
+        d = Builder(spec, res.d)
         if r_m != ():
             new_binding = dict(bindings)
             new_binding[m_name] = _delete(bindings[m_name], r_m)
@@ -748,8 +739,7 @@ class _Splitter:
         # d: from res2 premise through the kept remainder, re-expanding the
         # erased side, to the outer remainder
         k_kept = res1.k0 if kept_side == "L" else res1.k1
-        d = Builder(spec, res2.d.premise)
-        d.splice((), res2.d)
+        d = Builder(spec, res2.d)
         kpos = next((p for p, f in _shallow_nodes(beta, d.current) if f == k_kept), None)
         if kpos is None:
             raise IrreducibleCase("lost the component remainder after erasure")
@@ -766,8 +756,7 @@ class _Splitter:
         res = self.split(P1, occ)
         p = tuple(sigma.sides)
         p2 = _relocate_after_delete(p, occ)
-        d = Builder(spec, res.d.premise)
-        d.splice((), res.d)
+        d = Builder(spec, res.d)
         d.apply(p2, sigma.rule)
         return self._normalize(P, occ, kind, res.k0, res.k1, d.derivation(), res.q0, res.q1)
 
@@ -920,14 +909,13 @@ def context_reduce(
 
     if depth is None:
         if hole_sides == ():
-            qb = Builder(spec, P.premise)
-            qb.splice((), P)
+            qb = Builder(spec, P)
             _eq_rewrite(qb, (), Compound(beta, C, u), "shallow case pad")
             cb = Builder(spec, Compound(beta, HOLE, u))
             _eq_rewrite(cb, (), HOLE, "shallow case close")
             return ContextReduction(u, cb.derivation(), qb.derivation())
         k = _delete(C, hole_sides)
-        q = concat(spec, P, identity(Compound(beta, hole_formula, k)))
+        q = Builder(spec, P).derivation(Compound(beta, hole_formula, k))
         cb = Builder(spec, Compound(beta, HOLE, k))
         cb.acr((), replace_at(C, hole_sides, HOLE))
         return ContextReduction(k, cb.derivation(), q)
@@ -950,8 +938,7 @@ def context_reduce(
     e0, e1 = enode.left, enode.right
     inner = hole_sides[depth + 1 :]
     s_h = replace_at(e0 if side == "L" else e1, inner, HOLE)
-    b = Builder(spec, rec.ctx.premise)
-    b.splice((), rec.ctx)
+    b = Builder(spec, rec.ctx)
     nb = spec.dual(beta)
     if split.kind == "unitary":
         if delta != nb:
@@ -1027,8 +1014,7 @@ def eliminate_up_step(
         if erased:
             prefix = tuple(sigma.sides)[:j]
             gpost = subformula_at_sides(sigma.after, prefix)
-            b = Builder(spec, P.premise)
-            b.splice((), above)
+            b = Builder(spec, above)
             b.rewrite(prefix, cstep.sibling)
             b.rewrite(prefix, gpost)
             return Derivation(

@@ -205,8 +205,7 @@ def audit_soundness(spec: Optional[SystemSpec] = None) -> list[tuple[str, bool]]
     """The soundness audit of every declared rule of spec (P by default)."""
     spec = spec or make_p_spec()
     rules = (
-        instantiate_rule(spec, decl.scheme, AUDIT_BINDINGS, decl.alpha, decl.beta,
-                         rule_id=decl.rule_id)
+        instantiate_rule(spec, decl.scheme, AUDIT_BINDINGS, decl.alpha, decl.beta)
         for decl in spec.rules
     )
     return audit_instances((r.rule_id, r.premise, r.conclusion) for r in rules)
@@ -317,8 +316,7 @@ def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
     def arranged(new: Formula) -> Formula:
         return Compound(OR, T, join(OR, [new] + old_rest))
 
-    b = Builder(spec, P.premise)
-    b.splice((), P)
+    b = Builder(spec, P)
     tpath = () if b.current == T else ("L",)
     if is_atom(element):
         _insert_atom_at_t(b, tpath, element, valuation)
@@ -330,9 +328,7 @@ def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
             if element.rel == P0
             else (element.right, element.left)
         )
-        inner = _chain_insert(spec, kept, P, valuation)
-        b2 = Builder(spec, inner.premise)
-        b2.splice((), inner)
+        b2 = Builder(spec, _chain_insert(spec, kept, P, valuation))
         # a disjunction kept is inserted part by part; regroup it as one
         b2.acr((), arranged(kept))
         kpath = ("R",) if not old_rest else ("R", "L")
@@ -404,8 +400,7 @@ def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivat
         P = identity(T)
         for name in reversed(pads):
             P = _chain_insert(spec, opposite_literal(name, valuation), P, valuation)
-        b = Builder(spec, T)
-        b.splice((), P)
+        b = Builder(spec, P)
         tpath = () if b.current == T else ("L",)
         sub = _pos(spec, kept, valuation)
         b.splice(tpath, sub)
@@ -426,8 +421,7 @@ def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivat
     for i, e in enumerate(elems):
         if i != live:
             P = _chain_insert(spec, e, P, valuation)
-    b = Builder(spec, T)
-    b.splice((), P)
+    b = Builder(spec, P)
     tpath = () if b.current == T else ("L",)
     b.splice(tpath, _pos(spec, elems[live], valuation))
     _finish_clause(spec, b, w)
@@ -493,9 +487,7 @@ def prove_line(A: Formula, lit: LineLiteralizer) -> Derivation:
         )
     valuation = lit.valuation()
     w = tau(lit, A)
-    d = _pos(spec, w, valuation)
-    b = Builder(spec, T)
-    b.splice((), d)
+    b = Builder(spec, _pos(spec, w, valuation))
     opps = [opposite_literal(n, valuation) for n in lit.variables]
     target = Compound(OR, w, join(OR, opps)) if opps else w
     return b.derivation(target)

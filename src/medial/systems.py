@@ -149,8 +149,14 @@ class OrientedAxiom(NamedTuple):
     sorts: tuple  # (name, sort) of the metavariables a binding must fit
 
     def instance(self, spec: SystemSpec, bindings: Mapping[str, Formula]) -> RuleInstance:
-        """The rule instance under bindings; premise/conclusion are the exact
-        pattern instantiations."""
+        """The rule instance under bindings, which must bind exactly the
+        metavariables; premise/conclusion are the exact pattern
+        instantiations."""
+        if bindings.keys() != self.metavars:
+            raise SystemError(
+                f"{self.rule_id} binds {', '.join(sorted(self.metavars))}, "
+                f"not {', '.join(sorted(bindings))}"
+            )
         for name, sort in self.sorts:
             if not _sort_ok(spec, sort, bindings[name]):
                 raise SortViolation(f"binding for {name} violates sort {sort}")
@@ -462,25 +468,23 @@ def instantiate_rule(
     bindings: Mapping[str, Formula],
     alpha: str,
     beta: str,
-    rule_id: Optional[str] = None,
 ) -> RuleInstance:
-    """Build the fully instantiated medial rule for one scheme."""
+    """Build the fully instantiated medial rule for one scheme, labelled by
+    the one declared rule of that shape."""
     if not scheme.is_medial:
         raise SystemError("instantiate_rule builds medial schemes only")
     if not _side_condition_ok(spec, scheme, alpha, beta):
         raise SideConditionViolated(f"{scheme.value} needs order between {alpha},{beta}")
-    if rule_id is None:
-        decl = spec.rule_for(scheme, alpha, beta)
-        if decl is None:
-            raise SideConditionViolated(
-                f"system {spec.name} declares no {scheme.value} rule at ({alpha},{beta})"
-            )
-        rule_id = decl.rule_id
+    decl = spec.rule_for(scheme, alpha, beta)
+    if decl is None:
+        raise SideConditionViolated(
+            f"system {spec.name} declares no {scheme.value} rule at ({alpha},{beta})"
+        )
     A, B, C, D = (bindings[k] for k in "ABCD")
     prem, conc = _scheme_shapes(spec, scheme, alpha, beta, A, B, C, D)
     return RuleInstance(
         scheme=scheme,
-        rule_id=rule_id,
+        rule_id=decl.rule_id,
         premise=prem,
         conclusion=conc,
         bindings=_bind(A=A, B=B, C=C, D=D),
@@ -596,12 +600,19 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
     A medial or equational step is rebuilt from what it declares (scheme,
     relations or axiom orientation, bindings) by the constructor that made
     it, and must equal the rebuilt instance, labels included.  An acr step
-    needs only its label and AC-equal formulas."""
+    needs its label, AC-equal formulas, its two formulas as its bindings A
+    and B, and no medial or equational fields."""
     if rule.scheme is Scheme.AC:
         if rule.rule_id != "acr":
             return f"ac step labelled {rule.rule_id}"
         if not equal_mod_ac(spec, rule.premise, rule.conclusion):
             return "ac step between AC-distinct formulas"
+        if rule.bindings != (("A", rule.premise), ("B", rule.conclusion)):
+            return "ac step whose bindings are not its premise A and conclusion B"
+        if (rule.relations, rule.axiom_id, rule.negated, rule.direction) != (
+            None, None, False, "fwd"
+        ):
+            return "ac step with medial or equational fields"
         return None
     bindings = dict(rule.bindings)
     try:

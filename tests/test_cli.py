@@ -1,8 +1,11 @@
 import argparse
 import inspect
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,25 @@ from medial.derivations import Builder, to_text
 from medial.system_p import make_p_spec
 from medial.systems import spec_to_text
 from medial.terms import Constant, parse_formula
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_lines(tmp_path, monkeypatch, capsys):
+    # the README's command block, run in order; each line exits with the
+    # code its comment gives, 0 when it gives none
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    block = next(b for b in blocks if b.startswith("medial "))
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "medial", line
+        documented = re.search(r"#.*\(exit (\d)", line)
+        ran.append((line, run(argv[1:]), int(documented.group(1)) if documented else 0))
+        capsys.readouterr()
+    assert ran and [(line, got) for line, got, want in ran if got != want] == []
 
 
 def test_taut_exit_codes(capsys):
@@ -107,9 +129,12 @@ def test_bench_deterministic(tmp_path):
          "unknown rule id"),
         ("sd", lambda line: line.replace("rel=&,|", "rel=p0,p1", 1),
          "rule sd disagrees with rel=p0,p1"),
+        ("eq:const_idem:n", lambda line: line + " Q=y",
+         "rule eq:const_idem:n takes no binding Q"),
+        ("sd", lambda line: line + " E=x", "rule sd takes no binding E"),
     ],
     ids=["no-rule", "missing-binding", "bad-dir", "unknown-axiom", "unknown-rule",
-         "rel-disagrees"],
+         "rel-disagrees", "extra-eq-binding", "extra-sd-binding"],
 )
 def test_check_malformed_step_exits_2(tmp_path, capsys, rule, edit, message):
     good = tmp_path / "good.drv"

@@ -10,16 +10,14 @@ from medial.derivations import (
     NonEquationalStep,
     Step,
     check,
-    concat,
     dualize,
     from_text,
     identity,
     length,
-    nest,
     reverse_equational,
     to_text,
 )
-from medial.generators import derive_excluded_middle
+from medial.generators import derive_contraction, derive_excluded_middle
 from medial.system_p import make_p_spec, prove_tautology
 from medial.systems import Scheme
 from medial.terms import (
@@ -27,7 +25,6 @@ from medial.terms import (
     Constant,
     Metavar,
     Variable,
-    context_at,
     negate,
     parse_formula,
 )
@@ -84,6 +81,38 @@ def test_check_rejects_mislabelled_step(label, relabel):
     assert relabel in failure.reason
 
 
+def test_check_rejects_equational_step_with_extra_binding():
+    # var_em binds X only; a step carrying Q as well is not an instance of it
+    d = em_step_derivation()
+    rule = d.steps[0].rule
+    extra = replace(rule, bindings=rule.bindings + (("Q", Variable("y")),))
+    failure = check(spec, Derivation(d.premise, (Step((), extra),), d.conclusion))
+    assert failure is not None and failure.step_index == 0
+    assert "eq:var_em binds X, not Q, X" in failure.reason
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(bindings=(("A", Variable("q")), ("B", Variable("q")))),
+        dict(bindings=()),
+        dict(relations=("&", "|")),
+        dict(axiom_id="or_unit"),
+        dict(direction="bwd"),
+    ],
+    ids=["foreign-bindings", "no-bindings", "relations", "axiom", "direction"],
+)
+def test_check_rejects_acr_step_with_foreign_fields(fields):
+    # an acr step binds A to its premise and B to its conclusion, and no more
+    d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))
+    i = next(i for i, s in enumerate(d.steps) if s.rule.rule_id == "acr")
+    steps = list(d.steps)
+    steps[i] = Step(steps[i].context, replace(steps[i].rule, **fields))
+    failure = check(spec, Derivation(d.premise, tuple(steps), d.conclusion))
+    assert failure is not None and failure.step_index == i
+    assert "ac step" in failure.reason
+
+
 @pytest.mark.parametrize(
     "junk",
     [parse_formula("(x zz y)"), Constant("Q"), Metavar("B")],
@@ -111,15 +140,33 @@ def test_length_examples():
     assert length(spec, b.derivation()) == 1  # co-unit merges are counted
 
 
+def _in_context(d, outer, sides):
+    """d run inside the subterm of outer at sides, through Builder.splice."""
+    b = Builder(spec, outer)
+    b.splice(sides, d)
+    return b.derivation()
+
+
 def test_length_additive_under_concat_invariant_under_nest():
+    # composing one after another adds lengths; running in a context keeps them
     rng = random.Random(6)
     for _ in range(20):
-        d1 = derive_excluded_middle(spec, "&", random_formula(rng, 2))
-        ctx = context_at(Compound("|", d1.premise, Variable("w")), ("L",))
-        assert length(spec, nest(ctx, d1)) == length(spec, d1)
+        f = random_formula(rng, 2)
+        d1 = derive_excluded_middle(spec, "&", f)
+        nested = _in_context(d1, Compound("|", d1.premise, Variable("w")), ("L",))
+        assert length(spec, nested) == length(spec, d1)
+        twice = Compound("|", f, f)
+        c1 = derive_contraction(spec, "|", twice)  # ((f|f) | (f|f)) -> (f|f)
+        c2 = derive_contraction(spec, "|", f)  # (f|f) -> f
+        b = Builder(spec, c1)
+        b.splice((), c2)
+        joined = b.derivation()
+        assert check(spec, joined) is None
+        assert length(spec, joined) == length(spec, c1) + length(spec, c2)
     d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
-    dd = concat(spec, identity(d.premise), d)
-    assert length(spec, dd) == length(spec, d)
+    b = Builder(spec, identity(d.premise))
+    b.splice((), d)
+    assert length(spec, b.derivation()) == length(spec, d)
 
 
 def test_dualize_excluded_middle():
@@ -178,11 +225,11 @@ def test_reverse_equational_rejects_medial_step():
 
 def test_nest():
     d = em_step_derivation()
-    assert nest((), d) == d
-    ctx = context_at(Compound("|", T, Variable("y")), ("L",))
-    nested = nest(ctx, d)
+    assert _in_context(d, d.premise, ()) == d
+    nested = _in_context(d, Compound("|", T, Variable("y")), ("L",))
     assert nested.premise == parse_formula("(T | y)")
     assert nested.conclusion == parse_formula("((x | ~x) | y)")
+    assert len(nested) == len(d)
     assert check(spec, nested) is None
 
 
@@ -196,16 +243,41 @@ def test_nest_random_property():
             Compound("|", d.premise, host) if side == "L"
             else Compound("&", host, d.premise)
         )
-        ctx = context_at(outer, (side,) if side == "L" else ("R",))
-        assert check(spec, nest(ctx, d)) is None
+        nested = _in_context(d, outer, (side,))
+        assert len(nested) == len(d)
+        assert check(spec, nested) is None
 
 
 def test_concat():
-    d = em_step_derivation()
-    joined = concat(spec, d, identity(parse_formula("(~x | x)")))
+    d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
+    # continuing a derivation adopts its steps as they are
+    continued = Builder(spec, d)
+    assert continued.derivation() == d
+    assert all(a is b for a, b in zip(continued.steps, d.steps))
+    # continuing, then adding steps, equals starting at the premise and splicing
+    C, F = d.conclusion, Constant("F")
+
+    def extend(b):
+        b.apply_eq((), "or_unit", dict(A=C), direction="bwd")
+        b.acr((), Compound("|", F, C))
+        b.rewrite((), C)
+        return b.derivation()
+
+    spliced = Builder(spec, d.premise)
+    spliced.splice((), d)
+    longer = extend(Builder(spec, d))
+    assert longer == extend(spliced)
+    assert len(longer) > len(d) and longer.steps[: len(d)] == d.steps
+    assert check(spec, longer) is None
+    # retargeting to an AC-equal conclusion adds one root acr step
+    e = em_step_derivation()
+    joined = Builder(spec, e).derivation(parse_formula("(~x | x)"))
+    assert len(joined) == len(e) + 1
+    assert joined.steps[-1].rule.rule_id == "acr" and joined.steps[-1].context == ()
     assert check(spec, joined) is None
-    with pytest.raises(JointMismatch):
-        concat(spec, d, identity(parse_formula("(x | x)")))
+    assert Builder(spec, e).derivation(e.conclusion) == e
+    with pytest.raises(JointMismatch, match=r"\(x \| ~x\).*\(x \| x\)"):
+        Builder(spec, e).derivation(parse_formula("(x | x)"))
 
 
 def test_reverse_equational():

@@ -97,9 +97,8 @@ def test_instantiate_rule_side_condition():
 
 def test_rule_rebuild_round_trip():
     for decl in spec.rules:
-        rule = instantiate_rule(
-            spec, decl.scheme, ABCD, decl.alpha, decl.beta, rule_id=decl.rule_id
-        )
+        rule = instantiate_rule(spec, decl.scheme, ABCD, decl.alpha, decl.beta)
+        assert rule.rule_id == decl.rule_id
         rebuilt = instantiate_rule(
             spec, decl.scheme, dict(rule.bindings), decl.alpha, decl.beta
         )
