@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import clones, r23
-from .derivations import check, from_text, to_text
+from .derivations import check, from_text, parse_sides, to_text
 from .generators import derive_contraction, derive_excluded_middle
 from .splitting import (
     eliminate_all_up,
@@ -119,7 +119,7 @@ def _cmd_eliminate_up(args) -> int:
 def _cmd_split(args) -> int:
     spec, d = from_text(Path(args.file).read_text(), resolve_system)
     frag = make_fragment(spec)
-    occ = tuple(args.at) if args.at != "-" else ()
+    occ = parse_sides(args.at)
     res = shallow_split(frag, d, occ)
     parts = [f"# kind: {res.kind}", f"# k0: {print_formula(res.k0)}",
              f"# k1: {print_formula(res.k1)}"]
@@ -134,7 +134,10 @@ def _cmd_split(args) -> int:
 def _cmd_classify(args) -> int:
     if args.fn:
         bits, _, arity_text = args.fn.partition("/")
-        fn = clones.BoolFn(int(arity_text), tuple(c == "1" for c in bits))
+        arity = int(arity_text) if arity_text.isdecimal() and len(arity_text) < 3 else -1
+        if arity < 0 or set(bits) - {"0", "1"} or len(bits) != 2 ** arity:
+            raise ParseError(f"--fn {args.fn!r}: give <bits>/<arity> with 2^arity bits")
+        fn = clones.BoolFn(arity, tuple(c == "1" for c in bits))
     elif args.formula:
         fn = clones.formula_function(parse_formula(args.formula))
     else:
@@ -172,13 +175,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    csv = r23.bench_sat(
-        args.clone,
-        [int(v) for v in args.vars.split(",")],
-        [int(s) for s in args.sizes.split(",")],
-        args.seed,
-        args.samples,
-    )
+    csv = r23.bench_sat(args.clone, args.vars, args.sizes, args.seed, args.samples)
     _emit(csv, args.out)
     return 0
 
@@ -201,6 +198,14 @@ def _cmd_taut(args) -> int:
         return 0
     print("not a tautology")
     return 1
+
+
+def _positive_ints(text: str) -> list:
+    """A comma-separated list of positive integers (an argparse type)."""
+    values = [int(v) for v in text.split(",") if v.isdecimal()]
+    if len(values) != text.count(",") + 1 or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers like 4,8, not {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="random-formula satisfiability timing")
     p.add_argument("--clone", choices=["C2", "C3"], required=True)
-    p.add_argument("--vars", default="4,8")
-    p.add_argument("--sizes", default="20,60")
+    p.add_argument("--vars", type=_positive_ints, default="4,8")
+    p.add_argument("--sizes", type=_positive_ints, default="20,60")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--out", default=None)

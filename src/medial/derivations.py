@@ -379,11 +379,20 @@ def _bind_exactly(bindings: dict, names, rule_id: str, raw: str) -> None:
         raise ParseError(f"rule {rule_id} takes no binding {', '.join(extra)}: {raw}")
 
 
+def parse_sides(path: str) -> tuple:
+    """An L/R path as written in a file or on the command line; - is the root."""
+    if path != "-" and (not path or set(path) - {"L", "R"}):
+        raise ParseError(f"bad path {path!r}: give L/R letters, or - for the root")
+    return () if path == "-" else tuple(path)
+
+
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
-    """Parse a derivation file; returns (spec, derivation).  A step line
-    that names an unknown axiom or rule, lacks its rule, path or a binding
-    the rule needs, binds a name the rule does not take, or binds a
-    metavariable outside its sort, raises ParseError."""
+    """Parse a derivation file; returns (spec, derivation).  A file with an
+    unknown section or without its system, premise or conclusion line, and a
+    step line that names an unknown axiom or rule, lacks its rule, path or a
+    binding the rule needs, has a path letter other than L/R, gives a field
+    (dir, rel) or binds a name the rule does not take, or binds a
+    metavariable outside its sort, raise ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
@@ -404,17 +413,27 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         elif key == "step":
             raw_steps.append(rest)
         else:
-            raise DerivationError(f"line {lineno}: unknown section {key!r}")
+            raise ParseError(f"line {lineno}: unknown section {key!r}: {line}")
     if spec is None or premise is None or conclusion is None:
-        raise DerivationError("derivation file needs system, premise and conclusion")
+        raise ParseError("derivation file needs system, premise and conclusion lines")
     cur = premise
     steps = []
     for raw in raw_steps:
         fields = _parse_fields(raw)
         _require(fields, ("rule", "path"), raw)
         rule_id = fields.pop("rule")
-        path = fields.pop("path")
-        sides = () if path == "-" else tuple(path)
+        try:
+            sides = parse_sides(fields.pop("path"))
+        except ParseError as e:
+            raise ParseError(f"{e}: {raw}") from None
+        is_eq = rule_id.startswith("eq:")
+        is_medial = rule_id != "acr" and not is_eq
+        if is_medial and rule_id not in spec.rules_by_id:
+            raise ParseError(f"unknown rule id {rule_id!r}: {raw}")
+        # only equational steps take a direction, only medial ones a relation pair
+        for name, takes in (("dir", is_eq), ("rel", is_medial)):
+            if name in fields and not takes:
+                raise ParseError(f"rule {rule_id} takes no field {name}: {raw}")
         direction = fields.pop("dir", "fwd")
         if direction not in ("fwd", "bwd"):
             raise ParseError(f"bad direction {direction!r}: {raw}")
@@ -423,7 +442,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         if rule_id == "acr":
             _bind_exactly(bindings, "AB", rule_id, raw)
             rule = ac_instance(spec, bindings["A"], bindings["B"])
-        elif rule_id.startswith("eq:"):
+        elif is_eq:
             axiom_id = rule_id[3:]
             negated = axiom_id.endswith(":n")
             if negated:
@@ -437,9 +456,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             except SortViolation as e:
                 raise ParseError(f"{e}: {raw}") from None
         else:
-            decl = spec.rules_by_id.get(rule_id)
-            if decl is None:
-                raise ParseError(f"unknown rule id {rule_id!r}: {raw}")
+            decl = spec.rules_by_id[rule_id]
             if rel is not None and tuple(rel.split(",")) != (decl.alpha, decl.beta):
                 raise ParseError(f"rule {rule_id} disagrees with rel={rel}: {raw}")
             _bind_exactly(bindings, "ABCD", rule_id, raw)

@@ -48,73 +48,64 @@ def derive_excluded_middle(spec: SystemSpec, alpha: str, A: Formula) -> Derivati
     unit = spec.unit_of(alpha)
     if unit is None:
         raise MissingAxiom(f"{alpha} has no unit")
+    return _excluded_middle(spec, alpha, Constant(unit), A)
+
+
+def _excluded_middle(spec: SystemSpec, alpha: str, unit: Formula, f: Formula) -> Derivation:
+    """From unit to f ~alpha ~f, by recursion on f."""
     na = spec.dual(alpha)
-
-    def go(f: Formula) -> Derivation:
-        target = Compound(na, f, negate(spec, f))
-        b = Builder(spec, Constant(unit))
-        if is_atom(f):
-            _rewrite(b, (), target, f"excluded middle base for {f}")
-            return b.derivation(target)
-        gamma = f.rel
-        if gamma == na:
-            # weak-topped formulas: merge two recursions with one split
-            b0, b1 = go(f.left), go(f.right)
-            _rewrite(b, (), Compound(alpha, Constant(unit), Constant(unit)),
-                     f"unit merge at {alpha}")
-            b.splice(("L",), b0)
-            b.splice(("R",), b1)
-            nl, nr = negate(spec, f.left), negate(spec, f.right)
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN,
-                dict(A=nl, B=f.left, C=nr, D=f.right), alpha, na,
-            )
-            return b.derivation(target)
-        if not spec.precedes(gamma, na):
-            raise MissingAxiom(f"relation {gamma} not below {na}")
-        b0, b1 = go(f.left), go(f.right)
-        _rewrite(b, (), Compound(gamma, Constant(unit), Constant(unit)),
-                 f"unit merge at {gamma}")
-        b.splice(("L",), b0)
-        b.splice(("R",), b1)
-        b.apply_scheme(
-            (), Scheme.SPLIT_DOWN,
-            dict(A=f.left, B=negate(spec, f.left), C=f.right, D=negate(spec, f.right)),
-            gamma, na,
-        )
+    target = Compound(na, f, negate(spec, f))
+    b = Builder(spec, unit)
+    if is_atom(f):
+        _rewrite(b, (), target, f"excluded middle base for {f}")
         return b.derivation(target)
-
-    return go(A)
+    gamma = f.rel
+    if gamma != na and not spec.precedes(gamma, na):
+        raise MissingAxiom(f"relation {gamma} not below {na}")
+    # two recursions merged by one split: weak-topped formulas merge at
+    # alpha with the negations first, the others at their own relation
+    nl, nr = negate(spec, f.left), negate(spec, f.right)
+    if gamma == na:
+        merge, bindings = alpha, dict(A=nl, B=f.left, C=nr, D=f.right)
+    else:
+        merge, bindings = gamma, dict(A=f.left, B=nl, C=f.right, D=nr)
+    b0 = _excluded_middle(spec, alpha, unit, f.left)
+    b1 = _excluded_middle(spec, alpha, unit, f.right)
+    _rewrite(b, (), Compound(merge, unit, unit), f"unit merge at {merge}")
+    b.splice(("L",), b0)
+    b.splice(("R",), b1)
+    b.apply_scheme((), Scheme.SPLIT_DOWN, bindings, merge, na)
+    return b.derivation(target)
 
 
 def derive_contraction(spec: SystemSpec, beta: str, A: Formula) -> Derivation:
     """Derivation from A beta A to A, for weak beta."""
     if classify_relation(spec, beta) != "weak":
         raise NotWeak(beta)
+    return _contraction(spec, beta, A)
 
-    def go(f: Formula) -> Derivation:
-        b = Builder(spec, Compound(beta, f, f))
-        if is_atom(f):
-            _rewrite(b, (), f, f"idempotence base for {f}")
-            return b.derivation(f)
-        gamma = f.rel
-        if gamma == beta:
-            b.acr((), Compound(beta, Compound(beta, f.left, f.left),
-                               Compound(beta, f.right, f.right)))
-            b.splice(("L",), go(f.left))
-            b.splice(("R",), go(f.right))
-            return b.derivation(f)
-        if not spec.precedes(gamma, beta):
-            raise MissingAxiom(f"relation {gamma} not below {beta}")
+
+def _contraction(spec: SystemSpec, beta: str, f: Formula) -> Derivation:
+    """From f beta f to f, by recursion on f."""
+    b = Builder(spec, Compound(beta, f, f))
+    if is_atom(f):
+        _rewrite(b, (), f, f"idempotence base for {f}")
+        return b.derivation(f)
+    gamma = f.rel
+    # pair up the two copies' arguments, then contract each pair
+    if gamma == beta:
+        b.acr((), Compound(beta, Compound(beta, f.left, f.left),
+                           Compound(beta, f.right, f.right)))
+    elif not spec.precedes(gamma, beta):
+        raise MissingAxiom(f"relation {gamma} not below {beta}")
+    else:
         b.apply_scheme(
             (), Scheme.CONTRACT_DOWN,
             dict(A=f.left, B=f.right, C=f.left, D=f.right), gamma, beta,
         )
-        b.splice(("L",), go(f.left))
-        b.splice(("R",), go(f.right))
-        return b.derivation(f)
-
-    return go(A)
+    b.splice(("L",), _contraction(spec, beta, f.left))
+    b.splice(("R",), _contraction(spec, beta, f.right))
+    return b.derivation(f)
 
 
 def atomic_deduction(

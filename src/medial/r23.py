@@ -116,10 +116,8 @@ def audit_r23(rules: Optional[Sequence[R23Rule]] = None) -> list:
     )
 
 
-def audit_report_csv(report: Optional[Sequence[tuple]] = None) -> str:
-    """An audit report (R23's by default) as `rule,sound` CSV."""
-    if report is None:
-        report = audit_r23()
+def audit_report_csv(report: Sequence[tuple]) -> str:
+    """An audit report as `rule,sound` CSV."""
     lines = ["rule,sound"]
     lines.extend(f"{rid},{'pass' if ok else 'fail'}" for rid, ok in report)
     return "\n".join(lines) + "\n"
@@ -130,6 +128,8 @@ def audit_report_csv(report: Optional[Sequence[tuple]] = None) -> str:
 
 C2_CONNECTIVES = frozenset({"&", "->", "<-", "|"})
 C3_CONNECTIVES = frozenset({"&", "!<", "!>", "|"})
+VAR_CAP = 24  # variables sat_brute enumerates at most
+DEPTH_P, MAX_DEPTH = 0.4, 12  # random_clone_formula's depth distribution
 
 
 def _connectives(f: Formula) -> set:
@@ -160,38 +160,40 @@ def sat_c2(f: Formula) -> dict:
     return valuation
 
 
-def sat_brute(f: Formula, var_cap: int = 24):
+def sat_brute(f: Formula):
     """First satisfying valuation in enumeration order, or None."""
     names = sorted(variables(f))
-    if len(names) > var_cap:
-        raise VarCap(f"{len(names)} variables exceed the cap {var_cap}")
+    if len(names) > VAR_CAP:
+        raise VarCap(f"{len(names)} variables exceed the cap {VAR_CAP}")
     for valuation in all_valuations(names):
         if evaluate(f, valuation):
             return valuation
     return None
 
 
-def random_clone_formula(rng: random.Random, clone: str, n_vars: int,
-                         depth_p: float = 0.4, max_depth: int = 12) -> Formula:
-    """Uniform connectives from the clone's set, geometric depth, uniform
-    variables."""
+def random_clone_formula(rng: random.Random, clone: str, n_vars: int) -> Formula:
+    """Uniform connectives from the clone's set, geometric depth (each level
+    continues with probability DEPTH_P, up to MAX_DEPTH), uniform variables."""
     if clone == "C2":
         rels, const = sorted(C2_CONNECTIVES), "T"
     elif clone == "C3":
         rels, const = sorted(C3_CONNECTIVES), "F"
     else:
         raise SystemError(f"unknown clone {clone!r}")
-
-    def go(depth: int) -> Formula:
-        if depth >= max_depth or rng.random() >= depth_p:
-            if rng.random() < 0.05:
-                return Constant(const)
-            return Variable(f"v{rng.randrange(n_vars)}")
-        rel = rels[rng.randrange(len(rels))]
-        return Compound(rel, go(depth + 1), go(depth + 1))
-
     root = rels[rng.randrange(len(rels))]
-    return Compound(root, go(1), go(1))
+    return Compound(root, _random_subformula(rng, rels, const, n_vars, 1),
+                    _random_subformula(rng, rels, const, n_vars, 1))
+
+
+def _random_subformula(rng: random.Random, rels: list, const: str, n_vars: int,
+                       depth: int) -> Formula:
+    if depth >= MAX_DEPTH or rng.random() >= DEPTH_P:
+        if rng.random() < 0.05:
+            return Constant(const)
+        return Variable(f"v{rng.randrange(n_vars)}")
+    rel = rels[rng.randrange(len(rels))]
+    return Compound(rel, _random_subformula(rng, rels, const, n_vars, depth + 1),
+                    _random_subformula(rng, rels, const, n_vars, depth + 1))
 
 
 def bench_sat(clone: str, var_counts: Sequence[int], sizes: Sequence[int],

@@ -8,6 +8,7 @@ guessing; the acceptance corpus must exercise none."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -169,6 +170,10 @@ class SplitResult:
     q1: Optional[Derivation]  # from ~u_beta to (A1 beta k1)
 
 
+# the side of its node that a weakening erases
+_ERASED = {"right_weakening": "R", "left_weakening": "L"}
+
+
 def _alpha_kind(spec: SystemSpec, alpha: str) -> str:
     rel = spec.relation(alpha)
     if rel.unitary is not None:
@@ -250,11 +255,6 @@ class _Splitter:
         return total
 
     # -- helpers ----------------------------------------------------------
-    def _validate_down(self, P: Derivation) -> None:
-        for i, step in enumerate(P.steps):
-            if not in_down_fragment(step):
-                raise NotDownFragment(f"step {i} ({step.rule.rule_id}) is not a down rule")
-
     def _drop_last(self, P: Derivation) -> Derivation:
         last = P.steps[-1]
         return Derivation(P.premise, P.steps[:-1], last.before)
@@ -342,12 +342,8 @@ class _Splitter:
                 return self._normalize(P, occ, kind, k0, k1, res.d, q0, q1)
             return self._regrouped(P, P1, occ, node, kind)
 
-        occ_l = occ + ("L",)
-        occ_r = occ + ("R",)
-        if _is_prefix(occ_l, p):
-            return self._inside_component(P, P1, occ, sigma, kind, side="L")
-        if _is_prefix(occ_r, p):
-            return self._inside_component(P, P1, occ, sigma, kind, side="R")
+        if len(p) > len(occ) and _is_prefix(occ, p):
+            return self._inside_component(P, P1, occ, sigma, kind)
         if p == occ:
             if rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
                 return self._at_node_eq(P, P1, occ, sigma, kind)
@@ -377,53 +373,10 @@ class _Splitter:
         base = Builder(spec, P1).derivation(Compound(beta, t, _delete(P1.conclusion, occ2)))
         by_class: dict = {}  # element class -> [(id, q, K)], leftmost first
         chain: list = []  # (left_id, right_id, parent_id, remainder), bottom-up
-        counter = [0]
-
-        def fresh() -> int:
-            counter[0] += 1
-            return counter[0]
-
-        def atomize(q: Derivation, tree: Formula):
-            if not (isinstance(tree, Compound) and tree.rel == alpha):
-                k = subformula_at_sides(q.conclusion, ("R",))
-                bid = fresh()
-                by_class.setdefault(ac_canonical(spec, tree), []).append((bid, q, k))
-                return k, bid
-            r = self.split(q, ("L",))
-            _, lid = atomize(r.q0, tree.left)
-            _, rid = atomize(r.q1, tree.right)
-            pid = fresh()
-            chain.append((lid, rid, pid, r.d))
-            return r.d.conclusion, pid
-
-        atomize(base, t)
+        self._atomize(base, t, alpha, itertools.count(1), by_class, chain)
         used: list = []  # (id, K) in reading order
-
-        def rejoin(tree: Formula):
-            """Proof of (tree beta K) following the reading's grouping."""
-            if not (isinstance(tree, Compound) and tree.rel == alpha):
-                entries = by_class.get(ac_canonical(spec, tree))
-                if not entries:
-                    raise IrreducibleCase("regrouped spine lost an element")
-                bid, q, k = entries.pop(0)
-                used.append((bid, k))
-                return q, k
-            ql, kl = rejoin(tree.left)
-            qr, kr = rejoin(tree.right)
-            b = Builder(spec, self.nu)
-            _eq_rewrite(b, (), Compound(alpha, self.nu, self.nu),
-                        "co-unit merge for regrouping")
-            b.splice(("L",), ql)
-            b.splice(("R",), qr)
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN,
-                dict(A=tree.left, B=kl, C=tree.right, D=kr), alpha, beta,
-            )
-            k = Compound(na, kl, kr)
-            return b.derivation(Compound(beta, tree, k)), k
-
-        q0, k0 = rejoin(node.left)
-        q1, k1 = rejoin(node.right)
+        q0, k0 = self._rejoin(node.left, alpha, by_class, used)
+        q1, k1 = self._rejoin(node.right, alpha, by_class, used)
         # close the remainder: merge element remainders back along the
         # original grouping, then hand over to the base split's remainder
         blocks = list(used)  # (id, K); reading order equals spine order
@@ -444,16 +397,56 @@ class _Splitter:
             blocks[li : ri + 1] = [(pid, rem.conclusion)]
         return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
 
-    # -- cases -------------------------------------------------------------
-    def _inside_component(self, P, P1, occ, sigma, kind, side) -> SplitResult:
+    def _atomize(self, q: Derivation, tree: Formula, alpha: str, ids, by_class: dict,
+                 chain: list) -> int:
+        """Split q, a proof of (tree beta K), into one proof per alpha-element
+        of tree, filed by element class; returns the id of tree's block."""
+        if not (isinstance(tree, Compound) and tree.rel == alpha):
+            k = subformula_at_sides(q.conclusion, ("R",))
+            bid = next(ids)
+            by_class.setdefault(ac_canonical(self.spec, tree), []).append((bid, q, k))
+            return bid
+        r = self.split(q, ("L",))
+        lid = self._atomize(r.q0, tree.left, alpha, ids, by_class, chain)
+        rid = self._atomize(r.q1, tree.right, alpha, ids, by_class, chain)
+        pid = next(ids)
+        chain.append((lid, rid, pid, r.d))
+        return pid
+
+    def _rejoin(self, tree: Formula, alpha: str, by_class: dict, used: list) -> tuple:
+        """Proof of (tree beta K) following the reading's grouping, and K."""
         spec, beta = self.spec, self.beta
+        if not (isinstance(tree, Compound) and tree.rel == alpha):
+            entries = by_class.get(ac_canonical(spec, tree))
+            if not entries:
+                raise IrreducibleCase("regrouped spine lost an element")
+            bid, q, k = entries.pop(0)
+            used.append((bid, k))
+            return q, k
+        ql, kl = self._rejoin(tree.left, alpha, by_class, used)
+        qr, kr = self._rejoin(tree.right, alpha, by_class, used)
+        b = Builder(spec, self.nu)
+        _eq_rewrite(b, (), Compound(alpha, self.nu, self.nu),
+                    "co-unit merge for regrouping")
+        b.splice(("L",), ql)
+        b.splice(("R",), qr)
+        b.apply_scheme(
+            (), Scheme.SPLIT_DOWN,
+            dict(A=tree.left, B=kl, C=tree.right, D=kr), alpha, beta,
+        )
+        k = Compound(spec.dual(alpha), kl, kr)
+        return b.derivation(Compound(beta, tree, k)), k
+
+    # -- cases -------------------------------------------------------------
+    def _inside_component(self, P, P1, occ, sigma, kind) -> SplitResult:
+        """The step rewrites inside one component of the node."""
         res = self.split(P1, occ)
-        rel_path = tuple(sigma.sides)[len(occ) + 1 :]
+        side, *rel_path = sigma.sides[len(occ) :]
         qs = [res.q0, res.q1]
         host = 0 if side == "L" else 1
         if qs[host] is not None:
-            b = Builder(spec, qs[host])
-            b.apply(("L",) + rel_path, sigma.rule)
+            b = Builder(self.spec, qs[host])
+            b.apply(("L", *rel_path), sigma.rule)
             qs[host] = b.derivation()
         return self._normalize(P, occ, kind, res.k0, res.k1, res.d, *qs)
 
@@ -498,7 +491,11 @@ class _Splitter:
                 held = "R"
             else:
                 held = "L" if s_pre == a0 else "R"
-            kept, other = (a0, a1) if held == "L" else (a1, a0)
+
+            def ordered(x, y) -> tuple:  # x on the kept side, y on the other
+                return (x, y) if held == "L" else (y, x)
+
+            kept, other = ordered(a0, a1)
             q_kept = Builder(spec, P1).derivation(Compound(beta, kept, btree))
             if kind == "unitary":
                 if other != Constant(spec.relation(alpha).unitary) or other != self.nu:
@@ -509,34 +506,19 @@ class _Splitter:
                 ob = Builder(spec, self.nu)
                 _eq_rewrite(ob, (), Compound(beta, other, self.u), "unit padding")
                 q_other = ob.derivation()
-                d = Builder(
-                    spec,
-                    Compound(na, btree, k_other)
-                    if held == "L"
-                    else Compound(na, k_other, btree),
-                )
+                d = Builder(spec, Compound(na, *ordered(btree, k_other)))
                 d.acr((), Compound(beta, btree, self.u))
                 _eq_rewrite(d, (), btree, "unit removal")
-            elif (kind == "right_weakening" and held == "L") or (
-                kind == "left_weakening" and held == "R"
-            ):
+            elif held != _ERASED[kind]:
                 k_other = other
                 q_other = None
-                d = Builder(
-                    spec,
-                    Compound(na, btree, other)
-                    if held == "L"
-                    else Compound(na, other, btree),
-                )
+                d = Builder(spec, Compound(na, *ordered(btree, k_other)))
                 _eq_rewrite(d, (), btree, "weakening erasure")
             else:
                 raise IrreducibleCase("expansion on the erased side of a weakening")
-            if held == "L":
-                return self._normalize(
-                    P, occ, kind, btree, k_other, d.derivation(), q_kept, q_other
-                )
             return self._normalize(
-                P, occ, kind, k_other, btree, d.derivation(), q_other, q_kept
+                P, occ, kind, *ordered(btree, k_other), d.derivation(),
+                *ordered(q_kept, q_other),
             )
         # wrapping equations (a bare metavariable conclusion pattern) are
         # handled by the generic relocation
@@ -550,49 +532,33 @@ class _Splitter:
             raise IrreducibleCase("splitting step over a foreign weak relation")
         p = tuple(sigma.sides)
         rel = occ[len(p) :]
-        X = rule.binding("A")
-        Y = rule.binding("B")
-        Z = rule.binding("C")
-        W = rule.binding("D")
         node = subformula_at_sides(P.conclusion, occ)
         alpha = node.rel
         na = spec.dual(alpha)
-        if rel == ("L",):
-            if a2 != alpha:
+        if rel in (("L",), ("R",)):
+            # the node is the step's (A a2 C) or its (B ~a2 D); the other
+            # pair of bindings goes to the remainder
+            left = rel == ("L",)
+            e0, e1 = (rule.binding(name) for name in ("BD" if left else "AC"))
+            if (a2 if left else spec.dual(a2)) != alpha:
                 raise IrreducibleCase("inner relation of the split step differs")
             res = self.split(P1, p)
-            k0 = Compound(beta, Y, res.k0)
-            k1 = Compound(beta, W, res.k1)
+            k0 = Compound(beta, e0, res.k0)
+            k1 = Compound(beta, e1, res.k1)
             d = Builder(spec, Compound(na, k0, k1))
-            if na == beta:
+            if left and na == beta:
                 d.acr(
                     (),
                     Compound(
-                        beta, Compound(na, Y, W), Compound(beta, res.k0, res.k1)
+                        beta, Compound(na, e0, e1), Compound(beta, res.k0, res.k1)
                     ),
                 )
-                d.splice(("R",), res.d)
-            elif na == alpha and spec.precedes(na, beta):
+            elif (not left or na == alpha) and spec.precedes(na, beta):
                 d.apply_scheme(
-                    (), Scheme.SPLIT_DOWN,
-                    dict(A=Y, B=res.k0, C=W, D=res.k1), na, beta,
+                    (), Scheme.SPLIT_DOWN, dict(A=e0, B=res.k0, C=e1, D=res.k1), na, beta
                 )
-                d.splice(("R",), res.d)
             else:
                 raise IrreducibleCase("dual relation unusable under the split node")
-            return self._normalize(P, occ, kind, k0, k1, d.derivation(), res.q0, res.q1)
-        if rel == ("R",):
-            if spec.dual(a2) != alpha:
-                raise IrreducibleCase("inner relation of the split step differs")
-            res = self.split(P1, p)
-            k0 = Compound(beta, X, res.k0)
-            k1 = Compound(beta, Z, res.k1)
-            d = Builder(spec, Compound(na, k0, k1))
-            if not spec.precedes(na, beta):
-                raise IrreducibleCase("dual relation unusable under the split node")
-            d.apply_scheme(
-                (), Scheme.SPLIT_DOWN, dict(A=X, B=res.k0, C=Z, D=res.k1), na, beta
-            )
             d.splice(("R",), res.d)
             return self._normalize(P, occ, kind, k0, k1, d.derivation(), res.q0, res.q1)
         if rel[0] == "R" and spec.dual(a2) == beta:
@@ -612,9 +578,7 @@ class _Splitter:
         W = rule.binding("D")
         res1 = self.split(P1, p)
         in_y = rel[1] == "L"
-        host = res1.q0 if in_y else res1.q1
-        other = res1.q1 if in_y else res1.q0
-        k_host = res1.k0 if in_y else res1.k1
+        host, other = (res1.q0, res1.q1) if in_y else (res1.q1, res1.q0)
         k_other = res1.k1 if in_y else res1.k0
         if host is None or other is None:
             raise IrreducibleCase("spine split lost a component proof")
@@ -622,8 +586,8 @@ class _Splitter:
         res2 = self.split(host, occ2)
         keep, away = (X, (Z, W)) if in_y else (Z, (X, Y))
         d = Builder(spec, res2.d)
-        # conclusion: (keep b partdel) b k_host, or (keep b k_host) if the
-        # whole component was the split node
+        # conclusion: (keep b partdel) b K, K the host's remainder, or
+        # (keep b K) if the whole component was the split node
         cur = d.current
         if isinstance(cur, Compound) and cur.rel == beta and cur.left == keep:
             kpath = ("L",)
@@ -743,11 +707,7 @@ class _Splitter:
         kpos = next((p for p, f in _shallow_nodes(beta, d.current) if f == k_kept), None)
         if kpos is None:
             raise IrreducibleCase("lost the component remainder after erasure")
-        ng = spec.dual(gamma)
-        if kept_side == "L":
-            _eq_rewrite(d, kpos, Compound(ng, k_kept, res1.k1), "re-expansion")
-        else:
-            _eq_rewrite(d, kpos, Compound(ng, res1.k0, k_kept), "re-expansion")
+        _eq_rewrite(d, kpos, Compound(spec.dual(gamma), res1.k0, res1.k1), "re-expansion")
         d.splice(kpos, res1.d)
         return self._normalize(P, occ, kind, res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1)
 
@@ -840,7 +800,9 @@ def shallow_split(
     theorem; the length bounds are asserted on every recursive call.  P is
     exactified first, since the case analysis reads adjacent steps."""
     splitter = _Splitter(frag, P.premise, recorder)
-    splitter._validate_down(P)
+    i = first_up_index(frag, P)
+    if i is not None:
+        raise NotDownFragment(f"step {i} ({P.steps[i].rule.rule_id}) is not a down rule")
     return splitter.split(exactify(frag.spec, P), tuple(occ))
 
 
@@ -925,61 +887,29 @@ def context_reduce(
     delta = enode.rel
     side = hole_sides[depth]
     split = shallow_split(frag, P, pi0, recorder)
-    if split.kind == "unitary":
-        host = split.q0 if side == "L" else split.q1
-    elif split.kind == "right_weakening":
-        host = split.q0 if side == "L" else None
-    else:
-        host = split.q1 if side == "R" else None
-    if host is None:
+    host = split.q0 if side == "L" else split.q1
+    if side == _ERASED.get(split.kind) or host is None:
         raise IrreducibleCase("hole under the erased side of a weakening")
     rec = context_reduce(frag, host, ("L",) + hole_sides[depth + 1 :], recorder)
 
     e0, e1 = enode.left, enode.right
     inner = hole_sides[depth + 1 :]
     s_h = replace_at(e0 if side == "L" else e1, inner, HOLE)
-    b = Builder(spec, rec.ctx)
-    nb = spec.dual(beta)
+    a0, a1 = (s_h, e1) if side == "L" else (e0, s_h)
+    b = Builder(spec, rec.ctx)  # ends at (s_h beta k0), or (s_h beta k1) for side R
     if split.kind == "unitary":
-        if delta != nb:
+        if delta != spec.dual(beta):
             raise IrreducibleCase("unitary context node is not the dual weak relation")
-        other = split.q1 if side == "L" else split.q0
-        b.rewrite((), Compound(nb, b.current, nu))
-        b.splice(("R",), other)
-        if side == "L":
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN,
-                dict(A=s_h, B=split.k0, C=e1, D=split.k1), nb, beta,
-            )
-        else:
-            b.acr(
-                (),
-                Compound(
-                    nb,
-                    Compound(beta, e0, split.k0),
-                    Compound(beta, s_h, split.k1),
-                ),
-            )
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN,
-                dict(A=e0, B=split.k0, C=s_h, D=split.k1), nb, beta,
-            )
-    elif split.kind == "right_weakening":
-        b.rewrite(
-            (), Compound(delta, b.current, Compound(beta, e1, split.k1))
-        )
-        b.apply_scheme(
-            (), Scheme.SPLIT_DOWN,
-            dict(A=s_h, B=split.k0, C=e1, D=split.k1), delta, beta,
-        )
+        b.rewrite((), Compound(delta, b.current, nu))
+        b.splice(("R",), split.q1 if side == "L" else split.q0)
     else:
+        # a weakening re-expands the erased side
         b.rewrite(
-            (), Compound(delta, Compound(beta, e0, split.k0), b.current)
+            (), Compound(delta, Compound(beta, a0, split.k0), Compound(beta, a1, split.k1))
         )
-        b.apply_scheme(
-            (), Scheme.SPLIT_DOWN,
-            dict(A=e0, B=split.k0, C=s_h, D=split.k1), delta, beta,
-        )
+    b.apply_scheme(
+        (), Scheme.SPLIT_DOWN, dict(A=a0, B=split.k0, C=a1, D=split.k1), delta, beta
+    )
     b.splice(("R",), split.d)
     _steer_units(spec, beta, u, b, replace_at(C, hole_sides, HOLE), "context rebuild")
     return ContextReduction(rec.k, b.derivation(), rec.q)
@@ -1047,21 +977,19 @@ def eliminate_up_step(
         x2 = Compound(alpha_t, t_b, t_d)
         j1 = Compound(beta, ka, kc)
         j2 = Compound(beta, kb, kd)
-        b.rewrite((), Compound(alpha_t, nu, nu))
+        # the weakening keeps one side: prove it, then re-expand the other
         if rel.right_weakening:
-            b.splice(("L",), split2.q0)
-            b.splice(("R",), split3.q0)
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN, dict(A=t_a, B=ka, C=t_c, D=kc), alpha_t, beta
-            )
-            b.rewrite((), Compound(gamma, b.current, Compound(beta, x2, j2)))
+            x, j, q_a, q_b = x1, j1, split2.q0, split3.q0
         else:
-            b.splice(("L",), split2.q1)
-            b.splice(("R",), split3.q1)
-            b.apply_scheme(
-                (), Scheme.SPLIT_DOWN, dict(A=t_b, B=kb, C=t_d, D=kd), alpha_t, beta
-            )
-            b.rewrite((), Compound(gamma, Compound(beta, x1, j1), b.current))
+            x, j, q_a, q_b = x2, j2, split2.q1, split3.q1
+        b.rewrite((), Compound(alpha_t, nu, nu))
+        b.splice(("L",), q_a)
+        b.splice(("R",), q_b)
+        b.apply_scheme(
+            (), Scheme.SPLIT_DOWN,
+            dict(A=x.left, B=j.left, C=x.right, D=j.right), alpha_t, beta,
+        )
+        b.rewrite((), Compound(gamma, Compound(beta, x1, j1), Compound(beta, x2, j2)))
         b.apply_scheme(
             (), Scheme.SPLIT_DOWN, dict(A=x1, B=j1, C=x2, D=j2), gamma, beta
         )
@@ -1099,7 +1027,6 @@ def eliminate_up_step(
             dict(A=t_a, B=Compound(beta, t_b, k1f), C=t_c, D=kc), nb, beta,
         )
         rest1 = Compound(beta, Compound(nb, t_a, t_c), Compound(beta, k1f, kc))
-        b.acr((), Compound(nb, Compound(beta, t_b, rest1), Compound(beta, t_d, kd)))
         b.apply_scheme(
             (), Scheme.SPLIT_DOWN, dict(A=t_b, B=rest1, C=t_d, D=kd), nb, beta
         )

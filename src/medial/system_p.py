@@ -247,6 +247,12 @@ def opposite_literal(name: str, valuation: Mapping[str, bool]) -> Variable:
     return Variable(name, negated=bool(valuation[name]))
 
 
+def _selection(w: Compound) -> tuple:
+    """The argument a projection keeps and the select axiom that drops the
+    other; both select axioms bind A and B to the left and right arguments."""
+    return (w.left, "p0_select") if w.rel == P0 else (w.right, "p1_select")
+
+
 def projection_chain(target: Formula, shape: Formula) -> Derivation:
     """Equational derivation from a projection nest onto the literal it
     selects."""
@@ -256,14 +262,11 @@ def projection_chain(target: Formula, shape: Formula) -> Derivation:
     b = Builder(spec, shape)
     cur = shape
     while isinstance(cur, Compound):
-        if cur.rel == P0 and target.name in variables(cur.left):
-            b.apply_eq((), "p0_select", dict(A=cur.left, B=cur.right))
-            cur = cur.left
-        elif cur.rel == P1 and target.name in variables(cur.right):
-            b.apply_eq((), "p1_select", dict(A=cur.left, B=cur.right))
-            cur = cur.right
-        else:
+        kept, axiom = _selection(cur)
+        if cur.rel not in (P0, P1) or target.name not in variables(kept):
             raise VarNotInShape(f"{target} not reachable in {shape}")
+        b.apply_eq((), axiom, dict(A=cur.left, B=cur.right))
+        cur = kept
     if cur != target:
         raise VarNotInShape(f"chain ends at {cur}, not {target}")
     return b.derivation(target)
@@ -323,19 +326,12 @@ def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
         b.acr((), arranged(element))
         return b.derivation()
     if element.rel in (P0, P1):
-        kept, junk = (
-            (element.left, element.right)
-            if element.rel == P0
-            else (element.right, element.left)
-        )
+        kept, axiom = _selection(element)
         b2 = Builder(spec, _chain_insert(spec, kept, P, valuation))
         # a disjunction kept is inserted part by part; regroup it as one
         b2.acr((), arranged(kept))
         kpath = ("R",) if not old_rest else ("R", "L")
-        if element.rel == P0:
-            b2.apply_eq(kpath, "p0_select", dict(A=kept, B=junk), direction="bwd")
-        else:
-            b2.apply_eq(kpath, "p1_select", dict(A=junk, B=kept), direction="bwd")
+        b2.apply_eq(kpath, axiom, dict(A=element.left, B=element.right), direction="bwd")
         b2.acr((), arranged(element))
         return b2.derivation()
     if element.rel == OR:
@@ -394,8 +390,7 @@ def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivat
         _finish_clause(spec, b, w)
         return b.derivation(target)
     if w.rel in (P0, P1):
-        kept = w.left if w.rel == P0 else w.right
-        junk = w.right if w.rel == P0 else w.left
+        kept, axiom = _selection(w)
         pads = sorted(variables(w) - variables(kept))
         P = identity(T)
         for name in reversed(pads):
@@ -405,10 +400,7 @@ def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivat
         sub = _pos(spec, kept, valuation)
         b.splice(tpath, sub)
         kpath = tpath if sub.conclusion == kept else tpath + ("L",)
-        if w.rel == P0:
-            b.apply_eq(kpath, "p0_select", dict(A=kept, B=junk), direction="bwd")
-        else:
-            b.apply_eq(kpath, "p1_select", dict(A=junk, B=kept), direction="bwd")
+        b.apply_eq(kpath, axiom, dict(A=w.left, B=w.right), direction="bwd")
         _finish_clause(spec, b, w)
         return b.derivation(target)
     # disjunction: seed dead material first, host the live disjunct last
@@ -462,7 +454,6 @@ def _finish_clause(spec: SystemSpec, b: Builder, w: Formula) -> None:
             rest = list(junk)
             rest.remove(F)
             keep = join(OR, [w] + rest) if rest else w
-            b.acr((), Compound(OR, keep, F))
             b.apply_eq((), "or_unit", dict(A=keep))
             continue
         dup = next((e for e in junk if junk.count(e) > 1), None)
@@ -496,17 +487,18 @@ def prove_line(A: Formula, lit: LineLiteralizer) -> Derivation:
 def _closed_tautology_proof(spec: SystemSpec, x: Formula) -> Derivation:
     """T -> x for variable-free x that evaluates to T: reverse the
     equational evaluation of x."""
+    return reverse_equational(spec, _evaluation(spec, x))
 
-    def reduce(f: Formula) -> Derivation:
-        b = Builder(spec, f)
-        if isinstance(f, Compound):
-            b.splice(("L",), reduce(f.left))
-            b.splice(("R",), reduce(f.right))
-            value = T if evaluate(f, {}) else F
-            b.rewrite((), value)
-        return b.derivation()
 
-    return reverse_equational(spec, reduce(x))
+def _evaluation(spec: SystemSpec, f: Formula) -> Derivation:
+    """Equational derivation from variable-free f to its value T or F."""
+    b = Builder(spec, f)
+    if isinstance(f, Compound):
+        b.splice(("L",), _evaluation(spec, f.left))
+        b.splice(("R",), _evaluation(spec, f.right))
+        value = T if evaluate(f, {}) else F
+        b.rewrite((), value)
+    return b.derivation()
 
 
 def _fold_var(spec: SystemSpec, y: Formula, name: str,
@@ -522,7 +514,6 @@ def _fold_var(spec: SystemSpec, y: Formula, name: str,
     b.acr(("R",), Compound(OR, nv, y))
     b.apply_scheme((), Scheme.SPLIT_DOWN, dict(A=v, B=y, C=nv, D=y), AND, OR)
     b.apply_eq(("L",), "var_em", dict(X=nv), negated=True)
-    b.acr((), Compound(OR, Compound(OR, y, y), F))
     b.apply_eq((), "or_unit", dict(A=Compound(OR, y, y)))
     b.splice((), derive_contraction(spec, OR, y))
     return b.derivation(y)

@@ -807,59 +807,61 @@ def spec_from_text(text: str) -> SystemSpec:
             continue
         key, _, rest = line.partition(":")
         key, rest = key.strip(), rest.strip()
-        if key == "name":
-            name = rest
-        elif key == "constants":
-            constants.extend(rest.split())
-        elif key == "negation":
-            lhs, _, rhs = rest.partition("=")
-            negation[lhs.strip()] = rhs.strip()
-        elif key == "relation":
-            parts = rest.split()
-            rel_name = parts[0]
-            kw = dict(
-                associative=False, commutative=False, unitary=None,
-                right_weakening=False, left_weakening=False,
-            )
-            dual = rel_name
-            for part in parts[1:]:
-                if part.startswith("dual="):
-                    dual = part[5:]
-                elif part == "assoc":
-                    kw["associative"] = True
-                elif part == "comm":
-                    kw["commutative"] = True
-                elif part.startswith("unit="):
-                    kw["unitary"] = part[5:]
-                elif part == "rweak":
-                    kw["right_weakening"] = True
-                elif part == "lweak":
-                    kw["left_weakening"] = True
-                else:
-                    raise SystemError(f"line {lineno}: unknown relation flag {part!r}")
-            relations.append(RelationSymbol(rel_name, dual, **kw))
-        elif key == "order":
-            a, _, b = rest.partition("<")
-            order.append((a.strip(), b.strip()))
-        elif key == "axiom":
-            head, eq_text = rest.split(None, 2)[0], rest.split(None, 2)[2]
-            kind_text = rest.split(None, 2)[1]
-            if not kind_text.startswith("kind="):
-                raise SystemError(f"line {lineno}: axiom needs kind=")
-            lhs_text, _, rhs_text = eq_text.partition("=")
-            axioms.append(
-                Axiom(
-                    head,
-                    int(kind_text[5:]),
-                    _assign_sorts(parse_formula(lhs_text.strip(), metavars=True)),
-                    _assign_sorts(parse_formula(rhs_text.strip(), metavars=True)),
+        try:
+            if key == "name":
+                name = rest
+            elif key == "constants":
+                constants.extend(rest.split())
+            elif key == "negation":
+                lhs, _, rhs = rest.partition("=")
+                negation[lhs.strip()] = rhs.strip()
+            elif key == "relation":
+                parts = rest.split()
+                rel_name = parts[0]
+                kw = dict(
+                    associative=False, commutative=False, unitary=None,
+                    right_weakening=False, left_weakening=False,
                 )
-            )
-        elif key == "rule":
-            rid, scheme_name, alpha, beta = rest.split()
-            rules.append(RuleDecl(rid, Scheme(scheme_name), alpha, beta))
-        else:
-            raise SystemError(f"line {lineno}: unknown section {key!r}")
+                dual = rel_name
+                for part in parts[1:]:
+                    if part.startswith("dual="):
+                        dual = part[5:]
+                    elif part == "assoc":
+                        kw["associative"] = True
+                    elif part == "comm":
+                        kw["commutative"] = True
+                    elif part.startswith("unit="):
+                        kw["unitary"] = part[5:]
+                    elif part == "rweak":
+                        kw["right_weakening"] = True
+                    elif part == "lweak":
+                        kw["left_weakening"] = True
+                    else:
+                        raise SystemError(f"line {lineno}: unknown relation flag {part!r}")
+                relations.append(RelationSymbol(rel_name, dual, **kw))
+            elif key == "order":
+                a, _, b = rest.partition("<")
+                order.append((a.strip(), b.strip()))
+            elif key == "axiom":
+                head, kind_text, eq_text = rest.split(None, 2)
+                if not kind_text.startswith("kind="):
+                    raise SystemError(f"line {lineno}: axiom needs kind=")
+                lhs_text, _, rhs_text = eq_text.partition("=")
+                axioms.append(
+                    Axiom(
+                        head,
+                        int(kind_text[5:]),
+                        _assign_sorts(parse_formula(lhs_text.strip(), metavars=True)),
+                        _assign_sorts(parse_formula(rhs_text.strip(), metavars=True)),
+                    )
+                )
+            elif key == "rule":
+                rid, scheme_name, alpha, beta = rest.split()
+                rules.append(RuleDecl(rid, Scheme(scheme_name), alpha, beta))
+            else:
+                raise SystemError(f"line {lineno}: unknown section {key!r}")
+        except (IndexError, ValueError):
+            raise SystemError(f"line {lineno}: malformed {key} line: {line}") from None
     return SystemSpec(
         name=name,
         constants=constants,

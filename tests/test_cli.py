@@ -132,9 +132,17 @@ def test_bench_deterministic(tmp_path):
         ("eq:const_idem:n", lambda line: line + " Q=y",
          "rule eq:const_idem:n takes no binding Q"),
         ("sd", lambda line: line + " E=x", "rule sd takes no binding E"),
+        ("acr", lambda line: line.replace("path=", "dir=bwd rel=p0,p1 path=", 1),
+         "rule acr takes no field dir"),
+        ("eq:or_unit", lambda line: line + " rel=&,|", "rule eq:or_unit takes no field rel"),
+        ("sd", lambda line: line.replace("path=", "dir=bwd path=", 1),
+         "rule sd takes no field dir"),
+        ("eq:const_idem:n", lambda line: line.replace("path=-", "path=Q", 1),
+         "bad path 'Q'"),
     ],
     ids=["no-rule", "missing-binding", "bad-dir", "unknown-axiom", "unknown-rule",
-         "rel-disagrees", "extra-eq-binding", "extra-sd-binding"],
+         "rel-disagrees", "extra-eq-binding", "extra-sd-binding", "acr-dir-rel",
+         "eq-rel", "sd-dir", "bad-path-letter"],
 )
 def test_check_malformed_step_exits_2(tmp_path, capsys, rule, edit, message):
     good = tmp_path / "good.drv"
@@ -150,6 +158,47 @@ def test_check_malformed_step_exits_2(tmp_path, capsys, rule, edit, message):
     err = capsys.readouterr().err
     assert message in err
     assert lines[n].removeprefix("step: ") in err  # the step line is quoted
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:2] + ["bogus: 1"] + lines[2:],
+         "line 3: unknown section 'bogus': bogus: 1"),
+        (lambda lines: lines[:-1], "needs system, premise and conclusion"),
+    ],
+    ids=["unknown-section", "no-conclusion"],
+)
+def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
+    good = tmp_path / "good.drv"
+    assert run(["prove", "(x | ~x)", "--out", str(good)]) == 0
+    bad = tmp_path / "bad.drv"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run(["check", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--fn", "abc/x"], "--fn 'abc/x'"),
+        (["classify", "--fn", "0111/3"], "--fn '0111/3'"),
+        (["bench", "--clone", "C2", "--vars", "a"], "argument --vars"),
+        (["bench", "--clone", "C3", "--sizes", "10,,20"], "argument --sizes"),
+        (["split", "{em}", "--at", "ZZ"], "bad path 'ZZ'"),
+        (["prove", "x", "--system", "{spec}"], "malformed axiom line: axiom: foo"),
+    ],
+    ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "split-path",
+         "spec-axiom"],
+)
+def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
+    em, spec = tmp_path / "em.drv", tmp_path / "foo.spec"
+    assert run(["prove-lemma", "excluded-middle", "(x & y)", "--out", str(em)]) == 0
+    spec.write_text(re.sub(r"(?m)^axiom: .*$", "axiom: foo", spec_to_text(make_p_spec()), 1))
+    capsys.readouterr()
+    assert run([a.format(em=em, spec=spec) for a in argv]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_check_rejects_relation_from_binding(tmp_path, capsys):
