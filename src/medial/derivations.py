@@ -2,10 +2,13 @@
 
 Each step re-anchors itself with a full plugging context (path with
 siblings), so its before/after formulas are computable from the step
-alone.  The checker threads the derivation and treats AC equality
-silently at every joint; all other equalities must appear as explicit
-equational steps.  It rebuilds every medial and equational step from what
-the step declares and accepts it only if the rebuilt instance is the
+alone.  The checker threads the running formula through the derivation
+and treats AC equality silently at every joint; all other equalities must
+appear as explicit equational steps.  Where a step sits exactly on the
+running formula, that formula is the step's before and only its after is
+built; `exactify` reads the steps the same way.  The checker rebuilds
+every medial and equational step from what the step declares, once per
+distinct instance, and accepts it only if the rebuilt instance is the
 stored one, labels included.  `converse` runs an equational or acr step
 backwards, optionally between negations; `reverse_equational` and
 `dualize` apply it to a whole derivation.
@@ -18,6 +21,7 @@ and `derivation(target)` closes with an `acr` step onto an AC-equal target.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +45,7 @@ from .terms import (
     ContextPath,
     Formula,
     ParseError,
+    PathMismatch,
     PathStep,
     Variable,
     context_at,
@@ -49,7 +54,9 @@ from .terms import (
     parse_formula,
     plug,
     print_formula,
+    print_memo,
     replace_at,
+    subformula_at,
     subformula_at_sides,
 )
 
@@ -111,19 +118,41 @@ class CheckFailure:
         return f"step {self.step_index}: {self.reason}"
 
 
+def _thread(d: Derivation):
+    """Each step of d with its before and after formulas, read along the
+    running formula: where a step sits exactly on the formula the previous
+    step left, that formula is its before and only its after is built;
+    at an AC joint its before is plugged from its own context."""
+    cur = d.premise
+    for step in d.steps:
+        try:
+            on_cur = subformula_at(cur, step.context) == step.rule.premise
+        except PathMismatch:
+            on_cur = False
+        before = cur if on_cur else step.before
+        cur = plug(step.context, step.rule.conclusion)
+        yield step, before, cur
+
+
 def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
-    """None when d is valid for spec; otherwise the first failure."""
+    """None when d is valid for spec; otherwise the first failure.  Each
+    distinct rule instance is judged once."""
     reason = undeclared_symbol(spec, d.premise)
     if reason is not None:
         return CheckFailure(-1, f"{reason} in premise")
+    verdicts: dict = {}  # RuleInstance -> reason or None
     cur = d.premise
-    for i, step in enumerate(d.steps):
-        if not equal_mod_ac(spec, step.before, cur):
+    for i, (step, before, after) in enumerate(_thread(d)):
+        if before is not cur and not equal_mod_ac(spec, before, cur):
             return CheckFailure(i, "ThreadBroken: step premise does not match")
-        reason = check_rule_instance(spec, step.rule)
+        rule = step.rule
+        if rule in verdicts:
+            reason = verdicts[rule]
+        else:
+            reason = verdicts[rule] = check_rule_instance(spec, rule)
         if reason is not None:
             return CheckFailure(i, reason)
-        cur = step.after
+        cur = after
     if not equal_mod_ac(spec, cur, d.conclusion):
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
@@ -191,13 +220,13 @@ def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
     as the line-oriented file format requires."""
     steps: list[Step] = []
     cur = d.premise
-    for step in d.steps:
-        if step.before != cur:
-            if not equal_mod_ac(spec, step.before, cur):
+    for step, before, after in _thread(d):
+        if before != cur:
+            if not equal_mod_ac(spec, before, cur):
                 raise JointMismatch("derivation thread broken beyond AC")
-            steps.append(Step((), ac_instance(spec, cur, step.before)))
+            steps.append(Step((), ac_instance(spec, cur, before)))
         steps.append(step)
-        cur = step.after
+        cur = after
     if cur != d.conclusion:
         if not equal_mod_ac(spec, cur, d.conclusion):
             raise JointMismatch("conclusion differs beyond AC")
@@ -336,7 +365,10 @@ class Builder:
 
 def to_text(spec: SystemSpec, d: Derivation) -> str:
     d = exactify(spec, d)
-    lines = [f"system: {spec.name}", f"premise: {print_formula(d.premise)}"]
+    # one memo per spaces mode: formulas print with spaces, bindings without
+    spaced: dict = {}
+    tight: dict = {}
+    lines = [f"system: {spec.name}", f"premise: {print_memo(d.premise, True, spaced)}"]
     for step in d.steps:
         rule = step.rule
         parts = [f"rule={rule.rule_id}"]
@@ -345,19 +377,21 @@ def to_text(spec: SystemSpec, d: Derivation) -> str:
         path = "".join(step.sides)
         parts.append(f"path={path or '-'}")
         for name, value in rule.bindings:
-            parts.append(f"{name}={print_formula(value, spaces=False)}")
+            parts.append(f"{name}={print_memo(value, False, tight)}")
         if rule.relations is not None:
             parts.append(f"rel={rule.relations[0]},{rule.relations[1]}")
         lines.append("step: " + " ".join(parts))
-    lines.append(f"conclusion: {print_formula(d.conclusion)}")
+    lines.append(f"conclusion: {print_memo(d.conclusion, True, spaced)}")
     return "\n".join(lines) + "\n"
+
+
+# a field name at the start of the line or after whitespace, then "="
+_FIELD = re.compile(r"(?:(?<=\s)|^)([A-Za-z_]\w*)=")
 
 
 def _parse_fields(raw: str) -> dict:
     """key=value pairs; values are formulas and may contain spaces."""
-    import re
-
-    hits = list(re.finditer(r"(?:(?<=\s)|^)([A-Za-z_]\w*)=", raw))
+    hits = list(_FIELD.finditer(raw))
     fields = {}
     for i, hit in enumerate(hits):
         end = hits[i + 1].start() if i + 1 < len(hits) else len(raw)

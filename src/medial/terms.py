@@ -446,18 +446,28 @@ def parse_formula(text: str, metavars: bool = False) -> Formula:
 
 
 def print_formula(f: Formula, spaces: bool = True) -> str:
-    def go(g: Formula) -> str:
-        if isinstance(g, (Constant, Variable, Metavar)):
-            return str(g)
-        operands = [g.left]
-        cur = g.right
-        while isinstance(cur, Compound) and cur.rel == g.rel:
-            operands.append(cur.left)
-            cur = cur.right
-        operands.append(cur)
-        # identifier-shaped relations always need separating whitespace
-        sep = " " if (spaces or g.rel[0].isalnum()) else ""
-        joined = (sep + g.rel + sep).join(go(o) for o in operands)
-        return "(" + joined + ")"
+    return print_memo(f, spaces, {})
 
-    return go(f)
+
+def print_memo(g: Formula, spaces: bool, memo: dict) -> str:
+    """print_formula, remembering the text of every compound it prints in
+    memo (node -> text).  Nodes are interned, so a caller printing many
+    formulas that share subterms can pass one memo per spaces mode and
+    print each node once."""
+    if not isinstance(g, Compound):
+        return str(g)
+    text = memo.get(g)
+    if text is not None:
+        return text
+    rel = g.rel
+    operands = [g.left]
+    cur = g.right
+    while isinstance(cur, Compound) and cur.rel == rel:
+        operands.append(cur.left)
+        cur = cur.right
+    operands.append(cur)
+    # identifier-shaped relations always need separating whitespace
+    sep = " " if (spaces or rel[0].isalnum()) else ""
+    text = "(" + (sep + rel + sep).join([print_memo(o, spaces, memo) for o in operands]) + ")"
+    memo[g] = text
+    return text

@@ -1,0 +1,203 @@
+"""`check` and `exactify` against the loops they replaced, and the work
+they may do: both read each step's formulas along the running formula,
+and `check` judges each distinct rule instance once."""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+import medial.derivations as derivations
+from medial.derivations import (
+    Builder,
+    CheckFailure,
+    Derivation,
+    JointMismatch,
+    Step,
+    check,
+    exactify,
+    to_text,
+)
+from medial.splitting import eliminate_all_up, make_fragment
+from medial.system_p import is_tautology, make_p_spec, prove_tautology
+from medial.systems import Scheme, ac_instance, check_rule_instance, undeclared_symbol
+from medial.terms import Variable, context_at, equal_mod_ac, parse_formula
+
+from helpers import enumerate_formulas, injected_corpus
+
+spec = make_p_spec()
+LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
+
+
+def _reference_check(spec, d):
+    """check as it was before it threaded the running formula: both
+    formulas of every step plugged from its context, every rule instance
+    judged anew."""
+    reason = undeclared_symbol(spec, d.premise)
+    if reason is not None:
+        return CheckFailure(-1, f"{reason} in premise")
+    cur = d.premise
+    for i, step in enumerate(d.steps):
+        if not equal_mod_ac(spec, step.before, cur):
+            return CheckFailure(i, "ThreadBroken: step premise does not match")
+        reason = check_rule_instance(spec, step.rule)
+        if reason is not None:
+            return CheckFailure(i, reason)
+        cur = step.after
+    if not equal_mod_ac(spec, cur, d.conclusion):
+        return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
+    return None
+
+
+def _reference_exactify(spec, d):
+    """exactify as it was before it threaded the running formula."""
+    steps = []
+    cur = d.premise
+    for step in d.steps:
+        if step.before != cur:
+            if not equal_mod_ac(spec, step.before, cur):
+                raise JointMismatch("derivation thread broken beyond AC")
+            steps.append(Step((), ac_instance(spec, cur, step.before)))
+        steps.append(step)
+        cur = step.after
+    if cur != d.conclusion:
+        if not equal_mod_ac(spec, cur, d.conclusion):
+            raise JointMismatch("conclusion differs beyond AC")
+        steps.append(Step((), ac_instance(spec, cur, d.conclusion)))
+    return Derivation(d.premise, tuple(steps), d.conclusion)
+
+
+def _inexact_joints(d) -> int:
+    """Joints where a step's before is the running formula only modulo AC."""
+    joints = sum(a.after != b.before for a, b in zip(d.steps, d.steps[1:]))
+    return joints + (bool(d.steps) and d.steps[0].before != d.premise)
+
+
+def _drop(d, i):
+    return Derivation(d.premise, d.steps[:i] + d.steps[i + 1:], d.conclusion)
+
+
+def _with_sibling(d, i, sibling):
+    """d with the outermost sibling of step i's context replaced."""
+    step = d.steps[i]
+    top = replace(step.context[0], sibling=sibling)
+    steps = list(d.steps)
+    steps[i] = Step((top,) + step.context[1:], step.rule)
+    return Derivation(d.premise, tuple(steps), d.conclusion)
+
+
+@pytest.fixture(scope="module")
+def corpus_and_eliminated():
+    frag = make_fragment(spec)
+    corpus = injected_corpus(seed=20240817, size=100)
+    return corpus, [eliminate_all_up(frag, d) for d in corpus]
+
+
+@pytest.fixture(scope="module")
+def synthesised():
+    proofs = []
+    for f in enumerate_formulas(3, LEAVES):
+        if is_tautology(f):
+            proofs.append(prove_tautology(f))
+            if len(proofs) == 300:
+                return proofs
+    raise AssertionError("fewer than 300 tautologies of height 3")
+
+
+def _without_acr(d):
+    """d with its acr steps left out: each joint they bridged now holds
+    only modulo AC."""
+    steps = tuple(s for s in d.steps if s.rule.scheme is not Scheme.AC)
+    return Derivation(d.premise, steps, d.conclusion)
+
+
+def test_check_agrees_with_reference_on_valid_proofs(corpus_and_eliminated, synthesised):
+    corpus, eliminated = corpus_and_eliminated
+    loose = [_without_acr(d) for d in eliminated + synthesised]
+    assert sum(_inexact_joints(d) for d in loose) > 1000
+    for d in corpus + eliminated + synthesised + loose:
+        assert check(spec, d) is None
+        assert _reference_check(spec, d) is None
+    for d in eliminated + loose:
+        assert exactify(spec, d) == _reference_exactify(spec, d)
+
+
+def test_check_agrees_with_reference_on_mutants(corpus_and_eliminated, synthesised):
+    corpus, eliminated = corpus_and_eliminated
+    rng = random.Random(20261018)
+    q = Variable("q")  # occurs in no input, so a sibling set to it differs beyond AC
+    verdicts = []
+    for d in corpus + eliminated + synthesised[::3]:
+        mutants = [_drop(d, rng.randrange(len(d.steps)))]
+        deep = [i for i, s in enumerate(d.steps) if s.context]
+        if deep:
+            mutants.append(_with_sibling(d, rng.choice(deep), q))
+        for m in mutants:
+            expected = _reference_check(spec, m)
+            assert check(spec, m) == expected
+            verdicts.append(expected is None)
+            try:
+                expected = _reference_exactify(spec, m)
+            except JointMismatch as e:
+                with pytest.raises(JointMismatch, match=str(e)):
+                    exactify(spec, m)
+            else:
+                assert exactify(spec, m) == expected
+    # a dropped acr step leaves a joint that holds modulo AC
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_check_agrees_with_reference_on_named_defects():
+    d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))
+    first_acr = next(i for i, s in enumerate(d.steps) if s.rule.scheme is Scheme.AC)
+    deep = next(i for i, s in enumerate(d.steps) if s.context)
+    # one valid instance three times over, then a mislabelled copy of it
+    x = Variable("x")
+    b = Builder(spec, parse_formula("(T & (T & (T & T)))"))
+    for sides in (("L",), ("R", "L"), ("R", "R", "L")):
+        b.apply_eq(sides, "var_em", dict(X=x), direction="bwd")
+    valid = b.derivation()
+    rule = valid.steps[0].rule
+    assert {s.rule for s in valid.steps} == {rule}
+    copy = Step(context_at(valid.conclusion, "RRR"), replace(rule, rule_id="eq:const_em"))
+    assert copy.before == valid.conclusion
+    cases = {
+        # the joint left behind holds modulo AC, so the proof stays valid
+        "first acr dropped": (_drop(d, first_acr), None),
+        "sibling beyond AC": (_with_sibling(d, deep, Variable("q")), deep),
+        "mislabelled copy": (
+            Derivation(valid.premise, valid.steps + (copy,), valid.conclusion), 3
+        ),
+    }
+    for name, (m, index) in cases.items():
+        failure = check(spec, m)
+        assert failure == _reference_check(spec, m), name
+        assert (failure and failure.step_index) == index, name
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(derivations, name)
+
+    def counted(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(derivations, name, counted)
+    return calls
+
+
+def test_check_and_to_text_read_each_step_once(monkeypatch):
+    d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))
+    assert len(d.steps) == 166
+    assert _inexact_joints(d) == 0 and d.steps[-1].after == d.conclusion
+    distinct = len({s.rule for s in d.steps})
+    assert distinct < len(d.steps)
+    plugs = _counting(monkeypatch, "plug")
+    judged = _counting(monkeypatch, "check_rule_instance")
+    assert check(spec, d) is None
+    assert len(plugs) <= len(d.steps)
+    assert len(judged) <= distinct
+    plugs.clear()
+    to_text(spec, d)
+    assert len(plugs) <= len(d.steps)

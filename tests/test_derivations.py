@@ -27,6 +27,7 @@ from medial.terms import (
     Variable,
     negate,
     parse_formula,
+    print_formula,
 )
 
 from helpers import random_formula
@@ -296,3 +297,26 @@ def test_exactify_and_serialize_round_trip():
         assert got_spec is spec
         assert to_text(spec, d2) == text
         assert check(spec, d2) is None
+
+
+def test_to_text_prints_a_shared_node_in_each_spacing():
+    # the premise node is also the first step's binding, and (y p0 z) is
+    # both the tail of a p0 chain and a binding of its own; identifier
+    # relations keep their spaces even in bindings
+    P = parse_formula("((x | y | ~z) & (x p0 y p0 z))")
+    b = Builder(spec, P)
+    b.apply_eq((), "or_unit", dict(A=P), direction="bwd")
+    b.apply_eq(("L", "R", "R"), "or_unit", dict(A=P.right.right), direction="bwd")
+    d = b.derivation()
+    text = to_text(spec, d)
+    assert text == (
+        "system: P\n"
+        "premise: ((x | y | ~z) & (x p0 y p0 z))\n"
+        "step: rule=eq:or_unit dir=bwd path=- A=((x|y|~z)&(x p0 y p0 z))\n"
+        "step: rule=eq:or_unit dir=bwd path=LRR A=(y p0 z)\n"
+        "conclusion: (((x | y | ~z) & (x p0 ((y p0 z) | F))) | F)\n"
+    )
+    assert print_formula(P, spaces=False) == "((x|y|~z)&(x p0 y p0 z))"
+    _, again = from_text(text, lambda name: spec)
+    assert again == d
+    assert to_text(spec, again) == text

@@ -7,9 +7,10 @@ import random
 
 from medial.generators import derive_contraction, derive_excluded_middle
 from medial.r23 import random_clone_formula
+from medial.derivations import check, from_text, to_text
 from medial.splitting import eliminate_all_up, make_fragment
 from medial.system_p import make_p_spec, prove_tautology
-from medial.terms import parse_formula
+from medial.terms import parse_formula, print_formula
 
 from helpers import injected_corpus
 
@@ -26,8 +27,12 @@ def test_kernel_calls_leave_no_cyclic_garbage():
     try:
         for proof in corpus:
             eliminate_all_up(frag, proof)
-        for text in ("(T | F)", "(x | ~x)", "((x p0 y) | (~x p0 z))", "((x & y) | (~x | ~y))"):
+        for text in ("(T | F)", "(x | ~x)", "((x p0 y) | (~x p0 z))"):
             prove_tautology(parse_formula(text))
+        d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))  # 166 steps
+        check(spec, d)
+        from_text(to_text(spec, d), lambda name: spec)
+        print_formula(d.conclusion, spaces=False)
         derive_excluded_middle(spec, "&", parse_formula("((x | y) & (x p0 ~y))"))
         derive_contraction(spec, "|", parse_formula("((x | y) & (x p1 ~y))"))
         rng = random.Random(3)
