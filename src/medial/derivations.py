@@ -134,6 +134,9 @@ def _thread(d: Derivation):
         yield step, before, cur
 
 
+_UNJUDGED = object()  # a verdict-table miss; a verdict is a reason or None
+
+
 def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     """None when d is valid for spec; otherwise the first failure.  Each
     distinct rule instance is judged once."""
@@ -146,9 +149,8 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
         if before is not cur and not equal_mod_ac(spec, before, cur):
             return CheckFailure(i, "ThreadBroken: step premise does not match")
         rule = step.rule
-        if rule in verdicts:
-            reason = verdicts[rule]
-        else:
+        reason = verdicts.get(rule, _UNJUDGED)
+        if reason is _UNJUDGED:
             reason = verdicts[rule] = check_rule_instance(spec, rule)
         if reason is not None:
             return CheckFailure(i, reason)

@@ -5,12 +5,11 @@ relation symbols.  Only associativity/commutativity of relations declared
 by the governing system is ever normalised silently; every other equation
 is an explicit derivation step.
 
-Compounds are hash-consed: each live formula exists as exactly one
-object, so equality and hashing of compounds are by identity, while atoms
-compare by value.  The intern table is process-wide and weak: a formula
-leaves it when nothing else holds it.  Building terms from several
-threads at once needs a lock around construction; parallel work should
-use one process per worker.
+Formulas are hash-consed, atoms included: each live formula exists as
+exactly one object, so equality and hashing are by identity.  The intern
+table is process-wide and weak: a formula leaves it when nothing else
+holds it.  Building terms from several threads at once needs a lock
+around construction; parallel work should use one process per worker.
 """
 
 from __future__ import annotations
@@ -32,67 +31,125 @@ class ParseError(TermError):
     pass
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    negated: bool = False
-
-    def __str__(self) -> str:
-        return "~" + self.name if self.negated else self.name
-
-
-@dataclass(frozen=True)
-class Metavar:
-    """Pattern-only placeholder (A, B, ...). Never occurs in real formulas."""
-
-    name: str
-    negated: bool = False
-    sort: str = "formula"  # formula | constant | literal
-
-    def __str__(self) -> str:
-        return "~" + self.name if self.negated else self.name
-
-
-# (rel, left, right) -> weak reference to the one live Compound with those
-# fields.  Process-wide; an entry goes when its node is freed.
+# key -> weak reference to the one live term with that key.  A compound's
+# key is (rel, left, right); an atom's starts with its class, e.g.
+# (Variable, name, negated), so it never equals a compound's.
+# Process-wide; an entry goes when its term is freed.
 _interned: dict = {}
 
 
 class _InternRef(weakref.ref):
-    """Weak reference from the intern table to a node, carrying its key, so
-    that every node shares the one callback `_forget` (a closure per node
-    would add a collector-tracked object per node)."""
+    """Weak reference from the intern table to a term, carrying its key, so
+    that every term shares the one callback `_forget` (a closure per term
+    would add a collector-tracked object per term)."""
 
     __slots__ = ("key",)
 
 
 def _forget(ref: _InternRef, table: dict = _interned) -> None:
-    # the table is bound as a default so that a node freed while the
+    # the table is bound as a default so that a term freed while the
     # interpreter shuts down still finds it
     if table.get(ref.key) is ref:
         del table[ref.key]
 
 
-class Compound:
+class _Term:
+    """Behaviour shared by the hash-consed terms: fields are read-only,
+    pickling and copying go back through the constructor (and so return
+    the live term), and equality and hashing are object identity."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an interned term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an interned term")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+
+def _intern_atom(cls, key: tuple):
+    """The live atom of class cls for key (cls, *fields), made on a miss."""
+    ref = _interned.get(key)
+    if ref is not None:
+        atom = ref()
+        if atom is not None:
+            return atom
+    atom = object.__new__(cls)
+    for set_field, value in zip(cls._setters, key[1:]):
+        set_field(atom, value)
+    ref = _InternRef(atom, _forget)
+    ref.key = key
+    _interned[key] = ref
+    return atom
+
+
+class Constant(_Term):
+    __slots__ = ("name",)
+    _fields = ("name",)
+
+    name: str
+
+    def __new__(cls, name: str) -> Constant:
+        return _intern_atom(cls, (cls, name))
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Variable(_Term):
+    __slots__ = ("name", "negated")
+    _fields = ("name", "negated")
+
+    name: str
+    negated: bool
+
+    def __new__(cls, name: str, negated: bool = False) -> Variable:
+        return _intern_atom(cls, (cls, name, bool(negated)))
+
+    def __str__(self) -> str:
+        return "~" + self.name if self.negated else self.name
+
+
+class Metavar(_Term):
+    """Pattern-only placeholder (A, B, ...). Never occurs in real formulas."""
+
+    __slots__ = ("name", "negated", "sort")
+    _fields = ("name", "negated", "sort")
+
+    name: str
+    negated: bool
+    sort: str  # formula | constant | literal
+
+    def __new__(cls, name: str, negated: bool = False, sort: str = "formula") -> Metavar:
+        return _intern_atom(cls, (cls, name, bool(negated), sort))
+
+    def __str__(self) -> str:
+        return "~" + self.name if self.negated else self.name
+
+
+class Compound(_Term):
     """A binary node, hash-consed: constructing (rel, left, right) returns
     the live node with those fields when there is one, so equal compounds
-    are one object and equality and hashing are by identity."""
+    are one object."""
 
-    __slots__ = ("rel", "left", "right", "__weakref__")
+    __slots__ = ("rel", "left", "right")
+    _fields = ("rel", "left", "right")
 
     rel: str
     left: Formula
     right: Formula
 
     def __new__(cls, rel: str, left: Formula, right: Formula) -> Compound:
+        # _intern_atom's steps, inlined: this is the kernel's hottest
+        # constructor
         key = (rel, left, right)
         ref = _interned.get(key)
         if ref is not None:
@@ -108,24 +165,15 @@ class Compound:
         _interned[key] = ref
         return node
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an interned term")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an interned term")
-
-    def __reduce__(self):
-        return Compound, (self.rel, self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"Compound(rel={self.rel!r}, left={self.left!r}, right={self.right!r})"
-
     def __str__(self) -> str:
         return print_formula(self)
 
 
 # slot setters: they bypass the raising __setattr__ and are faster than
 # object.__setattr__
+for _atom in (Constant, Variable, Metavar):
+    _atom._setters = tuple([getattr(_atom, f).__set__ for f in _atom._fields])
+del _atom
 _set_rel = Compound.rel.__set__
 _set_left = Compound.left.__set__
 _set_right = Compound.right.__set__

@@ -10,7 +10,7 @@ from medial.r23 import random_clone_formula
 from medial.derivations import check, from_text, to_text
 from medial.splitting import eliminate_all_up, make_fragment
 from medial.system_p import make_p_spec, prove_tautology
-from medial.terms import parse_formula, print_formula
+from medial.terms import negate, parse_formula, print_formula
 
 from helpers import injected_corpus
 
@@ -35,6 +35,12 @@ def test_kernel_calls_leave_no_cyclic_garbage():
         print_formula(d.conclusion, spaces=False)
         derive_excluded_middle(spec, "&", parse_formula("((x | y) & (x p0 ~y))"))
         derive_contraction(spec, "|", parse_formula("((x | y) & (x p1 ~y))"))
+        # atoms with names nothing else holds, so each is made, interned
+        # and freed here
+        fresh = parse_formula("((gc_a & ~gc_b) | (~gc_a | gc_b))")
+        negate(spec, negate(spec, fresh))
+        from_text(to_text(spec, prove_tautology(fresh)), lambda name: spec)
+        del fresh
         rng = random.Random(3)
         for clone in ("C2", "C3"):
             random_clone_formula(rng, clone, 4)

@@ -149,12 +149,11 @@ def test_parse_atoms():
 
 
 def test_equal_formulas_are_one_object_random():
-    # atoms keep value equality; every compound is interned
     rng = random.Random(6)
-    compounds = [f for f in (random_formula(rng, 4) for _ in range(300))
-                 if isinstance(f, Compound)]
-    assert len(compounds) > 150
-    for f in compounds:
+    formulas = [random_formula(rng, 4) for _ in range(300)]
+    assert sum(isinstance(f, Compound) for f in formulas) > 150
+    assert any(not isinstance(f, Compound) for f in formulas)
+    for f in formulas:
         text = print_formula(f)
         assert parse_formula(text) is parse_formula(text) is f
         assert negate(spec, negate(spec, f)) is f
@@ -181,6 +180,54 @@ def test_interning_keeps_distinct_formulas_apart():
     assert Compound("|", Metavar("X", sort="literal"), y) is not over_metavar
 
 
+def test_equal_atoms_are_one_object():
+    nx = Variable("x", True)
+    assert parse_formula("~x") is nx
+    assert parse_formula("T") is Constant("T")
+    assert parse_formula("~X", metavars=True) is Metavar("X", True)
+    for atom in (x, nx, Constant("T"), Constant("F"), Metavar("X"),
+                 Metavar("L", True, "literal")):
+        assert negate(spec, negate(spec, atom)) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.deepcopy(atom) is atom
+        assert copy.copy(atom) is atom
+        assert hash(atom) == object.__hash__(atom)
+
+
+def test_atom_negation_flag_is_normalised():
+    assert Variable("x", 1) is Variable("x", True)
+    assert Variable("x", 0) is x
+    assert Variable("x", 1).negated is True
+    assert repr(Variable("x", 1)) == "Variable(name='x', negated=True)"
+    assert Metavar("X", 1) is Metavar("X", True)
+    assert repr(Metavar("X", 1)) == "Metavar(name='X', negated=True, sort='formula')"
+    assert repr(Constant("T")) == "Constant(name='T')"
+
+
+def test_interning_keeps_distinct_atoms_apart():
+    assert Metavar("X") is not Variable("X")
+    assert Metavar("X") != Variable("X")
+    assert Metavar("X") is not Metavar("X", sort="literal")
+    assert Metavar("X") != Metavar("X", sort="literal")
+    assert Constant("X") is not Variable("X") and Constant("X") is not Metavar("X")
+    assert Variable("x", True) is not x
+    assert len({Metavar("X"), Variable("X"), Constant("X"), Metavar("X", sort="literal"),
+                Metavar("X", True)}) == 5
+
+
+@pytest.mark.parametrize("atom", [Constant("T"), Variable("x", True), Metavar("X", sort="literal")],
+                         ids=["constant", "variable", "metavar"])
+def test_atom_is_immutable(atom):
+    name = atom.name
+    with pytest.raises(AttributeError):
+        atom.name = "y"
+    with pytest.raises(AttributeError):
+        del atom.name
+    with pytest.raises(AttributeError):
+        atom.extra = 1
+    assert atom.name == name
+
+
 def test_compound_is_immutable():
     f = Compound("|", x, y)
     with pytest.raises(AttributeError):
@@ -196,6 +243,19 @@ def test_intern_table_is_weak():
     rng = random.Random(7)
     kept = [random_formula(rng, 5) for _ in range(10_000)]
     assert len(terms._interned) > start
+    del kept
+    gc.collect()
+    assert len(terms._interned) == start
+
+
+def test_intern_table_forgets_atoms():
+    gc.collect()
+    start = len(terms._interned)
+    kept = [Variable(f"fresh{i}", i % 2 == 1) for i in range(10_000)]
+    kept += [Metavar(f"F{i}", sort="literal") for i in range(100)]
+    kept += [Constant(f"C{i}") for i in range(100)]
+    assert len(terms._interned) == start + 10_200
+    assert Variable("fresh7", True) is kept[7]
     del kept
     gc.collect()
     assert len(terms._interned) == start
