@@ -6,7 +6,11 @@ alone.  The checker threads the running formula through the derivation
 and treats AC equality silently at every joint; all other equalities must
 appear as explicit equational steps.  Where a step sits exactly on the
 running formula, that formula is the step's before and only its after is
-built; `exactify` reads the steps the same way.  The checker rebuilds
+built; `exactify` reads the steps the same way.  A derivation known to
+thread exactly is marked `exact` (by `identity`, `exactify`, `from_text`,
+`before_step`/`after_step` of a marked derivation, and a `Builder` that
+adopted and spliced only marked ones), and `exactify` returns it as it is;
+`check` walks every derivation anyway.  The checker rebuilds
 every medial and equational step from what the step declares, once per
 distinct instance, and accepts it only if the rebuilt instance is the
 stored one, labels included.  `converse` runs an equational or acr step
@@ -22,7 +26,7 @@ and `derivation(target)` closes with an `acr` step onto an AC-equal target.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .systems import (
@@ -100,13 +104,35 @@ class Derivation:
     premise: Formula
     steps: tuple
     conclusion: Formula
+    # set (by mark_exact) only where the steps are known to thread exactly:
+    # each step's before is the formula the previous step left, and the
+    # last one leaves the conclusion; exactify then returns d itself
+    exact: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
+def mark_exact(d: Derivation) -> Derivation:
+    """d, marked exact; the caller vouches for its threading."""
+    object.__setattr__(d, "exact", True)
+    return d
+
+
 def identity(f: Formula) -> Derivation:
-    return Derivation(f, (), f)
+    return mark_exact(Derivation(f, (), f))
+
+
+def before_step(d: Derivation, i: int) -> Derivation:
+    """d's steps before step i, up to where step i starts; exact when d is."""
+    out = Derivation(d.premise, d.steps[:i], d.steps[i].before)
+    return mark_exact(out) if d.exact else out
+
+
+def after_step(d: Derivation, i: int) -> Derivation:
+    """d's steps after step i, from where step i ends; exact when d is."""
+    out = Derivation(d.steps[i].after, d.steps[i + 1 :], d.conclusion)
+    return mark_exact(out) if d.exact else out
 
 
 @dataclass(frozen=True)
@@ -219,7 +245,10 @@ def length(spec: SystemSpec, d: Derivation) -> int:
 
 def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
     """Insert AC rearrangement steps so consecutive formulas agree exactly,
-    as the line-oriented file format requires."""
+    as the line-oriented file format requires; d itself when it is marked
+    exact."""
+    if d.exact:
+        return d
     steps: list[Step] = []
     cur = d.premise
     for step, before, after in _thread(d):
@@ -233,7 +262,7 @@ def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
         if not equal_mod_ac(spec, cur, d.conclusion):
             raise JointMismatch("conclusion differs beyond AC")
         steps.append(Step((), ac_instance(spec, cur, d.conclusion)))
-    return Derivation(d.premise, tuple(steps), d.conclusion)
+    return mark_exact(Derivation(d.premise, tuple(steps), d.conclusion))
 
 
 def converse(spec: SystemSpec, rule: RuleInstance, negated: bool = False) -> RuleInstance:
@@ -290,7 +319,9 @@ def dualize(spec: SystemSpec, d: Derivation) -> Derivation:
 
 class Builder:
     """Composes derivations: starts at a formula, or continues a derivation
-    by adopting its steps, and threads each step exactly onto the last."""
+    by adopting its steps, and threads each step exactly onto the last.
+    What it builds is marked exact unless it adopted or spliced a
+    derivation that was not."""
 
     def __init__(self, spec: SystemSpec, start: Formula | Derivation):
         self.spec = spec
@@ -298,10 +329,12 @@ class Builder:
             self.start = start.premise
             self.current = start.conclusion
             self.steps: list[Step] = list(start.steps)
+            self.exact = start.exact
         else:
             self.start = start
             self.current = start
             self.steps = []
+            self.exact = True
 
     def acr(self, sides: Sequence[str], target: Formula) -> None:
         """Rearrange the subterm at sides into target; no step when it
@@ -346,6 +379,7 @@ class Builder:
         """Run a whole derivation inside the subterm at sides; at the root
         its steps are reused as they are."""
         self.acr(sides, d.premise)
+        self.exact = self.exact and d.exact
         if sides:
             ctx = context_at(self.current, sides)
             self.steps.extend(Step(ctx + s.context, s.rule) for s in d.steps)
@@ -358,7 +392,8 @@ class Builder:
         step onto it unless the built formula already is that conclusion."""
         if conclusion is not None:
             self.acr((), conclusion)
-        return Derivation(self.start, tuple(self.steps), self.current)
+        d = Derivation(self.start, tuple(self.steps), self.current)
+        return mark_exact(d) if self.exact else d
 
 
 # ---------------------------------------------------------------------------
@@ -507,4 +542,4 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         cur = replace_at(cur, sides, rule.conclusion)
     if cur != conclusion:
         raise DerivationError("conclusion line does not match the threaded result")
-    return spec, Derivation(premise, tuple(steps), conclusion)
+    return spec, mark_exact(Derivation(premise, tuple(steps), conclusion))

@@ -9,7 +9,7 @@ guessing; the acceptance corpus must exercise none."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .derivations import (
@@ -17,8 +17,11 @@ from .derivations import (
     Derivation,
     DerivationError,
     Step,
+    after_step,
+    before_step,
     converse,
     exactify,
+    mark_exact,
     step_cost,
     weak_units,
 )
@@ -76,6 +79,9 @@ class SplittableFragment:
     weak: tuple  # ((beta, unit, co_unit), ...)
     down_rules: tuple  # splitting down-rule ids
     up_rules: tuple  # the corresponding splitting up-rule ids
+    # id(rule) -> (rule, step cost), each rule's cost computed once for the
+    # fragment; the entry holds the rule, so its id is not reused
+    costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def weak_for(self, premise: Formula) -> tuple:
         """(beta, unit, co_unit), the units as constants, of the weak
@@ -240,24 +246,18 @@ class _Splitter:
         self.beta, self.u, self.nu = frag.weak_for(premise)
         self.recorder = recorder
         self.calls = 0
-        self._costs: dict = {}  # id(rule) -> (rule, step cost); holds the rule
 
     def _length(self, d: Optional[Derivation]) -> Optional[int]:
-        """The length of d, each rule's cost computed once per split."""
+        """The length of d, each rule's cost computed once per fragment."""
         if d is None:
             return None
-        costs, total = self._costs, 0
+        costs, total = self.frag.costs, 0
         for s in d.steps:
             hit = costs.get(id(s.rule))
             if hit is None:
                 hit = costs[id(s.rule)] = (s.rule, step_cost(self.spec, self.frag.weak, s))
             total += hit[1]
         return total
-
-    # -- helpers ----------------------------------------------------------
-    def _drop_last(self, P: Derivation) -> Derivation:
-        last = P.steps[-1]
-        return Derivation(P.premise, P.steps[:-1], last.before)
 
     def _normalize(self, P: Derivation, occ: tuple, kind: str,
                    k0, k1, d, q0, q1) -> SplitResult:
@@ -299,7 +299,7 @@ class _Splitter:
             if not P.steps:
                 raise IrreducibleCase("bare atomic premise cannot hold the split node")
             last = P.steps[-1]
-            b = Builder(spec, self._drop_last(P))
+            b = Builder(spec, before_step(P, -1))
             _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
             b.apply(("L",) + tuple(last.sides), last.rule)
             return self.split(b.derivation(), ("L",))
@@ -316,21 +316,16 @@ class _Splitter:
         if not P.steps:
             raise IrreducibleCase("the co-unit premise contains no split node")
         sigma = P.steps[-1]
-        P1 = self._drop_last(P)
+        P1 = before_step(P, -1)
         p = tuple(sigma.sides)
         rule = sigma.rule
 
         if rule.scheme is Scheme.AC:
             if P1.steps and P1.steps[-1].rule.scheme is Scheme.AC:
                 # merge adjacent rearrangements so the node stays verbatim
-                prev = P1.steps[-1]
-                merged = Step((), ac_instance(spec, prev.before, P.conclusion))
-                return self.split(
-                    Derivation(
-                        P.premise, P1.steps[:-1] + (merged,), P.conclusion
-                    ),
-                    occ,
-                )
+                b = Builder(spec, before_step(P1, -1))
+                b.apply((), ac_instance(spec, b.current, P.conclusion))
+                return self.split(b.derivation(), occ)
             found = _find_aligned_occ(spec, beta, P1.conclusion, node)
             if found is not None:
                 occ2, swapped = found
@@ -836,7 +831,9 @@ def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
         )
         for s in d.steps
     )
-    return Derivation(fill(d.premise), steps, fill(d.conclusion))
+    # substitution commutes with plugging, so exact threading survives it
+    out = Derivation(fill(d.premise), steps, fill(d.conclusion))
+    return mark_exact(out) if d.exact else out
 
 
 @dataclass(frozen=True)
@@ -932,8 +929,7 @@ def eliminate_up_step(
     sigma = P.steps[i]
     if sigma.rule.scheme is not Scheme.SPLIT_UP or sigma.rule.rule_id not in frag.up_rules:
         raise NotDownFragment(f"cannot eliminate step {sigma.rule.rule_id}")
-    above = Derivation(P.premise, P.steps[:i], sigma.before)
-    below = P.steps[i + 1 :]
+    above = before_step(P, i)
 
     # a redex inside weakening junk is rewritten away without splitting
     for j, cstep in enumerate(sigma.context):
@@ -947,9 +943,8 @@ def eliminate_up_step(
             b = Builder(spec, above)
             b.rewrite(prefix, cstep.sibling)
             b.rewrite(prefix, gpost)
-            return Derivation(
-                P.premise, tuple(b.steps) + tuple(below), P.conclusion
-            )
+            b.splice((), after_step(P, i))
+            return b.derivation()
 
     cr = context_reduce(frag, above, tuple(sigma.sides), recorder)
     gamma, alpha_t = sigma.rule.relations
@@ -1043,8 +1038,8 @@ def eliminate_up_step(
 
     b.acr((), Compound(beta, r_target, cr.k))
     b.splice((), instantiate_hole(spec, cr.ctx, r_target))
-    b.acr((), sigma.after)
-    return Derivation(P.premise, tuple(b.steps) + tuple(below), P.conclusion)
+    b.splice((), after_step(P, i))
+    return b.derivation()
 
 
 def eliminate_all_up(

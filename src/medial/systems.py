@@ -178,7 +178,12 @@ def _bind(**kw: Formula) -> tuple:
 
 class SystemSpec:
     """System descriptor: declarations fixed at construction, caches that
-    fill as it is used (not thread-safe).  Hash/eq by identity."""
+    fill as it is used (not thread-safe).  Hash/eq by identity.
+
+    The caches: `eq_cache` (eq_step_for's answers, for the spec's life) and
+    the oriented and searched axiom tables, built on first use.  AC-canonical
+    forms are not kept here: each is memoised on its interned term, keyed by
+    `ac_token`, and goes when that term goes."""
 
     def __init__(
         self,
@@ -201,7 +206,8 @@ class SystemSpec:
         self.rules_by_id = {r.rule_id: r for r in self.rules}
         self._rule_index = {(r.scheme, r.alpha, r.beta): r for r in self.rules}
         self.order_closure = self._transitive_closure(self.order)
-        self.ac_cache: dict = {}
+        # keys the AC-canonical forms memoised on terms (terms.ac_canonical)
+        self.ac_token = object()
         self.eq_cache: dict = {}
 
     @staticmethod

@@ -138,9 +138,10 @@ class Metavar(_Term):
 class Compound(_Term):
     """A binary node, hash-consed: constructing (rel, left, right) returns
     the live node with those fields when there is one, so equal compounds
-    are one object."""
+    are one object.  It also carries the memo of `ac_canonical` (see
+    there), which lives and dies with the node."""
 
-    __slots__ = ("rel", "left", "right")
+    __slots__ = ("rel", "left", "right", "_ac_token", "_ac_form")
     _fields = ("rel", "left", "right")
 
     rel: str
@@ -160,6 +161,8 @@ class Compound(_Term):
         _set_rel(node, rel)
         _set_left(node, left)
         _set_right(node, right)
+        _set_ac_token(node, None)
+        _set_ac_form(node, None)
         ref = _InternRef(node, _forget)
         ref.key = key
         _interned[key] = ref
@@ -177,6 +180,8 @@ del _atom
 _set_rel = Compound.rel.__set__
 _set_left = Compound.left.__set__
 _set_right = Compound.right.__set__
+_set_ac_token = Compound._ac_token.__set__
+_set_ac_form = Compound._ac_form.__set__
 
 
 Formula = Union[Constant, Variable, Metavar, Compound]
@@ -297,10 +302,11 @@ def replace_at(f: Formula, sides: Sequence[str], sub: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Spec-dependent operations.  `spec` is any object exposing
 # negate_constant(name), dual(rel), is_associative(rel), is_commutative(rel)
-# and an `ac_cache` dict (see systems.SystemSpec).  Results are memoised on
-# the spec, not on the interned node: one node is shared by every spec,
-# and specs may declare the same relation symbol with different duals or
-# AC properties.
+# and an `ac_token` (see systems.SystemSpec).  `ac_canonical` memoises its
+# result on the interned node, keyed by that token: one node is shared by
+# every spec, and specs may declare the same relation symbol with different
+# AC properties, so a memo answers only the spec whose token it holds.  The
+# token is a bare object, so a node never keeps a spec alive.
 
 
 def negate(spec, f: Formula) -> Formula:
@@ -346,14 +352,15 @@ def _sort_key(f: Formula):
 def ac_canonical(spec, f: Formula) -> Formula:
     """Canonical representative modulo the declared AC axioms only: flatten
     associative spines, sort operands of commutative relations under a fixed
-    total order, rebuild right-nested."""
-    cache = spec.ac_cache
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
+    total order, rebuild right-nested.  The result is memoised on f for
+    spec's token; a canonical f memoises None, not itself, so the memo
+    forms no reference cycle."""
     if not isinstance(f, Compound):
-        cache[f] = f
         return f
+    token = spec.ac_token
+    if f._ac_token is token:
+        out = f._ac_form
+        return f if out is None else out
     if spec.is_associative(f.rel):
         elems = [ac_canonical(spec, e) for e in spine(spec, f, f.rel)]
         if spec.is_commutative(f.rel):
@@ -365,7 +372,8 @@ def ac_canonical(spec, f: Formula) -> Formula:
         if spec.is_commutative(f.rel) and _sort_key(right) < _sort_key(left):
             left, right = right, left
         out = Compound(f.rel, left, right)
-    cache[f] = out
+    _set_ac_token(f, token)
+    _set_ac_form(f, None if out is f else out)
     return out
 
 

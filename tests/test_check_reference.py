@@ -2,28 +2,42 @@
 they may do: both read each step's formulas along the running formula,
 and `check` judges each distinct rule instance once."""
 
+import collections
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 import medial.derivations as derivations
+import medial.splitting as splitting
 from medial.derivations import (
     Builder,
     CheckFailure,
     Derivation,
     JointMismatch,
     Step,
+    before_step,
     check,
     exactify,
+    from_text,
+    identity,
     to_text,
 )
-from medial.splitting import eliminate_all_up, make_fragment
+from medial.generators import derive_contraction, derive_excluded_middle
+from medial.splitting import (
+    IrreducibleCase,
+    context_reduce,
+    eliminate_all_up,
+    first_up_index,
+    instantiate_hole,
+    make_fragment,
+)
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import Scheme, ac_instance, check_rule_instance, undeclared_symbol
-from medial.terms import Variable, context_at, equal_mod_ac, parse_formula
+from medial.terms import Compound, Variable, context_at, equal_mod_ac, parse_formula
 
-from helpers import enumerate_formulas, injected_corpus
+from helpers import enumerate_formulas, injected_corpus, random_formula
 
 spec = make_p_spec()
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
@@ -201,3 +215,68 @@ def test_check_and_to_text_read_each_step_once(monkeypatch):
     plugs.clear()
     to_text(spec, d)
     assert len(plugs) <= len(d.steps)
+
+
+def _commuted_conclusion(d):
+    """d, its conclusion's root operands swapped where that is AC-equal
+    and a different formula."""
+    c = d.conclusion
+    if not isinstance(c, Compound) or c.left is c.right or not spec.is_commutative(c.rel):
+        return d
+    return Derivation(d.premise, d.steps, Compound(c.rel, c.right, c.left))
+
+
+def test_every_exact_mark_holds(monkeypatch):
+    """Every derivation marked exact, wherever the mark is set, threads
+    exactly: exactify returns it as it is, and the plug-based reference
+    inserts no step into it."""
+    marked = collections.Counter()  # marking function -> derivations marked
+    seen = []
+    original = derivations.mark_exact
+
+    def recording(d):
+        marked[sys._getframe(1).f_code.co_name] += 1
+        seen.append(d)
+        return original(d)
+
+    for module in (derivations, splitting):
+        monkeypatch.setattr(module, "mark_exact", recording)
+    rng = random.Random(20261019)
+    for _ in range(40):
+        f = random_formula(rng, 3)
+        derive_excluded_middle(spec, "&", f)
+        derive_contraction(spec, "|", f)
+        identity(f)
+    tautologies = (f for f in enumerate_formulas(3, LEAVES) if is_tautology(f))
+    for f, _ in zip(tautologies, range(100)):
+        d = prove_tautology(f)
+        assert from_text(to_text(spec, d), lambda name: spec)[1] == d
+        exactify(spec, _without_acr(d))
+    frag = make_fragment(spec)
+    joints = 0
+    for d in injected_corpus(seed=20240817, size=100):
+        assert eliminate_all_up(frag, d).exact
+        # joints that hold only modulo AC, above the up-steps and at the
+        # conclusion: a slice of these that were marked would be caught below
+        for loose in (_without_acr(d), _commuted_conclusion(d)):
+            joints += _inexact_joints(loose) + (loose.conclusion != d.conclusion)
+            assert check(spec, eliminate_all_up(frag, loose)) is None
+        # a context derivation whose conclusion joint is inexact, filled
+        i = first_up_index(frag, d)
+        sigma = d.steps[i]
+        try:
+            ctx = context_reduce(frag, before_step(d, i), sigma.sides).ctx
+        except IrreducibleCase:  # a redex in weakening junk: no context to reduce
+            continue
+        loose = _commuted_conclusion(ctx)
+        joints += loose is not ctx
+        instantiate_hole(spec, loose, sigma.rule.conclusion)
+    assert joints > 200
+    assert set(marked) == {
+        "identity", "exactify", "from_text", "derivation",  # Builder.derivation
+        "before_step", "after_step", "instantiate_hole",
+    }
+    assert len(seen) > 10_000
+    for d in seen:
+        assert exactify(spec, d) is d
+        assert _reference_exactify(spec, d) == d

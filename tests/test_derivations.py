@@ -11,6 +11,7 @@ from medial.derivations import (
     Step,
     check,
     dualize,
+    exactify,
     from_text,
     identity,
     length,
@@ -320,3 +321,32 @@ def test_to_text_prints_a_shared_node_in_each_spacing():
     _, again = from_text(text, lambda name: spec)
     assert again == d
     assert to_text(spec, again) == text
+
+
+def test_exact_mark_is_kept_only_where_threading_is_known():
+    d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
+    assert d.exact and identity(T).exact
+    loose = Derivation(d.premise, d.steps, d.conclusion)
+    assert not loose.exact
+    # equality, hashing and repr ignore the mark
+    assert loose == d and hash(loose) == hash(d) and repr(loose) == repr(d)
+    # replace builds a new derivation, which nothing has vouched for
+    assert replace(d) == d and not replace(d).exact
+    # exactify returns a marked derivation as it is, and marks what it builds
+    assert exactify(spec, d) is d
+    again = exactify(spec, loose)
+    assert again == d and again is not loose and again.exact
+    # a Builder's result is marked only if all it adopted or spliced was
+    assert Builder(spec, d).derivation().exact
+    assert not Builder(spec, loose).derivation().exact
+    outer = Compound("|", d.premise, x)
+    for piece, exact in ((d, True), (loose, False)):
+        for start, sides in ((d.premise, ()), (outer, ("L",))):
+            b = Builder(spec, start)
+            b.splice(sides, piece)
+            b.splice(sides, identity(d.conclusion))
+            assert b.derivation().exact is exact
+    b = Builder(spec, loose)
+    b.splice((), identity(d.conclusion))
+    b.apply_eq((), "or_unit", dict(A=d.conclusion), direction="bwd")
+    assert not b.derivation().exact

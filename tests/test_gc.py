@@ -2,17 +2,47 @@
 leaves a reference cycle for the cyclic collector."""
 
 import collections
+import contextlib
 import gc
 import random
+import weakref
 
+from medial import terms
 from medial.generators import derive_contraction, derive_excluded_middle
 from medial.r23 import random_clone_formula
-from medial.derivations import check, from_text, to_text
+from medial.derivations import Builder, check, from_text, to_text
 from medial.splitting import eliminate_all_up, make_fragment
-from medial.system_p import make_p_spec, prove_tautology
-from medial.terms import negate, parse_formula, print_formula
+from medial.system_p import is_tautology, make_p_spec, prove_tautology
+from medial.systems import spec_from_text, spec_to_text
+from medial.terms import (
+    Compound,
+    Variable,
+    ac_canonical,
+    negate,
+    parse_formula,
+    print_formula,
+)
 
-from helpers import injected_corpus
+from helpers import enumerate_formulas, injected_corpus
+
+
+@contextlib.contextmanager
+def _cyclic_garbage():
+    """Yields a Counter that, after the block, holds by kind what the
+    cyclic collector found during it."""
+    kinds: collections.Counter = collections.Counter()
+    flags = gc.get_debug()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds, to count it
+    try:
+        yield kinds
+        gc.collect()
+    finally:
+        gc.set_debug(flags)
+        found = gc.garbage[before:]
+        del gc.garbage[before:]
+    kinds.update(getattr(o, "__qualname__", type(o).__name__) for o in found)
 
 
 def test_kernel_calls_leave_no_cyclic_garbage():
@@ -20,11 +50,7 @@ def test_kernel_calls_leave_no_cyclic_garbage():
     frag = make_fragment(spec)
     # proofs 11, 15 and 19 of this corpus reach the regrouped-spine split
     corpus = injected_corpus(seed=20240817, size=20)[10:]
-    flags = gc.get_debug()
-    gc.collect()
-    before = len(gc.garbage)
-    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds, to count it
-    try:
+    with _cyclic_garbage() as kinds:
         for proof in corpus:
             eliminate_all_up(frag, proof)
         for text in ("(T | F)", "(x | ~x)", "((x p0 y) | (~x p0 z))"):
@@ -44,12 +70,48 @@ def test_kernel_calls_leave_no_cyclic_garbage():
         rng = random.Random(3)
         for clone in ("C2", "C3"):
             random_clone_formula(rng, clone, 4)
-        gc.collect()
-    finally:
-        gc.set_debug(flags)
-        found = gc.garbage[before:]
-        del gc.garbage[before:]
-    kinds = collections.Counter(
-        getattr(o, "__qualname__", type(o).__name__) for o in found
-    )
+    assert kinds == {}
+
+
+def test_synthesis_leaves_only_what_the_spec_keeps():
+    # proving, printing and checking keeps no formula beyond the few that
+    # the spec's caches (eq_cache, the oriented axioms) hold
+    spec = make_p_spec()
+    leaves = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
+    goals = [f for f in enumerate_formulas(3, leaves) if is_tautology(f)][:300]
+    assert len(goals) == 300
+    gc.collect()
+    start = len(terms._interned)
+    for f in goals:
+        d = prove_tautology(f)
+        assert from_text(to_text(spec, d), lambda name: spec)[1] == d
+        assert check(spec, d) is None
+    del d
+    assert len(terms._interned) - start <= 64
+
+
+def test_a_used_spec_is_freed_by_reference_counting():
+    own = spec_from_text(spec_to_text(make_p_spec()))
+    corpus = injected_corpus(seed=20240817, size=5)
+    with _cyclic_garbage() as kinds:
+        gc.disable()  # what goes below must go by reference counting
+        try:
+            frag = make_fragment(own)
+            x = Variable("x")
+            f = parse_formula("((y & x) | (~x p0 (z | x)))")
+            ac_canonical(own, f)
+            d = derive_excluded_middle(own, "&", f)
+            assert check(own, d) is None
+            assert from_text(to_text(own, d), lambda name: own)[1] == d
+            z = Variable("z")
+            b = Builder(own, Compound("|", Compound("|", z, z), x))
+            b.splice(("L",), derive_contraction(own, "|", z))
+            assert check(own, b.derivation()) is None
+            for proof in corpus:
+                assert check(own, eliminate_all_up(frag, proof)) is None
+            alive = weakref.ref(own)
+            del own, frag, b, d
+            assert alive() is None
+        finally:
+            gc.enable()
     assert kinds == {}

@@ -7,6 +7,7 @@ import pytest
 
 from medial import terms
 from medial.system_p import make_p_spec
+from medial.systems import spec_from_text, spec_to_text
 from medial.terms import (
     Compound,
     Constant,
@@ -259,3 +260,46 @@ def test_intern_table_forgets_atoms():
     del kept
     gc.collect()
     assert len(terms._interned) == start
+
+
+def test_ac_memo_holds_no_formula():
+    # the canonical forms live on the formulas they were computed for, so
+    # dropping the formulas frees the forms too, by reference counting
+    rng = random.Random(12)
+    names = ("memo_a", "memo_b", "memo_c")
+    gc.collect()
+    start = len(terms._interned)
+    kept = [random_formula(rng, 5, names) for _ in range(10_000)]
+    for f in kept:
+        c = ac_canonical(spec, f)
+        assert equal_mod_ac(spec, f, c) and equal_mod_ac(spec, c, f)
+        assert ac_canonical(spec, f) is c
+    assert len(terms._interned) > start
+    del kept, f, c
+    assert len(terms._interned) == start
+
+
+def test_ac_memo_answers_each_spec_with_its_own_form():
+    # the same relation symbol, associative in both specs, commutative in one
+    text = spec_to_text(spec)
+    flags = "relation: & dual=| assoc comm unit=T"
+    assert flags in text
+    loose = spec_from_text(text.replace(flags, "relation: & dual=| assoc unit=T"))
+    assert loose.is_associative("&") and not loose.is_commutative("&")
+    f = parse_formula("((y & x) | (z & (y & x)))")
+    for _ in range(3):
+        assert ac_canonical(spec, f) is parse_formula("((x & y) | (x & y & z))")
+        assert ac_canonical(loose, f) is parse_formula("((y & x) | (z & y & x))")
+    # on shared nodes, alternating specs, each answer is the one a fresh
+    # copy of that spec (nothing memoised for it yet) computes
+    rng = random.Random(13)
+    differ = 0
+    for _ in range(60):
+        g = random_formula(rng, 4)
+        for _ in range(2):
+            a = ac_canonical(spec, g)
+            b = ac_canonical(loose, g)
+            assert a is ac_canonical(spec_from_text(text), g)
+            assert b is ac_canonical(spec_from_text(spec_to_text(loose)), g)
+        differ += a is not b
+    assert differ > 0
