@@ -60,6 +60,7 @@ from .terms import (
     print_formula,
     print_memo,
     replace_at,
+    spine,
     subformula_at,
     subformula_at_sides,
 )
@@ -201,24 +202,33 @@ def weak_units(spec: SystemSpec) -> list[tuple]:
 
 def _is_weak_axiom_step(spec: SystemSpec, pairs, prem: Formula, conc: Formula) -> bool:
     """Does the local rewrite instantiate one of the free axioms (assoc,
-    comm, unit, constant- or variable-annihilation) of a weak relation?"""
-    if equal_mod_ac(spec, prem, conc):  # assoc/comm bookkeeping
-        return True
+    comm, unit, constant- or variable-annihilation) of a weak relation?
+    AC keeps the root relation, so a formula AC-equal to a beta node is one:
+    each test that canonicalises first checks the roots."""
     for beta, unit, co_unit in pairs:
         u = Constant(unit)
         nu = Constant(co_unit)
         for big, small in ((prem, conc), (conc, prem)):
-            if equal_mod_ac(spec, big, Compound(beta, small, u)):
+            if not (isinstance(big, Compound) and big.rel == beta):
+                continue
+            # (small beta u) has u among its elements, so big must have it
+            if spec.is_associative(beta):
+                elements = spine(spec, big, beta)
+            else:
+                elements = (big.left, big.right)
+            if u in elements and equal_mod_ac(spec, big, Compound(beta, small, u)):
                 return True
             if (
                 small == nu
-                and isinstance(big, Compound)
-                and big.rel == beta
                 and isinstance(big.left, (Constant, Variable))
                 and negate(spec, big.left) == big.right
             ):
                 return True
-    return False
+    # assoc/comm bookkeeping
+    return prem is conc or (
+        isinstance(prem, Compound) and isinstance(conc, Compound)
+        and prem.rel == conc.rel and equal_mod_ac(spec, prem, conc)
+    )
 
 
 def step_cost(spec: SystemSpec, pairs, step: Step) -> int:
@@ -230,13 +240,27 @@ def step_cost(spec: SystemSpec, pairs, step: Step) -> int:
     return 0 if _is_weak_axiom_step(spec, pairs, rule.premise, rule.conclusion) else 1
 
 
+def steps_length(spec: SystemSpec, pairs, steps) -> int:
+    """The summed step_cost of steps.  Each rule instance is costed once
+    per spec: its cost is kept on it, under spec.ac_token.  pairs must be
+    weak_units(spec)."""
+    token, total = spec.ac_token, 0
+    for step in steps:
+        memo = step.rule.cost_memo
+        if memo is None or memo[0] is not token:
+            memo = (token, step_cost(spec, pairs, step))
+            object.__setattr__(step.rule, "cost_memo", memo)
+        total += memo[1]
+    return total
+
+
 def length(spec: SystemSpec, d: Derivation) -> int:
     """Counts the steps that grow a derivation: medial steps, plus every
     equational step not instantiating a weak relation's free axioms."""
     pairs = weak_units(spec)
     if not pairs:
         raise NoSplittableFragment(f"system {spec.name} has no weak relation with a unit")
-    return sum(step_cost(spec, pairs, s) for s in d.steps)
+    return steps_length(spec, pairs, d.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +513,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         raise ParseError("derivation file needs system, premise and conclusion lines")
     cur = premise
     steps = []
+    parsed: dict = {}  # binding text -> formula; bindings recur from step to step
     for raw in raw_steps:
         fields = _parse_fields(raw)
         _require(fields, ("rule", "path"), raw)
@@ -509,7 +534,12 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         if direction not in ("fwd", "bwd"):
             raise ParseError(f"bad direction {direction!r}: {raw}")
         rel = fields.pop("rel", None)
-        bindings = {k: parse_formula(v) for k, v in fields.items()}
+        bindings = {}
+        for name, text in fields.items():
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_formula(text)
+            bindings[name] = value
         if rule_id == "acr":
             _bind_exactly(bindings, "AB", rule_id, raw)
             rule = ac_instance(spec, bindings["A"], bindings["B"])

@@ -8,6 +8,7 @@ guessing; the acceptance corpus must exercise none."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -22,12 +23,13 @@ from .derivations import (
     converse,
     exactify,
     mark_exact,
-    step_cost,
+    steps_length,
     weak_units,
 )
 from .generators import atomic_deduction
 from .systems import (
     Metavar,
+    OrientedAxiom,
     RuleInstance,
     Scheme,
     SystemSpec,
@@ -48,8 +50,10 @@ from .terms import (
     negate,
     print_formula,
     replace_at,
+    size,
     spine,
     subformula_at_sides,
+    subterms,
 )
 
 
@@ -79,9 +83,19 @@ class SplittableFragment:
     weak: tuple  # ((beta, unit, co_unit), ...)
     down_rules: tuple  # splitting down-rule ids
     up_rules: tuple  # the corresponding splitting up-rule ids
-    # id(rule) -> (rule, step cost), each rule's cost computed once for the
-    # fragment; the entry holds the rule, so its id is not reused
-    costs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (rel, unit constant) -> the oriented axiom of the pad X -> (X rel unit),
+    # a weak relation with its unit or its dual with the co-unit, named
+    # where eq_step_for would answer every such pad with it (_searched_first)
+    pads: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def named_pad(self, x: Formula, rel: str, c: Formula) -> Optional[RuleInstance]:
+        """The step x -> (x rel c) by the named pad at (rel, c); None when
+        the fragment names no pad there."""
+        o = self.pads.get((rel, c))
+        if o is None:
+            return None
+        m = o.premise
+        return o.instance(self.spec, {m.name: negate(self.spec, x) if m.negated else x})
 
     def weak_for(self, premise: Formula) -> tuple:
         """(beta, unit, co_unit), the units as constants, of the weak
@@ -102,12 +116,22 @@ def make_fragment(spec: SystemSpec) -> SplittableFragment:
     if not pairs:
         issues.append("no weak relation with a unit")
     probe_a = Variable("w1")
+    pads = {}
     for beta, unit, co_unit in pairs:
         u, nu = Constant(unit), Constant(co_unit)
         if not (spec.is_associative(beta) and spec.is_commutative(beta)):
             issues.append(f"{beta} lacks associativity/commutativity")
-        if eq_step_for(spec, Compound(beta, probe_a, u), probe_a) is None:
+        unit_axiom = eq_step_for(spec, Compound(beta, probe_a, u), probe_a)
+        if unit_axiom is None:
             issues.append(f"{beta} lacks its unit axiom")
+        else:
+            # the pads run the unit axiom backwards, its negation for the co-unit
+            back = "bwd" if unit_axiom.direction == "fwd" else "fwd"
+            for rel, c, negated in ((beta, u, unit_axiom.negated),
+                                    (spec.dual(beta), nu, not unit_axiom.negated)):
+                o = spec.oriented_axioms[unit_axiom.axiom_id, negated, back]
+                if _searched_first(spec, o, rel, c):
+                    pads[rel, c] = o
         for const in sorted(spec.constants):
             lhs = Compound(beta, Constant(const), Constant(spec.negate_constant(const)))
             if eq_step_for(spec, lhs, nu) is None:
@@ -130,7 +154,29 @@ def make_fragment(spec: SystemSpec) -> SplittableFragment:
             up.append(mate.rule_id)
     if issues:
         raise FragmentError("; ".join(issues))
-    return SplittableFragment(spec, tuple(pairs), down, tuple(up))
+    return SplittableFragment(spec, tuple(pairs), down, tuple(up), pads)
+
+
+def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) -> bool:
+    """Does eq_step_for answer every pad X -> (X rel c) with o?  It does
+    when o's premise is a bare formula metavariable, which matches every X,
+    and no axiom searched before o can relate X to (X rel c): its conclusion
+    has another root (AC keeps the root), or it keeps each metavariable's
+    count, so its instances grow by its patterns' size difference, not 2."""
+    m, searched = o.premise, spec.searched_axioms
+    if not (isinstance(m, Metavar) and m.sort == "formula" and o in searched
+            and o.conclusion in (Compound(rel, m, c), Compound(rel, c, m))):
+        return False
+
+    def counts(p):
+        return collections.Counter(t.name for t in subterms(p) if isinstance(t, Metavar))
+
+    return all(
+        isinstance(e.conclusion, Compound) and e.conclusion.rel != rel
+        or counts(e.premise) == counts(e.conclusion)
+        and size(e.conclusion) - size(e.premise) != 2
+        for e in searched[: searched.index(o)]
+    )
 
 
 def in_down_fragment(step: Step) -> bool:
@@ -248,16 +294,8 @@ class _Splitter:
         self.calls = 0
 
     def _length(self, d: Optional[Derivation]) -> Optional[int]:
-        """The length of d, each rule's cost computed once per fragment."""
-        if d is None:
-            return None
-        costs, total = self.frag.costs, 0
-        for s in d.steps:
-            hit = costs.get(id(s.rule))
-            if hit is None:
-                hit = costs[id(s.rule)] = (s.rule, step_cost(self.spec, self.frag.weak, s))
-            total += hit[1]
-        return total
+        """The length of d, each rule instance costed once (steps_length)."""
+        return None if d is None else steps_length(self.spec, self.frag.weak, d.steps)
 
     def _normalize(self, P: Derivation, occ: tuple, kind: str,
                    k0, k1, d, q0, q1) -> SplitResult:
@@ -278,7 +316,7 @@ class _Splitter:
         b = Builder(spec, Compound(spec.dual(alpha), k0, k1))
         b.splice((), d)
         if b.current != btree:
-            _steer_units(spec, beta, self.u, b, btree, "split remainder")
+            _steer_units(self.frag, beta, self.u, b, btree, "split remainder")
         dd = b.derivation(btree)
         rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
@@ -300,7 +338,7 @@ class _Splitter:
                 raise IrreducibleCase("bare atomic premise cannot hold the split node")
             last = P.steps[-1]
             b = Builder(spec, before_step(P, -1))
-            _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
+            _pad(self.frag, b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
             b.apply(("L",) + tuple(last.sides), last.rule)
             return self.split(b.derivation(), ("L",))
         C = P.conclusion
@@ -421,8 +459,8 @@ class _Splitter:
         ql, kl = self._rejoin(tree.left, alpha, by_class, used)
         qr, kr = self._rejoin(tree.right, alpha, by_class, used)
         b = Builder(spec, self.nu)
-        _eq_rewrite(b, (), Compound(alpha, self.nu, self.nu),
-                    "co-unit merge for regrouping")
+        _pad(self.frag, b, (), Compound(alpha, self.nu, self.nu),
+             "co-unit merge for regrouping")
         b.splice(("L",), ql)
         b.splice(("R",), qr)
         b.apply_scheme(
@@ -499,7 +537,7 @@ class _Splitter:
                     raise IrreducibleCase("unitary split needs the dual weak relation")
                 k_other = self.u
                 ob = Builder(spec, self.nu)
-                _eq_rewrite(ob, (), Compound(beta, other, self.u), "unit padding")
+                _pad(self.frag, ob, (), Compound(beta, other, self.u), "unit padding")
                 q_other = ob.derivation()
                 d = Builder(spec, Compound(na, *ordered(btree, k_other)))
                 d.acr((), Compound(beta, btree, self.u))
@@ -597,11 +635,11 @@ class _Splitter:
             kpath = _find_shallow_occ(spec, beta, cur, keep)
             if kpath is None:
                 raise IrreducibleCase("lost the kept component in a spine split")
-        _eq_rewrite(d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
+        _pad(self.frag, d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
         d.splice(kpath + ("R",), other)
         za, zb = away
         d.acr(kpath + ("R",), Compound(beta, za, Compound(beta, zb, k_other)))
-        _eq_rewrite(d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
+        _pad(self.frag, d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
         d.apply_scheme(
             kpath, Scheme.SPLIT_DOWN,
             dict(A=keep, B=self.u, C=za, D=Compound(beta, zb, k_other)), nb, beta,
@@ -744,10 +782,23 @@ def _eq_rewrite(b: Builder, sides, target: Formula, what: str) -> None:
         raise IrreducibleCase(f"{what}: {e}") from None
 
 
-def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
+def _pad(frag: SplittableFragment, b: Builder, sides, target: Formula, what: str) -> None:
+    """Pad the subterm X at sides to target, (X' rel c) with X' AC-equal to
+    X: by the fragment's named pad at (rel, c) when it has one, which is
+    the step _eq_rewrite would find, else by _eq_rewrite."""
+    inst = frag.named_pad(subformula_at_sides(b.current, sides), target.rel, target.right)
+    if inst is None:
+        _eq_rewrite(b, sides, target, what)
+        return
+    b.apply(sides, inst)
+    b.acr(sides, target)
+
+
+def _steer_units(frag: SplittableFragment, beta: str, u: Formula, b: Builder,
                  target: Formula, what: str) -> None:
     """Steer the builder's formula to target, padding or dropping unit
     elements where padded sub-derivations introduced them."""
+    spec = frag.spec
     for _ in range(64):
         if equal_mod_ac(spec, b.current, target):
             b.acr((), target)
@@ -765,7 +816,7 @@ def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
             b.apply((), inst)
             continue
         if missing and all(e == u for e in missing):
-            _eq_rewrite(b, (), Compound(beta, b.current, u), what)
+            _pad(frag, b, (), Compound(beta, b.current, u), what)
             continue
         raise IrreducibleCase(
             f"{what}: cannot reconcile {print_formula(b.current)} "
@@ -809,20 +860,33 @@ def shallow_split(
 HOLE = Metavar("_")
 
 
+def _fill(spec: SystemSpec, f: Formula, x: Formula, memo: dict) -> Formula:
+    """instantiate(spec, f, {hole: x}), filling each compound once: memo
+    maps the compounds filled so far to their results."""
+    if not isinstance(f, Compound):
+        return instantiate(spec, f, {HOLE.name: x}) if isinstance(f, Metavar) else f
+    out = memo.get(f)
+    if out is None:
+        out = memo[f] = Compound(
+            f.rel, _fill(spec, f.left, x, memo), _fill(spec, f.right, x, memo)
+        )
+    return out
+
+
 def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
-    """Plug a formula into every hole occurrence of a context derivation."""
-    binding = {HOLE.name: x}
+    """Plug a formula into every hole occurrence of a context derivation;
+    the steps share their formulas' nodes, and each is filled once."""
+    memo: dict = {}
 
     def fill(f: Formula) -> Formula:
-        return instantiate(spec, f, binding)
+        return _fill(spec, f, x, memo)
 
     def fix_rule(rule: RuleInstance) -> RuleInstance:
-        return replace(
-            rule,
-            premise=fill(rule.premise),
-            conclusion=fill(rule.conclusion),
-            bindings=tuple((k, fill(v)) for k, v in rule.bindings),
-        )
+        premise, conclusion = fill(rule.premise), fill(rule.conclusion)
+        bindings = tuple((k, fill(v)) for k, v in rule.bindings)
+        if (premise, conclusion, bindings) == (rule.premise, rule.conclusion, rule.bindings):
+            return rule  # no hole in it: the rule as it is, its cost kept
+        return replace(rule, premise=premise, conclusion=conclusion, bindings=bindings)
 
     steps = tuple(
         Step(
@@ -869,7 +933,7 @@ def context_reduce(
     if depth is None:
         if hole_sides == ():
             qb = Builder(spec, P)
-            _eq_rewrite(qb, (), Compound(beta, C, u), "shallow case pad")
+            _pad(frag, qb, (), Compound(beta, C, u), "shallow case pad")
             cb = Builder(spec, Compound(beta, HOLE, u))
             _eq_rewrite(cb, (), HOLE, "shallow case close")
             return ContextReduction(u, cb.derivation(), qb.derivation())
@@ -897,7 +961,7 @@ def context_reduce(
     if split.kind == "unitary":
         if delta != spec.dual(beta):
             raise IrreducibleCase("unitary context node is not the dual weak relation")
-        b.rewrite((), Compound(delta, b.current, nu))
+        _pad(frag, b, (), Compound(delta, b.current, nu), "unitary context rebuild")
         b.splice(("R",), split.q1 if side == "L" else split.q0)
     else:
         # a weakening re-expands the erased side
@@ -908,7 +972,7 @@ def context_reduce(
         (), Scheme.SPLIT_DOWN, dict(A=a0, B=split.k0, C=a1, D=split.k1), delta, beta
     )
     b.splice(("R",), split.d)
-    _steer_units(spec, beta, u, b, replace_at(C, hole_sides, HOLE), "context rebuild")
+    _steer_units(frag, beta, u, b, replace_at(C, hole_sides, HOLE), "context rebuild")
     return ContextReduction(rec.k, b.derivation(), rec.q)
 
 
@@ -977,7 +1041,7 @@ def eliminate_up_step(
             x, j, q_a, q_b = x1, j1, split2.q0, split3.q0
         else:
             x, j, q_a, q_b = x2, j2, split2.q1, split3.q1
-        b.rewrite((), Compound(alpha_t, nu, nu))
+        _pad(frag, b, (), Compound(alpha_t, nu, nu), "co-unit merge")
         b.splice(("L",), q_a)
         b.splice(("R",), q_b)
         b.apply_scheme(
@@ -999,8 +1063,8 @@ def eliminate_up_step(
         nb = spec.dual(beta)
         split3 = shallow_split(frag, q2, ("L",), recorder)
         kc, kd = split3.k0, split3.k1
-        b.rewrite((), Compound(nb, nu, nu))
-        b.rewrite(("R",), Compound(nb, nu, nu))
+        _pad(frag, b, (), Compound(nb, nu, nu), "co-unit merge")
+        _pad(frag, b, ("R",), Compound(nb, nu, nu), "co-unit merge")
         b.splice(("L",), q1)
         b.acr(("L",), Compound(beta, t_a, Compound(beta, t_b, k1f)))
         b.splice(("R", "L"), split3.q0)

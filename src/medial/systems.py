@@ -15,7 +15,7 @@ instance, labels included.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -127,6 +127,11 @@ class RuleInstance:
     axiom_id: Optional[str] = None
     negated: bool = False  # equational: instance of the negated axiom
     direction: str = "fwd"  # equational only: fwd (lhs->rhs) or bwd
+    # (spec.ac_token, length cost), set by derivations.steps_length the first
+    # time it costs the instance for that spec; not part of the instance
+    cost_memo: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def binding(self, name: str) -> Formula:
         for k, v in self.bindings:

@@ -10,8 +10,8 @@ import weakref
 from medial import terms
 from medial.generators import derive_contraction, derive_excluded_middle
 from medial.r23 import random_clone_formula
-from medial.derivations import Builder, check, from_text, to_text
-from medial.splitting import eliminate_all_up, make_fragment
+from medial.derivations import Builder, check, dualize, from_text, length, to_text
+from medial.splitting import HOLE, eliminate_all_up, instantiate_hole, make_fragment
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import spec_from_text, spec_to_text
 from medial.terms import (
@@ -109,9 +109,34 @@ def test_a_used_spec_is_freed_by_reference_counting():
             assert check(own, b.derivation()) is None
             for proof in corpus:
                 assert check(own, eliminate_all_up(frag, proof)) is None
+                assert length(own, proof) >= 0
+            # a context holding the hole and its negation, filled
+            ctx = Builder(own, Compound("&", HOLE, negate(own, HOLE)))
+            ctx.rewrite(("L",), Compound("|", HOLE, terms.Constant("F")))
+            instantiate_hole(own, dualize(own, ctx.derivation()), f)
             alive = weakref.ref(own)
-            del own, frag, b, d
+            del own, frag, b, d, ctx
             assert alive() is None
         finally:
             gc.enable()
     assert kinds == {}
+
+
+def test_elimination_keeps_no_formula_on_the_fragment():
+    # once the spec's caches and the memos on live terms are warm,
+    # eliminating the corpus through one fragment leaves the intern table
+    # at its start size: the fragment keeps no costed rule, and no table of
+    # pads, fills or parsed bindings outlives its call
+    own = spec_from_text(spec_to_text(make_p_spec()))
+    texts = [to_text(own, d) for d in injected_corpus(seed=20240817, size=100)]
+
+    def eliminate_corpus(frag):
+        for text in texts:
+            eliminate_all_up(frag, from_text(text, lambda name: own)[1])
+
+    eliminate_corpus(make_fragment(own))
+    gc.collect()
+    start = len(terms._interned)
+    frag = make_fragment(own)
+    eliminate_corpus(frag)
+    assert len(terms._interned) == start
