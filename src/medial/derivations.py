@@ -201,10 +201,10 @@ def weak_units(spec: SystemSpec) -> list[tuple]:
 
 
 def _is_weak_axiom_step(spec: SystemSpec, pairs, prem: Formula, conc: Formula) -> bool:
-    """Does the local rewrite instantiate one of the free axioms (assoc,
-    comm, unit, constant- or variable-annihilation) of a weak relation?
-    AC keeps the root relation, so a formula AC-equal to a beta node is one:
-    each test that canonicalises first checks the roots."""
+    """Does the local rewrite instantiate one of the free axioms (unit,
+    constant- or variable-annihilation) of a weak relation?  AC keeps the
+    root relation, so a formula AC-equal to a beta node is one: each test
+    that canonicalises first checks the roots."""
     for beta, unit, co_unit in pairs:
         u = Constant(unit)
         nu = Constant(co_unit)
@@ -224,11 +224,7 @@ def _is_weak_axiom_step(spec: SystemSpec, pairs, prem: Formula, conc: Formula) -
                 and negate(spec, big.left) == big.right
             ):
                 return True
-    # assoc/comm bookkeeping
-    return prem is conc or (
-        isinstance(prem, Compound) and isinstance(conc, Compound)
-        and prem.rel == conc.rel and equal_mod_ac(spec, prem, conc)
-    )
+    return False
 
 
 def step_cost(spec: SystemSpec, pairs, step: Step) -> int:

@@ -36,6 +36,7 @@ from .systems import (
     ac_instance,
     eq_step_for,
     instantiate,
+    unit_axiom,
 )
 from .terms import (
     Compound,
@@ -121,15 +122,15 @@ def make_fragment(spec: SystemSpec) -> SplittableFragment:
         u, nu = Constant(unit), Constant(co_unit)
         if not (spec.is_associative(beta) and spec.is_commutative(beta)):
             issues.append(f"{beta} lacks associativity/commutativity")
-        unit_axiom = eq_step_for(spec, Compound(beta, probe_a, u), probe_a)
-        if unit_axiom is None:
+        unit_step = unit_axiom(spec, beta)
+        if unit_step is None:
             issues.append(f"{beta} lacks its unit axiom")
         else:
             # the pads run the unit axiom backwards, its negation for the co-unit
-            back = "bwd" if unit_axiom.direction == "fwd" else "fwd"
-            for rel, c, negated in ((beta, u, unit_axiom.negated),
-                                    (spec.dual(beta), nu, not unit_axiom.negated)):
-                o = spec.oriented_axioms[unit_axiom.axiom_id, negated, back]
+            back = "bwd" if unit_step.direction == "fwd" else "fwd"
+            for rel, c, negated in ((beta, u, unit_step.negated),
+                                    (spec.dual(beta), nu, not unit_step.negated)):
+                o = spec.oriented_axioms[unit_step.axiom_id, negated, back]
                 if _searched_first(spec, o, rel, c):
                     pads[rel, c] = o
         for const in sorted(spec.constants):
@@ -163,8 +164,8 @@ def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) ->
     and no axiom searched before o can relate X to (X rel c): its conclusion
     has another root (AC keeps the root), or it keeps each metavariable's
     count, so its instances grow by its patterns' size difference, not 2."""
-    m, searched = o.premise, spec.searched_axioms
-    if not (isinstance(m, Metavar) and m.sort == "formula" and o in searched
+    m, searched = o.premise, tuple(spec.oriented_axioms.values())
+    if not (isinstance(m, Metavar) and m.sort == "formula"
             and o.conclusion in (Compound(rel, m, c), Compound(rel, c, m))):
         return False
 

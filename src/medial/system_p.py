@@ -68,31 +68,20 @@ class NotATautology(SystemError):
 def _axioms() -> tuple:
     A = Metavar("A")
     B = Metavar("B")
-    C = Metavar("C")
     U = Metavar("U", sort="constant")
     nU = Metavar("U", negated=True, sort="constant")
     X = Metavar("X", sort="literal")
     nX = Metavar("X", negated=True, sort="literal")
-    out = []
-    for rel, tag in ((AND, "and"), (OR, "or"), (P0, "p0"), (P1, "p1")):
-        out.append(
-            Axiom(
-                f"assoc_{tag}", 1,
-                Compound(rel, Compound(rel, A, B), C),
-                Compound(rel, A, Compound(rel, B, C)),
-            )
-        )
-    for rel, tag in ((AND, "and"), (OR, "or")):
-        out.append(Axiom(f"comm_{tag}", 2, Compound(rel, A, B), Compound(rel, B, A)))
-    out.append(Axiom("or_unit", 3, Compound(OR, A, F), A))
-    out.append(Axiom("p0_select", 4, Compound(P0, A, B), A))
-    out.append(Axiom("p1_select", 5, Compound(P1, A, B), B))
-    out.append(Axiom("and_false", 6, Compound(AND, U, F), F))
-    out.append(Axiom("const_em", 6, Compound(OR, U, nU), T))
-    out.append(Axiom("var_em", 8, Compound(OR, X, nX), T))
-    out.append(Axiom("const_idem", 6, Compound(OR, U, U), U))
-    out.append(Axiom("var_idem", 7, Compound(OR, X, X), X))
-    return tuple(out)
+    return (
+        Axiom("or_unit", Compound(OR, A, F), A),
+        Axiom("p0_select", Compound(P0, A, B), A),
+        Axiom("p1_select", Compound(P1, A, B), B),
+        Axiom("and_false", Compound(AND, U, F), F),
+        Axiom("const_em", Compound(OR, U, nU), T),
+        Axiom("var_em", Compound(OR, X, nX), T),
+        Axiom("const_idem", Compound(OR, U, U), U),
+        Axiom("var_idem", Compound(OR, X, X), X),
+    )
 
 
 _P_RULES = (

@@ -94,11 +94,11 @@ class RelationSymbol:
 
 @dataclass(frozen=True)
 class Axiom:
-    """One equational axiom lhs = rhs; patterns may contain metavariables
-    whose sort restricts matching (formula / constant / literal)."""
+    """One equational axiom lhs = rhs, its sides distinct modulo AC (which
+    relation flags declare); patterns may contain metavariables whose sort
+    restricts matching (formula / constant / literal)."""
 
     axiom_id: str
-    kind: int  # 1..9, the generating axiom family
     lhs: Formula
     rhs: Formula
 
@@ -186,8 +186,8 @@ class SystemSpec:
     fill as it is used (not thread-safe).  Hash/eq by identity.
 
     The caches: `eq_cache` (eq_step_for's answers, for the spec's life) and
-    the oriented and searched axiom tables, built on first use.  AC-canonical
-    forms are not kept here: each is memoised on its interned term, keyed by
+    the oriented axiom table, built on first use.  AC-canonical forms are
+    not kept here: each is memoised on its interned term, keyed by
     `ac_token`, and goes when that term goes."""
 
     def __init__(
@@ -249,16 +249,6 @@ class SystemSpec:
                         ax, negated, direction, pp, pc, rule_id, names, sorts
                     )
         return table
-
-    @cached_property
-    def searched_axioms(self) -> tuple:
-        """The oriented axioms eq_step_for searches: those whose two sides
-        differ modulo AC.  An AC-silent one (associativity, commutativity)
-        only relates AC-equal formulas, which the checker equates anyway."""
-        return tuple(
-            o for o in self.oriented_axioms.values()
-            if not equal_mod_ac(self, o.premise, o.conclusion)
-        )
 
     # -- lookups used across modules -------------------------------------
     def negate_constant(self, name: str) -> str:
@@ -538,10 +528,9 @@ def eq_step_for(
     """A one-step proof of lhs -> rhs, or None when there is none.
 
     AC-equal formulas get an `acr` rearrangement.  Otherwise the declared
-    axioms (and their negations, both orientations) are searched, except
-    the AC-silent ones, which cannot relate AC-distinct formulas.
-    Premise/conclusion of an axiom instance are pattern-exact; callers
-    bridge AC differences themselves.  Raises MatchBudgetExhausted when
+    axioms (and their negations, both orientations) are searched in the
+    order of spec.oriented_axioms.  Premise/conclusion of an axiom instance
+    are pattern-exact; callers bridge AC differences themselves.  Raises MatchBudgetExhausted when
     _MATCH_CAP cut the search short and nothing was found; that outcome is
     not cached."""
     key = (lhs, rhs)
@@ -567,7 +556,7 @@ def _eq_step_for(
     if equal_mod_ac(spec, lhs, rhs):
         return ac_instance(spec, lhs, rhs)
     cut_short = False
-    for oriented in spec.searched_axioms:
+    for oriented in spec.oriented_axioms.values():
         pp, pc = oriented.premise, oriented.conclusion
         if _root_clash(pp, lhs) or _root_clash(pc, rhs):
             continue
@@ -700,12 +689,24 @@ def validate_spec(spec: SystemSpec) -> list[str]:
         if r.unitary is not None:
             if r.unitary not in spec.constants:
                 issues.append(f"unit of {r.name} undeclared: {r.unitary}")
-            elif _unit_axiom(spec, r) is None:
+            elif unit_axiom(spec, r.name) is None:
                 issues.append(f"unitary flag on {r.name} has no unit axiom instance")
         if r.right_weakening and _weakening_axiom(spec, r.name, "right") is None:
             issues.append(f"right_weakening flag on {r.name} has no axiom")
         if r.left_weakening and _weakening_axiom(spec, r.name, "left") is None:
             issues.append(f"left_weakening flag on {r.name} has no axiom")
+    # an id names one axiom or rule: check rebuilds a step from it
+    for what, ids in (("axiom", [a.axiom_id for a in spec.axioms]),
+                      ("rule", [r.rule_id for r in spec.rules])):
+        for i in sorted({i for i in ids if ids.count(i) > 1}):
+            issues.append(f"{what} id {i} declared {ids.count(i)} times")
+    # associativity and commutativity are flags, not axioms
+    for ax in spec.axioms:
+        if ax.lhs is ax.rhs:
+            issues.append(f"axiom {ax.axiom_id} has one formula on both sides")
+        elif equal_mod_ac(spec, ax.lhs, ax.rhs):
+            rel, flag = _ac_flag(spec, ax.lhs, ax.rhs)
+            issues.append(f"axiom {ax.axiom_id} is AC-silent: {rel} is declared {flag}")
     # check rebuilds a medial step under the one rule its shape names
     for r in spec.rules:
         other = spec.rule_for(r.scheme, r.alpha, r.beta)
@@ -723,10 +724,24 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     return issues
 
 
-def _unit_axiom(spec: SystemSpec, r: RelationSymbol) -> Optional[RuleInstance]:
-    """A unit equation instance A r u = A, possibly via a negated axiom."""
+def unit_axiom(spec: SystemSpec, rel: str) -> Optional[RuleInstance]:
+    """The step (w rel u) -> w that eq_step_for finds for rel's unit u,
+    possibly by a negated axiom; None when there is none."""
     probe = Variable("w")
-    return eq_step_for(spec, Compound(r.name, probe, Constant(r.unitary)), probe)
+    return eq_step_for(spec, Compound(rel, probe, Constant(spec.unit_of(rel))), probe)
+
+
+def _ac_flag(spec: SystemSpec, l: Formula, r: Formula) -> tuple:
+    """(relation, flag) equating the distinct AC-equal patterns l and r where
+    their operands first differ modulo AC: comm when a swap there equates
+    them, else assoc, with comm too if the operands are also reordered."""
+    while equal_mod_ac(spec, l.left, r.left) and equal_mod_ac(spec, l.right, r.right):
+        l, r = (l.right, r.right) if l.left is r.left else (l.left, r.left)
+    if equal_mod_ac(spec, l.left, r.right) and equal_mod_ac(spec, l.right, r.left):
+        return l.rel, "comm"
+    ls, rs = spine(spec, l, l.rel), spine(spec, r, r.rel)
+    ordered = len(ls) == len(rs) and all(equal_mod_ac(spec, a, b) for a, b in zip(ls, rs))
+    return l.rel, "assoc" if ordered else "assoc and comm"
 
 
 def _weakening_axiom(spec: SystemSpec, rel: str, side: str) -> Optional[Axiom]:
@@ -793,8 +808,7 @@ def spec_to_text(spec: SystemSpec) -> str:
         lines.append(f"order: {a} < {b}")
     for ax in spec.axioms:
         lines.append(
-            f"axiom: {ax.axiom_id} kind={ax.kind} "
-            f"{print_formula(ax.lhs, spaces=False)} = "
+            f"axiom: {ax.axiom_id} {print_formula(ax.lhs, spaces=False)} = "
             f"{print_formula(ax.rhs, spaces=False)}"
         )
     for decl in spec.rules:
@@ -848,31 +862,26 @@ def spec_from_text(text: str) -> SystemSpec:
                     elif part == "lweak":
                         kw["left_weakening"] = True
                     else:
-                        raise SystemError(f"line {lineno}: unknown relation flag {part!r}")
+                        raise SystemError(f"unknown relation flag {part!r}")
                 relations.append(RelationSymbol(rel_name, dual, **kw))
             elif key == "order":
                 a, _, b = rest.partition("<")
                 order.append((a.strip(), b.strip()))
             elif key == "axiom":
-                head, kind_text, eq_text = rest.split(None, 2)
-                if not kind_text.startswith("kind="):
-                    raise SystemError(f"line {lineno}: axiom needs kind=")
-                lhs_text, _, rhs_text = eq_text.partition("=")
-                axioms.append(
-                    Axiom(
-                        head,
-                        int(kind_text[5:]),
-                        _assign_sorts(parse_formula(lhs_text.strip(), metavars=True)),
-                        _assign_sorts(parse_formula(rhs_text.strip(), metavars=True)),
-                    )
-                )
+                head, eq_text = rest.split(None, 1)
+                lhs_text, rhs_text = eq_text.split("=")
+                axioms.append(Axiom(head, *(
+                    _assign_sorts(parse_formula(t.strip(), metavars=True))
+                    for t in (lhs_text, rhs_text))))
             elif key == "rule":
                 rid, scheme_name, alpha, beta = rest.split()
                 rules.append(RuleDecl(rid, Scheme(scheme_name), alpha, beta))
             else:
-                raise SystemError(f"line {lineno}: unknown section {key!r}")
+                raise SystemError(f"unknown section {key!r}")
         except (IndexError, ValueError):
             raise SystemError(f"line {lineno}: malformed {key} line: {line}") from None
+        except TermError as e:
+            raise SystemError(f"line {lineno}: {e}") from None
     return SystemSpec(
         name=name,
         constants=constants,

@@ -9,7 +9,7 @@ from medial.derivations import Builder, Derivation
 from medial.generators import derive_excluded_middle
 from medial.system_p import make_p_spec
 from medial.systems import Scheme
-from medial.terms import Compound, Constant, Formula, Variable
+from medial.terms import Compound, Constant, Formula, Metavar, Variable
 
 T = Constant("T")
 F = Constant("F")
@@ -42,6 +42,16 @@ def enumerate_formulas(max_height: int, leaves) -> list:
         ]
         layers.append(new)
     return [f for layer in layers for f in layer]
+
+
+def ac_flag_shapes() -> list:
+    """P's associativity (of every relation) and commutativity (of & and |)
+    as (lhs, rhs) pattern pairs.  P declares them as relation flags, not as
+    axioms."""
+    A, B, C = (Metavar(n) for n in "ABC")
+    shapes = [(Compound(r, Compound(r, A, B), C), Compound(r, A, Compound(r, B, C)))
+              for r in ("&", "|", "p0", "p1")]
+    return shapes + [(Compound(r, A, B), Compound(r, B, A)) for r in ("&", "|")]
 
 
 def all_tree_positions(f: Formula, prefix: tuple = ()):

@@ -188,16 +188,36 @@ def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
         (["bench", "--clone", "C3", "--sizes", "10,,20"], "argument --sizes"),
         (["split", "{em}", "--at", "ZZ"], "bad path 'ZZ'"),
         (["prove", "x", "--system", "{spec}"], "malformed axiom line: axiom: foo"),
+        (["prove", "x", "--system", "{kind}"], "line 13: malformed axiom line: axiom: or_unit"),
+        (["prove", "x", "--system", "{unbalanced}"], "line 13: unexpected end of input"),
+        (["prove", "x", "--system", "{sortless}"],
+         "line 13: metavariable Q has no sort convention"),
+        (["prove", "x", "--system", "{silent}"],
+         "axiom comm_and is AC-silent: & is declared comm"),
+        (["audit", "--system", "{twice}"], "rule id c0d declared 2 times"),
     ],
     ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "split-path",
-         "spec-axiom"],
+         "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
+         "spec-ac-silent", "spec-repeated-id"],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
-    em, spec = tmp_path / "em.drv", tmp_path / "foo.spec"
+    em = tmp_path / "em.drv"
     assert run(["prove-lemma", "excluded-middle", "(x & y)", "--out", str(em)]) == 0
-    spec.write_text(re.sub(r"(?m)^axiom: .*$", "axiom: foo", spec_to_text(make_p_spec()), 1))
+    text = spec_to_text(make_p_spec())
+    specs = {
+        "spec": re.sub(r"(?m)^axiom: .*$", "axiom: foo", text, 1),
+        # the old axiom line format, which carried the axiom's family number
+        "kind": text.replace("axiom: or_unit ", "axiom: or_unit kind=3 "),
+        "unbalanced": text.replace("(A|F) = A", "(A|F = A"),
+        "sortless": text.replace("(A|F) = A", "(Q|F) = Q"),
+        "silent": text + "axiom: comm_and (A&B) = (B&A)\n",
+        "twice": text.replace("rule: c1d", "rule: c0d"),
+    }
+    for name, body in specs.items():
+        specs[name] = tmp_path / f"{name}.spec"
+        specs[name].write_text(body)
     capsys.readouterr()
-    assert run([a.format(em=em, spec=spec) for a in argv]) == 2
+    assert run([a.format(em=em, **specs) for a in argv]) == 2
     assert message in capsys.readouterr().err
 
 

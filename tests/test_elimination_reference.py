@@ -48,7 +48,7 @@ from medial.terms import (
     parse_formula,
 )
 
-from helpers import enumerate_formulas, injected_corpus, random_formula
+from helpers import ac_flag_shapes, enumerate_formulas, injected_corpus, random_formula
 
 spec = make_p_spec()
 PAIRS = weak_units(spec)
@@ -122,7 +122,7 @@ def test_named_pads_are_what_the_search_finds(monkeypatch):
 def test_a_pad_another_axiom_could_answer_first_is_searched():
     # idempotence ahead of the unit axiom answers F -> (F | F) by itself
     text = spec_to_text(spec).replace(
-        "axiom: or_unit", "axiom: idem kind=7 (A|A) = A\naxiom: or_unit"
+        "axiom: or_unit", "axiom: idem (A|A) = A\naxiom: or_unit"
     )
     own = spec_from_text(text)
     frag = make_fragment(own)
@@ -179,8 +179,7 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
                 costs[cost] += 1
         assert length(spec, d) == sum(_reference_cost(s) for s in d.steps)
     assert costs[0] > 1000 and costs[1] > 1000
-    # every axiom orientation, the AC-silent ones included, under random
-    # bindings of its sorts
+    # every axiom orientation under random bindings of its sorts
     rng = random.Random(20261020)
     by_sort = {
         "formula": lambda: random_formula(rng, rng.randint(0, 3)),
@@ -192,14 +191,25 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
         for t in terms.subterms(o.premise):
             if isinstance(t, terms.Metavar):
                 sorts[t.name] = t.sort
-    free = collections.Counter()
     for o in spec.oriented_axioms.values():
         for _ in range(50):
             rule = o.instance(spec, {m: by_sort[sorts[m]]() for m in o.metavars})
             step = Step((), rule)
             assert step_cost(spec, PAIRS, step) == _reference_cost(step), rule
-            free[o.axiom.axiom_id] += step_cost(spec, PAIRS, step) == 0
-    assert free["assoc_or"] == free["comm_and"] == 4 * 50
+    # associativity and commutativity are flags: the steps between the
+    # random pairs their former axioms related are acr steps, and free
+    free = 0
+    for lhs, rhs in ac_flag_shapes():
+        for negated in (False, True):
+            if negated:
+                lhs, rhs = negate(spec, lhs), negate(spec, rhs)
+            for _ in range(50):
+                binding = {m: by_sort["formula"]() for m in "ABC"}
+                prem, conc = instantiate(spec, lhs, binding), instantiate(spec, rhs, binding)
+                for step in (Step((), systems.ac_instance(spec, prem, conc)),
+                             Step((), systems.ac_instance(spec, conc, prem))):
+                    free += step_cost(spec, PAIRS, step) == _reference_cost(step) == 0
+    assert free == 6 * 2 * 50 * 2
 
 
 def test_cost_memo_answers_each_spec_and_is_not_part_of_the_instance():

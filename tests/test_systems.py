@@ -29,10 +29,11 @@ from medial.terms import (
     equal_mod_ac,
     negate,
     parse_formula,
+    print_formula,
     subterms,
 )
 
-from helpers import enumerate_formulas, random_formula
+from helpers import ac_flag_shapes, enumerate_formulas, random_formula
 
 spec = make_p_spec()
 a, b, c, d = (Variable(n) for n in "abcd")
@@ -68,6 +69,21 @@ def test_validate_flags_repeated_rule_shape():
     # a step of either rule would be rebuilt under one label only
     twin = spec_from_text(spec_to_text(spec) + "rule: sd2 split_down & |\n")
     assert validate_spec(twin) == ["rule sd shares its shape with sd2"]
+
+
+def test_validate_reports_repeated_axiom_id():
+    # the second const_idem would replace the first in every table keyed by id
+    twin = spec_from_text(spec_to_text(spec).replace("axiom: var_idem", "axiom: const_idem"))
+    assert len(twin.axioms_by_id) == len(twin.axioms) - 1
+    assert validate_spec(twin) == ["axiom id const_idem declared 2 times"]
+
+
+def test_validate_reports_repeated_rule_id():
+    # a p1 contraction labelled c0d would be written as a step that reads
+    # back as the p0 rule of that id
+    twin = spec_from_text(spec_to_text(spec).replace("rule: c1d", "rule: c0d"))
+    assert twin.rules_by_id["c0d"].alpha == "p1"
+    assert validate_spec(twin) == ["rule id c0d declared 2 times"]
 
 
 def test_classify_relation():
@@ -217,18 +233,34 @@ def test_oriented_axioms_table():
     o = table[("or_unit", True, "bwd")]
     assert o.premise == Metavar("A", True)
     assert o.conclusion == parse_formula("(~A & T)", metavars=True)
-    silent = {o.axiom.axiom_id for o in table.values()} - {
-        o.axiom.axiom_id for o in spec.searched_axioms
-    }
-    assert silent == {f"assoc_{t}" for t in ("and", "or", "p0", "p1")} | {
-        "comm_and", "comm_or"
-    }
+    # associativity and commutativity are flags: no orientation restates them
+    assert not [o for o in table.values() if equal_mod_ac(spec, o.premise, o.conclusion)]
+
+
+def test_validate_reports_ac_silent_axioms():
+    # P's former assoc/comm axioms, each declared again, name the flag that
+    # already says what they say
+    names = ("assoc_and", "assoc_or", "assoc_p0", "assoc_p1", "comm_and", "comm_or")
+    flags = ("assoc",) * 4 + ("comm",) * 2
+    for name, (lhs, rhs), flag in zip(names, ac_flag_shapes(), flags):
+        sides = " = ".join(print_formula(p, spaces=False) for p in (lhs, rhs))
+        own = spec_from_text(spec_to_text(spec) + f"axiom: {name} {sides}\n")
+        assert validate_spec(own) == [f"axiom {name} is AC-silent: {lhs.rel} is declared {flag}"]
+    for sides, issue in (
+        ("(A&(B|C)) = (A&(C|B))", "is AC-silent: | is declared comm"),
+        ("((A&B)&C) = (C&(B&A))", "is AC-silent: & is declared comm"),
+        ("((A&B)&C) = (A&(C&B))", "is AC-silent: & is declared assoc and comm"),
+        ("(((A|B) p0 C) p0 D) = ((B|A) p0 (C p0 D))", "is AC-silent: p0 is declared assoc"),
+        ("(A|B) = (A|B)", "has one formula on both sides"),
+    ):
+        own = spec_from_text(spec_to_text(spec) + f"axiom: silent {sides}\n")
+        assert validate_spec(own) == [f"axiom silent {issue}"]
 
 
 def test_eq_step_for_agrees_with_reference_search():
-    # every one-step instance of every searched P axiom, both directions,
-    # negated or not, with formula metavariables bound to formulas of
-    # height <= 2 over {x, ~x, y}
+    # every one-step instance of every P axiom, both directions, negated or
+    # not, with formula metavariables bound to formulas of height <= 2 over
+    # {x, ~x, y}
     fresh = _fresh_p_spec()
     by_sort = {
         "formula": enumerate_formulas(2, LEAVES),
@@ -236,7 +268,7 @@ def test_eq_step_for_agrees_with_reference_search():
         "constant": CONSTANTS,
     }
     queries = {}
-    for oriented in fresh.searched_axioms:
+    for oriented in fresh.oriented_axioms.values():
         for inst in _one_step_instances(fresh, oriented, by_sort):
             queries.setdefault((inst.premise, inst.conclusion), inst)
     assert len(queries) > 10000
@@ -246,15 +278,22 @@ def test_eq_step_for_agrees_with_reference_search():
 
 
 def test_eq_step_for_ac_equal_pairs_get_acr():
-    # the AC-silent axioms (assoc, comm) are never searched: their
-    # instances, bound to atoms, are answered by a rearrangement
+    # associativity and commutativity are flags, not axioms: the pairs their
+    # former axioms related, bound to atoms, both ways and negated, are
+    # answered by a rearrangement
     fresh = _fresh_p_spec()
-    by_sort = {"formula": LEAVES, "literal": LEAVES, "constant": CONSTANTS}
-    silent = [o for o in fresh.oriented_axioms.values() if o not in fresh.searched_axioms]
-    for oriented in silent:
-        for inst in _one_step_instances(fresh, oriented, by_sort):
-            lhs, rhs = inst.premise, inst.conclusion
-            assert eq_step_for(fresh, lhs, rhs) == ac_instance(fresh, lhs, rhs)
+    pairs = 0
+    for shape in ac_flag_shapes():
+        for negated, direction in itertools.product((False, True), repeat=2):
+            lhs, rhs = (negate(fresh, p) if negated else p for p in shape)
+            if direction:
+                lhs, rhs = rhs, lhs
+            for combo in itertools.product(LEAVES, repeat=3):
+                binding = dict(zip("ABC", combo))
+                lhs_i, rhs_i = (systems.instantiate(fresh, p, binding) for p in (lhs, rhs))
+                assert eq_step_for(fresh, lhs_i, rhs_i) == ac_instance(fresh, lhs_i, rhs_i)
+                pairs += 1
+    assert pairs == 6 * 4 * 27
     lhs, rhs = parse_formula("((x & y) | z)"), parse_formula("(z | (y & x))")
     got = eq_step_for(fresh, lhs, rhs)
     assert got.rule_id == "acr" and (got.premise, got.conclusion) == (lhs, rhs)
