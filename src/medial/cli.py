@@ -71,10 +71,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    spec = resolve_system(args.system)
-    if spec.name != "P":
-        print("prove supports system P", file=sys.stderr)
-        return 2
     goal = parse_formula(args.formula)
     hyps = [parse_formula(h) for h in args.hyp]
     try:
@@ -82,7 +78,7 @@ def _cmd_prove(args) -> int:
     except NotATautology as e:
         print(f"NotATautology: {e}", file=sys.stderr)
         return 1
-    _emit(to_text(spec, d), args.out)
+    _emit(to_text(make_p_spec(), d), args.out)
     return 0
 
 
@@ -219,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default=None)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("prove", help="synthesise a tautology proof")
+    p = sub.add_parser("prove", help="synthesise a tautology proof in system P")
     p.add_argument("formula")
-    p.add_argument("--system", default="P")
     p.add_argument("--hyp", action="append", default=[])
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_prove)

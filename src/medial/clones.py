@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .system_p import evaluate
+from .system_p import all_valuations, evaluate
 from .systems import SystemError
 from .terms import Formula, variables
 
@@ -188,7 +188,4 @@ def binary_slice(funcs: Iterable[BoolFn]) -> set:
 def formula_function(f: Formula) -> BoolFn:
     """Truth table of a formula, variables in sorted name order."""
     names = sorted(variables(f))
-    rows = itertools.product((False, True), repeat=len(names))
-    return BoolFn(
-        len(names), tuple(evaluate(f, dict(zip(names, row))) for row in rows)
-    )
+    return BoolFn(len(names), tuple(evaluate(f, v) for v in all_valuations(names)))

@@ -59,7 +59,6 @@ from .terms import (
     plug,
     print_formula,
     print_memo,
-    replace_at,
     spine,
     subformula_at,
     subformula_at_sides,
@@ -294,7 +293,7 @@ def converse(spec: SystemSpec, rule: RuleInstance, negated: bool = False) -> Rul
         if negated:
             pre, con = negate(spec, pre), negate(spec, con)
         return ac_instance(spec, pre, con)
-    if rule.scheme not in (Scheme.EQ_DOWN, Scheme.EQ_UP):
+    if rule.scheme is not Scheme.EQ:
         raise NonEquationalStep(f"cannot run {rule.rule_id} backwards")
     return eq_instance(
         spec,
@@ -359,23 +358,10 @@ class Builder:
     def acr(self, sides: Sequence[str], target: Formula) -> None:
         """Rearrange the subterm at sides into target; no step when it
         already is target, JointMismatch when the two are AC-distinct."""
-        sub = subformula_at_sides(self.current, sides)
-        if sub == target:
-            return
-        try:
-            rule = ac_instance(self.spec, sub, target)
-        except SystemError:
-            raise JointMismatch(
-                f"cannot join {print_formula(sub)} with {print_formula(target)}"
-            ) from None
-        self.steps.append(Step(context_at(self.current, sides), rule))
-        self.current = replace_at(self.current, sides, target)
+        self._append(sides, target, (), target)
 
     def apply(self, sides: Sequence[str], rule: RuleInstance) -> None:
-        self.acr(sides, rule.premise)
-        ctx = context_at(self.current, sides)
-        self.steps.append(Step(ctx, rule))
-        self.current = replace_at(self.current, sides, rule.conclusion)
+        self._append(sides, rule.premise, (Step((), rule),), rule.conclusion)
 
     def apply_eq(self, sides, axiom_id, bindings, negated=False, direction="fwd"):
         self.apply(sides, eq_instance(self.spec, axiom_id, bindings, negated, direction))
@@ -398,14 +384,27 @@ class Builder:
     def splice(self, sides: Sequence[str], d: Derivation) -> None:
         """Run a whole derivation inside the subterm at sides; at the root
         its steps are reused as they are."""
-        self.acr(sides, d.premise)
         self.exact = self.exact and d.exact
-        if sides:
-            ctx = context_at(self.current, sides)
-            self.steps.extend(Step(ctx + s.context, s.rule) for s in d.steps)
-        else:
-            self.steps.extend(d.steps)
-        self.current = replace_at(self.current, sides, d.conclusion)
+        self._append(sides, d.premise, d.steps, d.conclusion)
+
+    def _append(self, sides, premise: Formula, steps, conclusion: Formula) -> None:
+        """Run the subterm at sides from premise to conclusion by steps (their
+        contexts relative to sides), after an acr step onto premise where it
+        is needed.  The context at sides is read once: every step shares it,
+        and the running formula is rebuilt from it."""
+        sub = subformula_at_sides(self.current, sides)
+        if sub is premise and not steps:
+            return
+        ctx = context_at(self.current, sides)
+        if sub is not premise:
+            try:
+                rule = ac_instance(self.spec, sub, premise)
+            except SystemError:
+                msg = f"cannot join {print_formula(sub)} with {print_formula(premise)}"
+                raise JointMismatch(msg) from None
+            self.steps.append(Step(ctx, rule))
+        self.steps.extend([Step(ctx + s.context, s.rule) for s in steps] if ctx else steps)
+        self.current = plug(ctx, conclusion)
 
     def derivation(self, conclusion: Optional[Formula] = None) -> Derivation:
         """The derivation built so far; given a conclusion, closed by an acr
@@ -429,7 +428,7 @@ def to_text(spec: SystemSpec, d: Derivation) -> str:
     for step in d.steps:
         rule = step.rule
         parts = [f"rule={rule.rule_id}"]
-        if rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
+        if rule.scheme is Scheme.EQ:
             parts.append(f"dir={rule.direction}")
         path = "".join(step.sides)
         parts.append(f"path={path or '-'}")
@@ -564,8 +563,9 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
                 f"file not exactly threaded at rule {rule_id}: "
                 f"{print_formula(sub)} vs {print_formula(rule.premise)}"
             )
-        steps.append(Step(context_at(cur, sides), rule))
-        cur = replace_at(cur, sides, rule.conclusion)
+        ctx = context_at(cur, sides)
+        steps.append(Step(ctx, rule))
+        cur = plug(ctx, rule.conclusion)
     if cur != conclusion:
         raise DerivationError("conclusion line does not match the threaded result")
     return spec, mark_exact(Derivation(premise, tuple(steps), conclusion))

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .system_p import AUDIT_BINDINGS, TRUTH_TABLES, all_valuations, audit_instances, evaluate
 from .systems import Metavar, RelationSymbol, SystemError, SystemSpec, instantiate
-from .terms import Compound, Constant, Formula, Variable, variables
+from .terms import Compound, Constant, Formula, Variable, subterms, variables
 
 # the rows evaluate reads, for the eight implication/projection relations
 R23_TABLES = {
@@ -133,17 +133,11 @@ DEPTH_P, MAX_DEPTH = 0.4, 12  # random_clone_formula's depth distribution
 
 
 def _connectives(f: Formula) -> set:
-    if isinstance(f, Compound):
-        return {f.rel} | _connectives(f.left) | _connectives(f.right)
-    return set()
+    return {t.rel for t in subterms(f) if isinstance(t, Compound)}
 
 
 def _constants(f: Formula) -> set:
-    if isinstance(f, Constant):
-        return {f.name}
-    if isinstance(f, Compound):
-        return _constants(f.left) | _constants(f.right)
-    return set()
+    return {t.name for t in subterms(f) if isinstance(t, Constant)}
 
 
 def sat_c2(f: Formula) -> dict:

@@ -45,12 +45,13 @@ from .terms import (
     PathStep,
     Variable,
     ac_canonical,
+    context_at,
     equal_mod_ac,
     is_atom,
     join,
     negate,
+    plug,
     print_formula,
-    replace_at,
     size,
     spine,
     subformula_at_sides,
@@ -181,7 +182,7 @@ def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) ->
 
 
 def in_down_fragment(step: Step) -> bool:
-    return step.rule.scheme in (Scheme.SPLIT_DOWN, Scheme.EQ_DOWN, Scheme.EQ_UP, Scheme.AC)
+    return step.rule.scheme in (Scheme.SPLIT_DOWN, Scheme.EQ, Scheme.AC)
 
 
 def first_up_index(frag: SplittableFragment, d: Derivation) -> Optional[int]:
@@ -239,19 +240,20 @@ def _alpha_kind(spec: SystemSpec, alpha: str) -> str:
 
 
 def _delete(tree: Formula, occ: tuple) -> Formula:
-    parent = occ[:-1]
-    node = subformula_at_sides(tree, parent)
-    sibling = node.right if occ[-1] == "L" else node.left
-    return replace_at(tree, parent, sibling)
+    """tree less the subterm at occ: its parent gives way to its sibling."""
+    ctx = context_at(tree, occ)
+    return plug(ctx[:-1], ctx[-1].sibling)
 
 
-def _shallow(spec: SystemSpec, beta: str, tree: Formula, occ: tuple) -> bool:
+def _shallow_depth(beta: str, tree: Formula, sides: tuple) -> int:
+    """How many of sides descend through beta nodes from tree's root; the
+    subterm at sides is beta-shallow when that is all of them."""
     cur = tree
-    for side in occ:
-        if not isinstance(cur, Compound) or cur.rel != beta:
-            return False
+    for depth, side in enumerate(sides):
+        if not (isinstance(cur, Compound) and cur.rel == beta):
+            return depth
         cur = cur.left if side == "L" else cur.right
-    return True
+    return len(sides)
 
 
 def _shallow_nodes(beta: str, tree: Formula, prefix: tuple = ()):
@@ -298,14 +300,12 @@ class _Splitter:
         """The length of d, each rule instance costed once (steps_length)."""
         return None if d is None else steps_length(self.spec, self.frag.weak, d.steps)
 
-    def _normalize(self, P: Derivation, occ: tuple, kind: str,
+    def _normalize(self, P: Derivation, node: Compound, kind: str, btree: Formula,
                    k0, k1, d, q0, q1) -> SplitResult:
-        """Pin the result endpoints to this call's exact trees."""
+        """Pin a case's parts to this call's exact trees: the node's
+        components, and btree, P's conclusion with the node deleted."""
         spec, beta = self.spec, self.beta
-        C = P.conclusion
-        node = subformula_at_sides(C, occ)
         alpha = node.rel
-        btree = _delete(C, occ)
 
         def fix_q(q, a_part, k):
             if q is None:
@@ -328,6 +328,8 @@ class _Splitter:
 
     # -- main recursion ----------------------------------------------------
     def split(self, P: Derivation, occ: tuple) -> SplitResult:
+        """Analyse the step next to P's conclusion.  Each case returns its
+        parts (k0, k1, d, q0, q1), which _normalize pins to the node."""
         self.calls += 1
         if self.calls > 200000:
             raise IrreducibleCase("splitting recursion exceeded its budget")
@@ -346,51 +348,50 @@ class _Splitter:
         node = subformula_at_sides(C, occ)
         if not isinstance(node, Compound):
             raise IrreducibleCase(f"split position holds an atom: {node}")
-        if not _shallow(spec, beta, C, occ):
+        if _shallow_depth(beta, C, occ) < len(occ):
             raise IrreducibleCase("split position is not shallow")
-        alpha = node.rel
-        if not spec.precedes(alpha, beta):
-            raise IrreducibleCase(f"{alpha} is not strictly below {beta}")
-        kind = _alpha_kind(spec, alpha)
+        if not spec.precedes(node.rel, beta):
+            raise IrreducibleCase(f"{node.rel} is not strictly below {beta}")
+        kind = _alpha_kind(spec, node.rel)
         if not P.steps:
             raise IrreducibleCase("the co-unit premise contains no split node")
         sigma = P.steps[-1]
         P1 = before_step(P, -1)
         p = tuple(sigma.sides)
-        rule = sigma.rule
+        scheme = sigma.rule.scheme
+        if scheme is Scheme.AC and P1.steps and P1.steps[-1].rule.scheme is Scheme.AC:
+            # merge adjacent rearrangements so the node stays verbatim
+            b = Builder(spec, before_step(P1, -1))
+            b.apply((), ac_instance(spec, b.current, C))
+            return self.split(b.derivation(), occ)
+        btree = _delete(C, occ)
 
-        if rule.scheme is Scheme.AC:
-            if P1.steps and P1.steps[-1].rule.scheme is Scheme.AC:
-                # merge adjacent rearrangements so the node stays verbatim
-                b = Builder(spec, before_step(P1, -1))
-                b.apply((), ac_instance(spec, b.current, P.conclusion))
-                return self.split(b.derivation(), occ)
+        if scheme is Scheme.AC:
             found = _find_aligned_occ(spec, beta, P1.conclusion, node)
-            if found is not None:
-                occ2, swapped = found
-                res = self.split(P1, occ2)
-                if swapped:
-                    k0, k1, q0, q1 = res.k1, res.k0, res.q1, res.q0
-                else:
-                    k0, k1, q0, q1 = res.k0, res.k1, res.q0, res.q1
-                return self._normalize(P, occ, kind, k0, k1, res.d, q0, q1)
-            return self._regrouped(P, P1, occ, node, kind)
+            if found is None:
+                parts = self._regrouped(P1, node, kind)
+            else:
+                res = self.split(P1, found[0])
+                parts = (res.k1, res.k0, res.d, res.q1, res.q0) if found[1] else (
+                    res.k0, res.k1, res.d, res.q0, res.q1)
+        elif len(p) > len(occ) and _is_prefix(occ, p):
+            parts = self._inside_component(P1, occ, sigma)
+        elif p == occ:
+            if scheme is not Scheme.EQ:
+                raise IrreducibleCase(f"{sigma.rule.rule_id} rewrites the split node directly")
+            parts = self._at_node_eq(P1, occ, sigma, kind, btree)
+        elif _is_prefix(p, occ):
+            if scheme is Scheme.SPLIT_DOWN:
+                parts = self._under_split_down(P1, occ, sigma, node)
+            elif scheme is Scheme.EQ:
+                parts = self._under_eq(P1, occ, sigma)
+            else:
+                raise IrreducibleCase(f"{sigma.rule.rule_id} above the split node")
+        else:
+            parts = self._disjoint(P1, occ, sigma)
+        return self._normalize(P, node, kind, btree, *parts)
 
-        if len(p) > len(occ) and _is_prefix(occ, p):
-            return self._inside_component(P, P1, occ, sigma, kind)
-        if p == occ:
-            if rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
-                return self._at_node_eq(P, P1, occ, sigma, kind)
-            raise IrreducibleCase(f"{rule.rule_id} rewrites the split node directly")
-        if _is_prefix(p, occ):
-            if rule.scheme is Scheme.SPLIT_DOWN:
-                return self._under_split_down(P, P1, occ, sigma, kind)
-            if rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
-                return self._under_eq(P, P1, occ, sigma, kind)
-            raise IrreducibleCase(f"{rule.rule_id} above the split node")
-        return self._disjoint(P, P1, occ, sigma, kind)
-
-    def _regrouped(self, P, P1, occ, node, kind) -> SplitResult:
+    def _regrouped(self, P1, node, kind) -> tuple:
         """A rearrangement step regrouped the node's spine: atomize a
         class-equal occurrence into per-element proofs and rejoin them
         following the designated reading's grouping."""
@@ -429,7 +430,7 @@ class _Splitter:
             pos = ("R",) * li + (("L",) if ri < len(blocks) - 1 else ())
             d.splice(pos, rem)
             blocks[li : ri + 1] = [(pid, rem.conclusion)]
-        return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
+        return k0, k1, d.derivation(), q0, q1
 
     def _atomize(self, q: Derivation, tree: Formula, alpha: str, ids, by_class: dict,
                  chain: list) -> int:
@@ -472,7 +473,7 @@ class _Splitter:
         return b.derivation(Compound(beta, tree, k)), k
 
     # -- cases -------------------------------------------------------------
-    def _inside_component(self, P, P1, occ, sigma, kind) -> SplitResult:
+    def _inside_component(self, P1, occ, sigma) -> tuple:
         """The step rewrites inside one component of the node."""
         res = self.split(P1, occ)
         side, *rel_path = sigma.sides[len(occ) :]
@@ -482,7 +483,7 @@ class _Splitter:
             b = Builder(self.spec, qs[host])
             b.apply(("L", *rel_path), sigma.rule)
             qs[host] = b.derivation()
-        return self._normalize(P, occ, kind, res.k0, res.k1, res.d, *qs)
+        return (res.k0, res.k1, res.d, *qs)
 
     def _make_pair_proof(self, atom: Formula) -> Derivation:
         """~u_beta -> (atom beta ~atom) for an atomic literal or constant."""
@@ -492,14 +493,13 @@ class _Splitter:
                     "annihilation axiom for the split component")
         return b.derivation()
 
-    def _at_node_eq(self, P, P1, occ, sigma, kind) -> SplitResult:
+    def _at_node_eq(self, P1, occ, sigma, kind, btree) -> tuple:
         spec, beta = self.spec, self.beta
         node = sigma.rule.conclusion
         a0, a1 = node.left, node.right
         alpha = node.rel
         na = spec.dual(alpha)
         s_pre = sigma.rule.premise
-        btree = _delete(P.conclusion, occ)
 
         if is_atom(s_pre) and s_pre not in (a0, a1):
             if not (is_atom(a0) and is_atom(a1)):
@@ -511,7 +511,7 @@ class _Splitter:
             d.apply((), converse(spec, sigma.rule, negated=True))  # ~node -> ~s_pre
             padded = Builder(spec, P1).derivation(Compound(beta, s_pre, btree))
             d.splice((), atomic_deduction(spec, beta, s_pre, btree, padded))
-            return self._normalize(P, occ, kind, k0, k1, d.derivation(), q0, q1)
+            return k0, k1, d.derivation(), q0, q1
 
         if s_pre == a0 or s_pre == a1:
             # unit or weakening expansion at the node; the kept side is read
@@ -550,15 +550,12 @@ class _Splitter:
                 _eq_rewrite(d, (), btree, "weakening erasure")
             else:
                 raise IrreducibleCase("expansion on the erased side of a weakening")
-            return self._normalize(
-                P, occ, kind, *ordered(btree, k_other), d.derivation(),
-                *ordered(q_kept, q_other),
-            )
+            return (*ordered(btree, k_other), d.derivation(), *ordered(q_kept, q_other))
         # wrapping equations (a bare metavariable conclusion pattern) are
         # handled by the generic relocation
-        return self._under_eq(P, P1, occ, sigma, kind)
+        return self._under_eq(P1, occ, sigma)
 
-    def _under_split_down(self, P, P1, occ, sigma, kind) -> SplitResult:
+    def _under_split_down(self, P1, occ, sigma, node) -> tuple:
         spec, beta = self.spec, self.beta
         rule = sigma.rule
         a2, b2 = rule.relations
@@ -566,7 +563,6 @@ class _Splitter:
             raise IrreducibleCase("splitting step over a foreign weak relation")
         p = tuple(sigma.sides)
         rel = occ[len(p) :]
-        node = subformula_at_sides(P.conclusion, occ)
         alpha = node.rel
         na = spec.dual(alpha)
         if rel in (("L",), ("R",)):
@@ -594,12 +590,12 @@ class _Splitter:
             else:
                 raise IrreducibleCase("dual relation unusable under the split node")
             d.splice(("R",), res.d)
-            return self._normalize(P, occ, kind, k0, k1, d.derivation(), res.q0, res.q1)
+            return k0, k1, d.derivation(), res.q0, res.q1
         if rel[0] == "R" and spec.dual(a2) == beta:
-            return self._spine_split(P, P1, occ, sigma, kind, rel)
+            return self._spine_split(P1, sigma, rel)
         raise IrreducibleCase("split node buried by a splitting step")
 
-    def _spine_split(self, P, P1, occ, sigma, kind, rel) -> SplitResult:
+    def _spine_split(self, P1, sigma, rel) -> tuple:
         """The bottom step merges (X b Y) ~b (Z b W) into the spine and the
         split node sits inside Y or W."""
         spec, beta = self.spec, self.beta
@@ -622,20 +618,9 @@ class _Splitter:
         d = Builder(spec, res2.d)
         # conclusion: (keep b partdel) b K, K the host's remainder, or
         # (keep b K) if the whole component was the split node
-        cur = d.current
-        if isinstance(cur, Compound) and cur.rel == beta and cur.left == keep:
-            kpath = ("L",)
-        elif (
-            isinstance(cur, Compound)
-            and cur.rel == beta
-            and isinstance(cur.left, Compound)
-            and cur.left.left == keep
-        ):
-            kpath = ("L", "L")
-        else:
-            kpath = _find_shallow_occ(spec, beta, cur, keep)
-            if kpath is None:
-                raise IrreducibleCase("lost the kept component in a spine split")
+        kpath = _find_shallow_occ(spec, beta, d.current, keep)
+        if kpath is None:
+            raise IrreducibleCase("lost the kept component in a spine split")
         _pad(self.frag, d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
         d.splice(kpath + ("R",), other)
         za, zb = away
@@ -652,27 +637,20 @@ class _Splitter:
         _eq_rewrite(d, (), join(beta, rest), "unit removal")
         d.acr((), self._arrange_with_pair(d.current, res1.k0, res1.k1))
         d.splice(("R",), res1.d)
-        return self._normalize(
-            P, occ, kind, res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1
-        )
+        return res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1
 
     def _arrange_with_pair(self, cur: Formula, k0: Formula, k1: Formula) -> Formula:
         """Arrange cur as (rest b (k0 b k1)) so an outer proof can continue."""
         spec, beta = self.spec, self.beta
-        elems = list(spine(spec, cur, beta))
-        for k in (k0, k1):
-            for part in spine(spec, k, beta):
-                for i, e in enumerate(elems):
-                    if equal_mod_ac(spec, e, part):
-                        del elems[i]
-                        break
-                else:
-                    raise IrreducibleCase("missing component remainder in spine split")
-        if not elems:
+        pair = Compound(beta, k0, k1)
+        rest = _element_diff(spec, beta, cur, pair)
+        if len(rest) + len(spine(spec, pair, beta)) != len(spine(spec, cur, beta)):
+            raise IrreducibleCase("missing component remainder in spine split")
+        if not rest:
             raise IrreducibleCase("spine split left no remainder")
-        return Compound(beta, join(beta, elems), Compound(beta, k0, k1))
+        return Compound(beta, join(beta, rest), pair)
 
-    def _under_eq(self, P, P1, occ, sigma, kind) -> SplitResult:
+    def _under_eq(self, P1, occ, sigma) -> tuple:
         spec, beta = self.spec, self.beta
         rule = sigma.rule
         p = tuple(sigma.sides)
@@ -688,16 +666,16 @@ class _Splitter:
             depth += 1
         if not isinstance(pat, Metavar) or pat.negated or pat.sort != "formula":
             # the node may be the kept side of an erasing weakening
-            return self._triad(P, P1, occ, sigma, kind)
+            return self._triad(P1, occ, sigma)
         m_name = pat.name
         r_m = rel[depth:]
         pre_occs = _metavar_paths(pp, m_name)
         con_occs = _metavar_paths(pc, m_name)
         if len(pre_occs) != 1 or len(con_occs) != 1:
-            return self._triad(P, P1, occ, sigma, kind)
+            return self._triad(P1, occ, sigma)
         occ2 = p + pre_occs[0] + r_m
-        if not _shallow(spec, beta, P1.conclusion, occ2):
-            return self._triad(P, P1, occ, sigma, kind)
+        if _shallow_depth(beta, P1.conclusion, occ2) < len(occ2):
+            return self._triad(P1, occ, sigma)
         res = self.split(P1, occ2)
         # patch d from the recursion's remainder towards delete(C, occ); a
         # step that wrapped or unwrapped the whole node (r_m empty) leaves
@@ -707,9 +685,9 @@ class _Splitter:
             new_binding = dict(bindings)
             new_binding[m_name] = _delete(bindings[m_name], r_m)
             d.apply(_relocate_after_delete(p, occ2), oriented.instance(spec, new_binding))
-        return self._normalize(P, occ, kind, res.k0, res.k1, d.derivation(), res.q0, res.q1)
+        return res.k0, res.k1, d.derivation(), res.q0, res.q1
 
-    def _triad(self, P, P1, occ, sigma, kind) -> SplitResult:
+    def _triad(self, P1, occ, sigma) -> tuple:
         """Erasing weakening above the node: split at the erased relation,
         then split the kept component (the paper's weakening case triad)."""
         spec, beta = self.spec, self.beta
@@ -738,21 +716,18 @@ class _Splitter:
         # erased side, to the outer remainder
         k_kept = res1.k0 if kept_side == "L" else res1.k1
         d = Builder(spec, res2.d)
-        kpos = next((p for p, f in _shallow_nodes(beta, d.current) if f == k_kept), None)
+        kpos = _find_shallow_occ(spec, beta, d.current, k_kept)
         if kpos is None:
             raise IrreducibleCase("lost the component remainder after erasure")
         _eq_rewrite(d, kpos, Compound(spec.dual(gamma), res1.k0, res1.k1), "re-expansion")
         d.splice(kpos, res1.d)
-        return self._normalize(P, occ, kind, res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1)
+        return res2.k0, res2.k1, d.derivation(), res2.q0, res2.q1
 
-    def _disjoint(self, P, P1, occ, sigma, kind) -> SplitResult:
-        spec = self.spec
+    def _disjoint(self, P1, occ, sigma) -> tuple:
         res = self.split(P1, occ)
-        p = tuple(sigma.sides)
-        p2 = _relocate_after_delete(p, occ)
-        d = Builder(spec, res.d)
-        d.apply(p2, sigma.rule)
-        return self._normalize(P, occ, kind, res.k0, res.k1, d.derivation(), res.q0, res.q1)
+        d = Builder(self.spec, res.d)
+        d.apply(_relocate_after_delete(sigma.sides, occ), sigma.rule)
+        return res.k0, res.k1, d.derivation(), res.q0, res.q1
 
 
 def _metavar_paths(pattern: Formula, name: str, prefix: tuple = ()) -> list:
@@ -827,13 +802,16 @@ def _steer_units(frag: SplittableFragment, beta: str, u: Formula, b: Builder,
 
 
 def _element_diff(spec: SystemSpec, beta: str, big: Formula, small: Formula) -> list:
-    """Multiset difference of beta-spine elements (AC-canonical keys)."""
-    big_elems = [ac_canonical(spec, e) for e in spine(spec, big, beta)]
-    small_elems = [ac_canonical(spec, e) for e in spine(spec, small, beta)]
-    for e in small_elems:
-        if e in big_elems:
-            big_elems.remove(e)
-    return big_elems
+    """big's beta-spine elements in order, less one AC-equal element for
+    each of small's that has one (a multiset difference modulo AC)."""
+    elems = spine(spec, big, beta)
+    keys = [ac_canonical(spec, e) for e in elems]
+    for e in spine(spec, small, beta):
+        key = ac_canonical(spec, e)
+        if key in keys:
+            i = keys.index(key)
+            del keys[i], elems[i]
+    return elems
 
 
 def shallow_split(
@@ -921,17 +899,11 @@ def context_reduce(
     hole_sides = tuple(hole_sides)
     beta, u, nu = frag.weak_for(P.premise)
     C = P.conclusion
-    hole_formula = subformula_at_sides(C, hole_sides)
+    ctx = context_at(C, hole_sides)
+    s_hole = plug(ctx, HOLE)  # C with the hole in place of the subterm
+    depth = _shallow_depth(beta, C, hole_sides)
 
-    depth = None
-    cur = C
-    for i, side in enumerate(hole_sides):
-        if not (isinstance(cur, Compound) and cur.rel == beta):
-            depth = i
-            break
-        cur = cur.left if side == "L" else cur.right
-
-    if depth is None:
+    if depth == len(hole_sides):
         if hole_sides == ():
             qb = Builder(spec, P)
             _pad(frag, qb, (), Compound(beta, C, u), "shallow case pad")
@@ -939,9 +911,10 @@ def context_reduce(
             _eq_rewrite(cb, (), HOLE, "shallow case close")
             return ContextReduction(u, cb.derivation(), qb.derivation())
         k = _delete(C, hole_sides)
-        q = Builder(spec, P).derivation(Compound(beta, hole_formula, k))
+        q = Builder(spec, P).derivation(
+            Compound(beta, subformula_at_sides(C, hole_sides), k))
         cb = Builder(spec, Compound(beta, HOLE, k))
-        cb.acr((), replace_at(C, hole_sides, HOLE))
+        cb.acr((), s_hole)
         return ContextReduction(k, cb.derivation(), q)
 
     pi0 = hole_sides[:depth]
@@ -955,8 +928,7 @@ def context_reduce(
     rec = context_reduce(frag, host, ("L",) + hole_sides[depth + 1 :], recorder)
 
     e0, e1 = enode.left, enode.right
-    inner = hole_sides[depth + 1 :]
-    s_h = replace_at(e0 if side == "L" else e1, inner, HOLE)
+    s_h = plug(ctx[depth + 1 :], HOLE)
     a0, a1 = (s_h, e1) if side == "L" else (e0, s_h)
     b = Builder(spec, rec.ctx)  # ends at (s_h beta k0), or (s_h beta k1) for side R
     if split.kind == "unitary":
@@ -973,7 +945,7 @@ def context_reduce(
         (), Scheme.SPLIT_DOWN, dict(A=a0, B=split.k0, C=a1, D=split.k1), delta, beta
     )
     b.splice(("R",), split.d)
-    _steer_units(frag, beta, u, b, replace_at(C, hole_sides, HOLE), "context rebuild")
+    _steer_units(frag, beta, u, b, s_hole, "context rebuild")
     return ContextReduction(rec.k, b.derivation(), rec.q)
 
 
@@ -1112,7 +1084,7 @@ def eliminate_all_up(
 ) -> Derivation:
     """Repeatedly remove the up-step nearest the premise."""
     while True:
-        i = first_up_index(frag, P)
-        if i is None:
+        Q = eliminate_up_step(frag, P, recorder)
+        if Q is P:
             return P
-        P = eliminate_up_step(frag, P, recorder)
+        P = Q

@@ -67,8 +67,7 @@ class Scheme(Enum):
     SPLIT_UP = "split_up"
     CONTRACT_DOWN = "contract_down"
     CONTRACT_UP = "contract_up"
-    EQ_DOWN = "eq_down"
-    EQ_UP = "eq_up"
+    EQ = "eq_down"  # equational; RuleInstance.negated marks the negated axiom
     AC = "ac"  # bookkeeping rearrangement within the silent AC theory
 
     @property
@@ -166,7 +165,7 @@ class OrientedAxiom(NamedTuple):
             if not _sort_ok(spec, sort, bindings[name]):
                 raise SortViolation(f"binding for {name} violates sort {sort}")
         return RuleInstance(
-            scheme=Scheme.EQ_UP if self.negated else Scheme.EQ_DOWN,
+            scheme=Scheme.EQ,
             rule_id=self.rule_id,
             premise=instantiate(spec, self.premise, bindings),
             conclusion=instantiate(spec, self.conclusion, bindings),
@@ -473,7 +472,7 @@ def instantiate_rule(
     """Build the fully instantiated medial rule for one scheme, labelled by
     the one declared rule of that shape."""
     if not scheme.is_medial:
-        raise SystemError("instantiate_rule builds medial schemes only")
+        raise SystemError(f"{scheme.value} is not a medial scheme")
     if not _side_condition_ok(spec, scheme, alpha, beta):
         raise SideConditionViolated(f"{scheme.value} needs order between {alpha},{beta}")
     decl = spec.rule_for(scheme, alpha, beta)
@@ -674,6 +673,15 @@ def validate_spec(spec: SystemSpec) -> list[str]:
     for c in spec.constants:
         if c not in spec.constant_negation:
             issues.append(f"constant lacks negation entry: {c}")
+    # the unit and weakening probes below negate every axiom
+    unusable = []
+    for ax in spec.axioms:
+        try:
+            negate(spec, ax.lhs), negate(spec, ax.rhs)
+        except UnknownSymbolError as e:
+            unusable.append(f"axiom {ax.axiom_id} cannot be negated: no negation declared for {e}")
+    if unusable:
+        return issues + unusable
     for r in spec.relations.values():
         flags = [r.unitary is not None, r.right_weakening, r.left_weakening]
         if sum(flags) > 1:
@@ -708,7 +716,12 @@ def validate_spec(spec: SystemSpec) -> list[str]:
             rel, flag = _ac_flag(spec, ax.lhs, ax.rhs)
             issues.append(f"axiom {ax.axiom_id} is AC-silent: {rel} is declared {flag}")
     # check rebuilds a medial step under the one rule its shape names
+    probe = dict.fromkeys("ABCD", Variable("w"))
     for r in spec.rules:
+        try:
+            instantiate_rule(spec, r.scheme, probe, r.alpha, r.beta)
+        except SystemError as e:
+            issues.append(f"rule {r.rule_id} cannot be instantiated: {e}")
         other = spec.rule_for(r.scheme, r.alpha, r.beta)
         if other is not r:
             issues.append(f"rule {r.rule_id} shares its shape with {other.rule_id}")

@@ -201,10 +201,14 @@ def variables(f: Formula) -> set[str]:
 
 
 def subterms(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Compound):
-        yield from subterms(f.left)
-        yield from subterms(f.right)
+    """f and its subterms in pre-order, left before right; the walk keeps
+    its own stack, so a deep formula costs no recursion."""
+    stack = [f]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, Compound):
+            stack += (t.right, t.left)
 
 
 def size(f: Formula) -> int:
@@ -287,16 +291,6 @@ def subformula_at_sides(f: Formula, sides: Sequence[str]) -> Formula:
             raise PathMismatch(f"path descends below atom {cur}")
         cur = cur.left if side == "L" else cur.right
     return cur
-
-
-def replace_at(f: Formula, sides: Sequence[str], sub: Formula) -> Formula:
-    if not sides:
-        return sub
-    if not isinstance(f, Compound):
-        raise PathMismatch(f"path descends below atom {f}")
-    if sides[0] == "L":
-        return Compound(f.rel, replace_at(f.left, sides[1:], sub), f.right)
-    return Compound(f.rel, f.left, replace_at(f.right, sides[1:], sub))
 
 
 # ---------------------------------------------------------------------------

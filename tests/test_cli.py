@@ -179,6 +179,10 @@ def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+# a command that loads the descriptor it is given
+LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -187,18 +191,18 @@ def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
         (["bench", "--clone", "C2", "--vars", "a"], "argument --vars"),
         (["bench", "--clone", "C3", "--sizes", "10,,20"], "argument --sizes"),
         (["split", "{em}", "--at", "ZZ"], "bad path 'ZZ'"),
-        (["prove", "x", "--system", "{spec}"], "malformed axiom line: axiom: foo"),
-        (["prove", "x", "--system", "{kind}"], "line 13: malformed axiom line: axiom: or_unit"),
-        (["prove", "x", "--system", "{unbalanced}"], "line 13: unexpected end of input"),
-        (["prove", "x", "--system", "{sortless}"],
-         "line 13: metavariable Q has no sort convention"),
-        (["prove", "x", "--system", "{silent}"],
-         "axiom comm_and is AC-silent: & is declared comm"),
+        (LEMMA + ["{spec}"], "malformed axiom line: axiom: foo"),
+        (LEMMA + ["{kind}"], "line 13: malformed axiom line: axiom: or_unit"),
+        (LEMMA + ["{unbalanced}"], "line 13: unexpected end of input"),
+        (LEMMA + ["{sortless}"], "line 13: metavariable Q has no sort convention"),
+        (LEMMA + ["{silent}"], "axiom comm_and is AC-silent: & is declared comm"),
         (["audit", "--system", "{twice}"], "rule id c0d declared 2 times"),
+        (LEMMA + ["{foreign}"], "axiom foo cannot be negated: no negation declared for zz"),
+        (["audit", "--system", "{unusable}"], "rule x cannot be instantiated"),
     ],
     ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "split-path",
          "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
-         "spec-ac-silent", "spec-repeated-id"],
+         "spec-ac-silent", "spec-repeated-id", "spec-foreign-axiom", "spec-unusable-rule"],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
     em = tmp_path / "em.drv"
@@ -212,6 +216,8 @@ def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
         "sortless": text.replace("(A|F) = A", "(Q|F) = Q"),
         "silent": text + "axiom: comm_and (A&B) = (B&A)\n",
         "twice": text.replace("rule: c1d", "rule: c0d"),
+        "foreign": text + "axiom: foo (A zz B) = A\n",
+        "unusable": text + "rule: x split_down & zz\n",
     }
     for name, body in specs.items():
         specs[name] = tmp_path / f"{name}.spec"

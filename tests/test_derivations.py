@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from medial.cli import run
 from medial.derivations import (
     Builder,
     Derivation,
@@ -26,6 +27,7 @@ from medial.terms import (
     Constant,
     Metavar,
     Variable,
+    join,
     negate,
     parse_formula,
     print_formula,
@@ -48,6 +50,21 @@ def test_check_one_step():
     d = em_step_derivation()
     assert d.conclusion == parse_formula("(x | ~x)")
     assert check(spec, d) is None
+
+
+def test_step_deep_in_a_long_chain(tmp_path):
+    # the step's path is 1,499 deep, beyond the default recursion limit:
+    # appending, printing, reading back and checking it walk without recursing
+    chain = join("|", [x] * 1500)
+    b = Builder(spec, chain)
+    b.apply_eq(("R",) * 1499, "or_unit", dict(A=x), direction="bwd")
+    d = b.derivation()
+    text = to_text(spec, d)
+    assert from_text(text, lambda name: spec)[1] == d
+    assert check(spec, d) is None
+    path = tmp_path / "deep.drv"
+    path.write_text(text)
+    assert run(["check", str(path)]) == 0
 
 
 def test_check_thread_broken():

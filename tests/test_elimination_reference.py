@@ -173,7 +173,7 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
     costs = collections.Counter()
     for d in corpus + eliminated + synthesised:
         for step in d.steps:
-            if step.rule.scheme in (Scheme.EQ_DOWN, Scheme.EQ_UP):
+            if step.rule.scheme is Scheme.EQ:
                 cost = step_cost(spec, PAIRS, step)
                 assert cost == _reference_cost(step), step.rule
                 costs[cost] += 1

@@ -86,6 +86,28 @@ def test_validate_reports_repeated_rule_id():
     assert validate_spec(twin) == ["rule id c0d declared 2 times"]
 
 
+def test_validate_reports_axiom_with_undeclared_symbol():
+    # reported before the unit probe, which would negate zz
+    own = spec_from_text(spec_to_text(spec) + "axiom: foo (A zz B) = A\n")
+    assert validate_spec(own) == ["axiom foo cannot be negated: no negation declared for zz"]
+    own = spec_from_text(spec_to_text(spec).replace("negation: F = T\n", ""))
+    assert [i for i in validate_spec(own) if i.startswith("axiom")] == [
+        "axiom or_unit cannot be negated: no negation declared for F",
+        "axiom and_false cannot be negated: no negation declared for F",
+    ]
+
+
+def test_validate_reports_rules_that_cannot_be_instantiated():
+    text = spec_to_text(spec)
+    for line, issue in (
+        ("rule: x split_down & zz", "split_down needs order between &,zz"),
+        ("rule: x eq_down & |", "eq_down is not a medial scheme"),
+        ("rule: x split_up & |", "split_up needs order between &,|"),
+    ):
+        issues = validate_spec(spec_from_text(text + line + "\n"))
+        assert issues == [f"rule x cannot be instantiated: {issue}"]
+
+
 def test_classify_relation():
     assert classify_relation(spec, "&") == "strong"
     assert classify_relation(spec, "|") == "weak"
