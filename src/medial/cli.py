@@ -87,11 +87,8 @@ def _cmd_prove_lemma(args) -> int:
     f = parse_formula(args.formula)
     if args.lemma == "excluded-middle":
         d = derive_excluded_middle(spec, args.rel or "&", f)
-    elif args.lemma == "contraction":
-        d = derive_contraction(spec, args.rel or "|", f)
     else:
-        print(f"unknown lemma {args.lemma}", file=sys.stderr)
-        return 2
+        d = derive_contraction(spec, args.rel or "|", f)
     _emit(to_text(spec, d), args.out)
     return 0
 

@@ -4,6 +4,7 @@ satisfiability harness."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -37,23 +38,18 @@ class VarCap(SystemError):
     pass
 
 
-_R23_SPEC: Optional[SystemSpec] = None
-
-
+@functools.cache
 def make_r23_spec() -> SystemSpec:
     """Relations and negation only: the rule set ships without an
     equational theory, so derivation checking stays out of scope."""
-    global _R23_SPEC
-    if _R23_SPEC is None:
-        _R23_SPEC = SystemSpec(
-            name="R23",
-            constants=("T", "F"),
-            constant_negation={"T": "F", "F": "T"},
-            relations=tuple(
-                RelationSymbol(name, R23_NEGATION[name]) for name in R23_TABLES
-            ),
-        )
-    return _R23_SPEC
+    return SystemSpec(
+        name="R23",
+        constants=("T", "F"),
+        constant_negation={"T": "F", "F": "T"},
+        relations=tuple(
+            RelationSymbol(name, R23_NEGATION[name]) for name in R23_TABLES
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ auditor, truth-table line proofs and the tautology proof synthesiser."""
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .derivations import (
@@ -46,10 +46,6 @@ AND, OR, P0, P1 = "&", "|", "p0", "p1"
 
 
 class UnboundVariable(SystemError):
-    pass
-
-
-class VarNotInShape(SystemError):
     pass
 
 
@@ -99,14 +95,9 @@ _P_RULES = (
     RuleDecl("c1u", Scheme.CONTRACT_UP, P1, AND),
 )
 
-_P_SPEC: Optional[SystemSpec] = None
-
-
+@functools.cache
 def make_p_spec() -> SystemSpec:
     """The validated system P, built once per process and shared."""
-    global _P_SPEC
-    if _P_SPEC is not None:
-        return _P_SPEC
     spec = SystemSpec(
         name="P",
         constants=("T", "F"),
@@ -124,7 +115,6 @@ def make_p_spec() -> SystemSpec:
     issues = validate_spec(spec)
     if issues:
         raise SystemError(f"system P failed validation: {issues}")
-    _P_SPEC = spec
     return spec
 
 
@@ -201,34 +191,12 @@ def audit_soundness(spec: Optional[SystemSpec] = None) -> list[tuple[str, bool]]
 
 
 # ---------------------------------------------------------------------------
-# Truth-table lines and the literal-signing map
-
-
-@dataclass(frozen=True)
-class LineLiteralizer:
-    line: int
-    variables: tuple
-
-    def __post_init__(self):
-        if not 0 <= self.line < 2 ** len(self.variables):
-            raise SystemError(f"line {self.line} out of range")
-
-    def valuation(self) -> dict:
-        n = len(self.variables)
-        return {
-            name: bool((self.line >> (n - 1 - i)) & 1)
-            for i, name in enumerate(self.variables)
-        }
-
-
-def tau(lit: LineLiteralizer, item) -> Formula:
-    """Sign an item by its truth-table entry at the line: unchanged when the
-    entry is T, negated when F."""
-    if isinstance(item, str):
-        item = Variable(item)
-    val = lit.valuation()
-    spec = make_p_spec()
-    return item if evaluate(item, val) else negate(spec, item)
+# Line proofs (compactness) and the tautology synthesiser (completeness)
+#
+# Clause states are grown from T-seeds: the pair axioms produce a literal
+# together with its partner, duplication and partner-merging turn the seed
+# into any needed false literal while keeping a T element alive, and the
+# final seed hosts the one true part of the clause.
 
 
 def opposite_literal(name: str, valuation: Mapping[str, bool]) -> Variable:
@@ -236,38 +204,17 @@ def opposite_literal(name: str, valuation: Mapping[str, bool]) -> Variable:
     return Variable(name, negated=bool(valuation[name]))
 
 
+def _clause(w: Formula, names: Iterable[str], valuation: Mapping[str, bool]) -> Formula:
+    """(w | J), J joining the literal over each of names that is false at
+    the valuation; bare w when names is empty."""
+    opposites = [opposite_literal(n, valuation) for n in names]
+    return Compound(OR, w, join(OR, opposites)) if opposites else w
+
+
 def _selection(w: Compound) -> tuple:
     """The argument a projection keeps and the select axiom that drops the
     other; both select axioms bind A and B to the left and right arguments."""
     return (w.left, "p0_select") if w.rel == P0 else (w.right, "p1_select")
-
-
-def projection_chain(target: Formula, shape: Formula) -> Derivation:
-    """Equational derivation from a projection nest onto the literal it
-    selects."""
-    spec = make_p_spec()
-    if isinstance(target, str):
-        target = Variable(target)
-    b = Builder(spec, shape)
-    cur = shape
-    while isinstance(cur, Compound):
-        kept, axiom = _selection(cur)
-        if cur.rel not in (P0, P1) or target.name not in variables(kept):
-            raise VarNotInShape(f"{target} not reachable in {shape}")
-        b.apply_eq((), axiom, dict(A=cur.left, B=cur.right))
-        cur = kept
-    if cur != target:
-        raise VarNotInShape(f"chain ends at {cur}, not {target}")
-    return b.derivation(target)
-
-
-# ---------------------------------------------------------------------------
-# Line proofs (compactness) and the tautology synthesiser (completeness)
-#
-# Clause states are grown from T-seeds: the pair axioms produce a literal
-# together with its partner, duplication and partner-merging turn the seed
-# into any needed false literal while keeping a T element alive, and the
-# final seed hosts the one true part of the clause.
 
 
 def _insert_atom_at_t(b: Builder, tpath: tuple, atom: Formula,
@@ -290,20 +237,13 @@ def _insert_atom_at_t(b: Builder, tpath: tuple, atom: Formula,
     b.apply_eq(tpath + ("R",), "var_em", dict(X=live))
 
 
-def _rest_elements(spec: SystemSpec, clause: Formula) -> list:
-    """Elements of a seeded clause (T | rest) with exactly one seed removed."""
-    elems = spine(spec, clause, OR)
-    out = list(elems)
-    out.remove(T)
-    return out
-
-
 def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
                   valuation: Mapping[str, bool]) -> Derivation:
     """Given P from T to a clause (T | rest) (or bare T), return a proof of
     (T | element | rest).  The element may be semantically dead; the clause
     keeps a live T seed throughout."""
-    old_rest = _rest_elements(spec, P.conclusion)
+    old_rest = spine(spec, P.conclusion, OR)
+    old_rest.remove(T)
 
     def arranged(new: Formula) -> Formula:
         return Compound(OR, T, join(OR, [new] + old_rest))
@@ -329,33 +269,35 @@ def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
             out = _chain_insert(spec, part, out, valuation)
         return out
     # conjunction: two supported sub-clauses, one split, one contraction
-    d0 = _chain_insert(spec, element.left, P, valuation)
-    d1 = _chain_insert(spec, element.right, P, valuation)
     base = P.conclusion  # (T | rest) or T
-    b3 = Builder(spec, T)
-    b3.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
-    b3.splice(("L",), d0)
-    b3.acr(("L",), Compound(OR, element.left, base))
-    b3.splice(("R",), d1)
-    b3.acr(("R",), Compound(OR, element.right, base))
-    b3.apply_scheme(
-        (), Scheme.SPLIT_DOWN,
-        dict(A=element.left, B=base, C=element.right, D=base), AND, OR,
+    b3 = _conjoin(
+        spec, element.left, element.right, base,
+        _chain_insert(spec, element.left, P, valuation),
+        _chain_insert(spec, element.right, P, valuation),
     )
     b3.splice(("R",), derive_contraction(spec, OR, base))
     b3.acr((), arranged(element))
     return b3.derivation()
 
 
+def _conjoin(spec: SystemSpec, a: Formula, c: Formula, rest: Formula,
+             d_a: Derivation, d_c: Derivation) -> Builder:
+    """A builder from T to ((a & c) | (rest | rest)): proofs d_a of
+    (a | rest) and d_c of (c | rest) side by side in (T & T), then sd."""
+    b = Builder(spec, T)
+    b.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
+    b.splice(("L",), d_a)
+    b.acr(("L",), Compound(OR, a, rest))
+    b.splice(("R",), d_c)
+    b.acr(("R",), Compound(OR, c, rest))
+    b.apply_scheme((), Scheme.SPLIT_DOWN, dict(A=a, B=rest, C=c, D=rest), AND, OR)
+    return b
+
+
 def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivation:
     """Proof of (w | J) from T, where w is true at the valuation and J joins
     one false literal per variable of w (sorted); bare w when w is closed."""
-    names = sorted(variables(w))
-    target = (
-        Compound(OR, w, join(OR, [opposite_literal(n, valuation) for n in names]))
-        if names
-        else w
-    )
+    target = _clause(w, sorted(variables(w)), valuation)
     if is_atom(w):
         if isinstance(w, Constant):
             if w != T:
@@ -380,31 +322,25 @@ def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivat
         return b.derivation(target)
     if w.rel in (P0, P1):
         kept, axiom = _selection(w)
-        pads = sorted(variables(w) - variables(kept))
-        P = identity(T)
-        for name in reversed(pads):
-            P = _chain_insert(spec, opposite_literal(name, valuation), P, valuation)
-        b = Builder(spec, P)
-        tpath = () if b.current == T else ("L",)
-        sub = _pos(spec, kept, valuation)
-        b.splice(tpath, sub)
-        kpath = tpath if sub.conclusion == kept else tpath + ("L",)
-        b.apply_eq(kpath, axiom, dict(A=w.left, B=w.right), direction="bwd")
-        _finish_clause(spec, b, w)
-        return b.derivation(target)
-    # disjunction: seed dead material first, host the live disjunct last
-    elems = spine(spec, w, OR)
-    live = next(i for i, e in enumerate(elems) if evaluate(e, valuation))
-    pads = sorted(variables(w) - variables(elems[live]))
+        dead = []
+    else:
+        # disjunction: seed dead material first, host the live disjunct last
+        elems = spine(spec, w, OR)
+        live = next(i for i, e in enumerate(elems) if evaluate(e, valuation))
+        kept, axiom = elems[live], None
+        dead = elems[:live] + elems[live + 1:]
     P = identity(T)
-    for name in reversed(pads):
+    for name in sorted(variables(w) - variables(kept), reverse=True):
         P = _chain_insert(spec, opposite_literal(name, valuation), P, valuation)
-    for i, e in enumerate(elems):
-        if i != live:
-            P = _chain_insert(spec, e, P, valuation)
+    for e in dead:
+        P = _chain_insert(spec, e, P, valuation)
     b = Builder(spec, P)
     tpath = () if b.current == T else ("L",)
-    b.splice(tpath, _pos(spec, elems[live], valuation))
+    sub = _pos(spec, kept, valuation)
+    b.splice(tpath, sub)
+    if axiom is not None:
+        kpath = tpath if sub.conclusion == kept else tpath + ("L",)
+        b.apply_eq(kpath, axiom, dict(A=w.left, B=w.right), direction="bwd")
     _finish_clause(spec, b, w)
     return b.derivation(target)
 
@@ -458,19 +394,14 @@ def _finish_clause(spec: SystemSpec, b: Builder, w: Formula) -> None:
         b.apply_eq(("L",), axiom, {key: dup})
 
 
-def prove_line(A: Formula, lit: LineLiteralizer) -> Derivation:
-    """Checkable proof of tau(l,A) | ~tau(l,x1) | ... | ~tau(l,xn) from T."""
+def prove_line(A: Formula, valuation: Mapping[str, bool]) -> Derivation:
+    """Checkable proof from T of (w | J): w is A signed by its value at the
+    valuation (A when true, its negation when false) and J joins the literal
+    over each variable that is false at the valuation, in name order."""
+    if set(valuation) != variables(A):
+        raise VariableMismatch(f"valuation of {sorted(valuation)} differs from vars({A})")
     spec = make_p_spec()
-    if set(lit.variables) != variables(A):
-        raise VariableMismatch(
-            f"line variables {lit.variables} differ from vars({A})"
-        )
-    valuation = lit.valuation()
-    w = tau(lit, A)
-    b = Builder(spec, _pos(spec, w, valuation))
-    opps = [opposite_literal(n, valuation) for n in lit.variables]
-    target = Compound(OR, w, join(OR, opps)) if opps else w
-    return b.derivation(target)
+    return _pos(spec, A if evaluate(A, valuation) else negate(spec, A), valuation)
 
 
 def _closed_tautology_proof(spec: SystemSpec, x: Formula) -> Derivation:
@@ -493,24 +424,32 @@ def _evaluation(spec: SystemSpec, f: Formula) -> Derivation:
 def _fold_var(spec: SystemSpec, y: Formula, name: str,
               p_true: Derivation, p_false: Derivation) -> Derivation:
     """Merge proofs of (y | name) and (y | ~name) into a proof of y."""
-    v = Variable(name)
     nv = Variable(name, negated=True)
-    b = Builder(spec, T)
-    b.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
-    b.splice(("L",), p_false)
-    b.acr(("L",), Compound(OR, v, y))
-    b.splice(("R",), p_true)
-    b.acr(("R",), Compound(OR, nv, y))
-    b.apply_scheme((), Scheme.SPLIT_DOWN, dict(A=v, B=y, C=nv, D=y), AND, OR)
+    b = _conjoin(spec, Variable(name), nv, y, p_false, p_true)
     b.apply_eq(("L",), "var_em", dict(X=nv), negated=True)
     b.apply_eq((), "or_unit", dict(A=Compound(OR, y, y)))
     b.splice((), derive_contraction(spec, OR, y))
     return b.derivation(y)
 
 
+def _fold(spec: SystemSpec, x: Formula, names: tuple,
+          valuation: dict) -> Derivation:
+    """Proof from T of x joined with the literals false at the valuation,
+    which binds a prefix of names in order: the line proof once it binds
+    every name, else the proofs for the next name true and false merged."""
+    if len(valuation) == len(names):
+        return prove_line(x, valuation)
+    name = names[len(valuation)]
+    return _fold_var(
+        spec, _clause(x, valuation, valuation), name,
+        _fold(spec, x, names, {**valuation, name: True}),
+        _fold(spec, x, names, {**valuation, name: False}),
+    )
+
+
 def prove_tautology(A: Formula, hypotheses: Sequence[Formula] = ()) -> Derivation:
-    """Proof from T of A | ~B1 | ... | ~Bn, synthesised line by line and
-    folded one variable at a time."""
+    """Proof from T of A | ~B1 | ... | ~Bn: one line proof per valuation,
+    folded depth-first one variable at a time."""
     spec = make_p_spec()
     x = A
     if hypotheses:
@@ -520,26 +459,4 @@ def prove_tautology(A: Formula, hypotheses: Sequence[Formula] = ()) -> Derivatio
     names = tuple(sorted(variables(x)))
     if not names:
         return _closed_tautology_proof(spec, x)
-    proofs = {}
-    n = len(names)
-    for line in range(2 ** n):
-        lit = LineLiteralizer(line, names)
-        proofs[line] = prove_line(x, lit)
-    for k in range(n, 0, -1):
-        name = names[k - 1]
-        prefix_vars = names[: k - 1]
-        merged = {}
-        for pref in range(2 ** (k - 1)):
-            y_pref = (
-                Compound(OR, x, join(OR, [
-                    opposite_literal(m, LineLiteralizer(pref, prefix_vars).valuation())
-                    for m in prefix_vars
-                ]))
-                if prefix_vars
-                else x
-            )
-            merged[pref] = _fold_var(
-                spec, y_pref, name, proofs[pref * 2 + 1], proofs[pref * 2]
-            )
-        proofs = merged
-    return proofs[0]
+    return _fold(spec, x, names, {})

@@ -438,22 +438,24 @@ def _match_spine(spec, rel, pelems, telems, bindings, budget):
 
 
 def _scheme_shapes(spec: SystemSpec, scheme: Scheme, alpha: str, beta: str, A, B, C, D):
+    """(premise, conclusion) of a medial scheme; an up-scheme is the down
+    scheme of its kind read backwards."""
     na = spec.dual(alpha)
-    if scheme is Scheme.SPLIT_DOWN:
-        prem = Compound(alpha, Compound(beta, A, B), Compound(beta, C, D))
-        conc = Compound(beta, Compound(alpha, A, C), Compound(na, B, D))
-    elif scheme is Scheme.SPLIT_UP:
-        prem = Compound(beta, Compound(alpha, A, C), Compound(na, B, D))
-        conc = Compound(alpha, Compound(beta, A, B), Compound(beta, C, D))
-    elif scheme is Scheme.CONTRACT_DOWN:
-        prem = Compound(beta, Compound(alpha, A, B), Compound(alpha, C, D))
-        conc = Compound(alpha, Compound(beta, A, C), Compound(beta, B, D))
-    elif scheme is Scheme.CONTRACT_UP:
-        prem = Compound(alpha, Compound(beta, A, C), Compound(beta, B, D))
-        conc = Compound(beta, Compound(alpha, A, B), Compound(alpha, C, D))
+    if scheme in (Scheme.SPLIT_DOWN, Scheme.SPLIT_UP):
+        down = (
+            Compound(alpha, Compound(beta, A, B), Compound(beta, C, D)),
+            Compound(beta, Compound(alpha, A, C), Compound(na, B, D)),
+        )
+    elif scheme in (Scheme.CONTRACT_DOWN, Scheme.CONTRACT_UP):
+        down = (
+            Compound(beta, Compound(alpha, A, B), Compound(alpha, C, D)),
+            Compound(alpha, Compound(beta, A, C), Compound(beta, B, D)),
+        )
     else:
         raise SystemError(f"not a medial scheme: {scheme}")
-    return prem, conc
+    if scheme in (Scheme.SPLIT_UP, Scheme.CONTRACT_UP):
+        return down[::-1]
+    return down
 
 
 def _side_condition_ok(spec: SystemSpec, scheme: Scheme, alpha: str, beta: str) -> bool:
@@ -799,23 +801,25 @@ def _assign_sorts(pattern: Formula) -> Formula:
     return pattern
 
 
+# descriptor flag of a relation line -> the RelationSymbol field it sets;
+# dual= and unit= carry a value and are read apart
+_FLAGS = {
+    "assoc": "associative",
+    "comm": "commutative",
+    "rweak": "right_weakening",
+    "lweak": "left_weakening",
+}
+
+
 def spec_to_text(spec: SystemSpec) -> str:
     lines = [f"name: {spec.name}"]
     lines.append("constants: " + " ".join(sorted(spec.constants)))
     for c in sorted(spec.constants):
         lines.append(f"negation: {c} = {spec.constant_negation[c]}")
     for rel in spec.relations.values():
-        flags = []
-        if rel.associative:
-            flags.append("assoc")
-        if rel.commutative:
-            flags.append("comm")
+        flags = [flag for flag, field in _FLAGS.items() if getattr(rel, field)]
         if rel.unitary is not None:
             flags.append(f"unit={rel.unitary}")
-        if rel.right_weakening:
-            flags.append("rweak")
-        if rel.left_weakening:
-            flags.append("lweak")
         lines.append(f"relation: {rel.name} dual={rel.dual} " + " ".join(flags))
     for a, b in sorted(spec.order):
         lines.append(f"order: {a} < {b}")
@@ -856,24 +860,15 @@ def spec_from_text(text: str) -> SystemSpec:
             elif key == "relation":
                 parts = rest.split()
                 rel_name = parts[0]
-                kw = dict(
-                    associative=False, commutative=False, unitary=None,
-                    right_weakening=False, left_weakening=False,
-                )
+                kw: dict = {}
                 dual = rel_name
                 for part in parts[1:]:
                     if part.startswith("dual="):
                         dual = part[5:]
-                    elif part == "assoc":
-                        kw["associative"] = True
-                    elif part == "comm":
-                        kw["commutative"] = True
                     elif part.startswith("unit="):
                         kw["unitary"] = part[5:]
-                    elif part == "rweak":
-                        kw["right_weakening"] = True
-                    elif part == "lweak":
-                        kw["left_weakening"] = True
+                    elif part in _FLAGS:
+                        kw[_FLAGS[part]] = True
                     else:
                         raise SystemError(f"unknown relation flag {part!r}")
                 relations.append(RelationSymbol(rel_name, dual, **kw))

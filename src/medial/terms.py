@@ -191,15 +191,6 @@ def is_atom(f: Formula) -> bool:
     return not isinstance(f, Compound)
 
 
-def variables(f: Formula) -> set[str]:
-    """Names of the variables occurring in f (ignoring polarity)."""
-    if isinstance(f, Variable):
-        return {f.name}
-    if isinstance(f, Compound):
-        return variables(f.left) | variables(f.right)
-    return set()
-
-
 def subterms(f: Formula) -> Iterator[Formula]:
     """f and its subterms in pre-order, left before right; the walk keeps
     its own stack, so a deep formula costs no recursion."""
@@ -211,17 +202,13 @@ def subterms(f: Formula) -> Iterator[Formula]:
             stack += (t.right, t.left)
 
 
+def variables(f: Formula) -> set[str]:
+    """Names of the variables occurring in f (ignoring polarity)."""
+    return {t.name for t in subterms(f) if isinstance(t, Variable)}
+
+
 def size(f: Formula) -> int:
-    if isinstance(f, Compound):
-        return 1 + size(f.left) + size(f.right)
-    return 1
-
-
-def height(f: Formula) -> int:
-    """Height with atoms at height 1."""
-    if isinstance(f, Compound):
-        return 1 + max(height(f.left), height(f.right))
-    return 1
+    return sum(1 for _ in subterms(f))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +451,7 @@ class _Parser:
                     )
                 operands.append(self.formula())
             self.take()  # ")"
-            out = operands[-1]
-            for operand in reversed(operands[:-1]):
-                out = Compound(rel, operand, out)
-            return out
+            return join(rel, operands)
         if tok == "~":
             name = self.take()
             return self.atom(name, negated=True)

@@ -23,8 +23,10 @@ from medial.terms import (
     parse_formula,
     plug,
     print_formula,
+    size,
     subformula_at,
     subformula_at_sides,
+    variables,
 )
 
 from helpers import random_formula
@@ -136,6 +138,13 @@ def test_parse_chains_right_nest():
         parse_formula("(x |")
     with pytest.raises(ParseError):
         parse_formula("~T")
+
+
+def test_variables_and_size_walk_deep_formulas():
+    # a 3,000-operand chain nests 3,000 levels deep, past the recursion limit
+    f = parse_formula("(" + " | ".join(f"x{i}" for i in range(3000)) + ")")
+    assert len(variables(f)) == 3000
+    assert size(f) == 5999
 
 
 def test_parse_atoms():
