@@ -4,10 +4,11 @@ Each step re-anchors itself with a full plugging context (path with
 siblings), so its before/after formulas are computable from the step
 alone.  The checker threads the running formula through the derivation
 and treats AC equality silently at every joint; all other equalities must
-appear as explicit equational steps.  Where a step sits exactly on the
-running formula, that formula is the step's before and only its after is
-built; `exactify` reads the steps the same way.  A derivation known to
-thread exactly is marked `exact` (by `identity`, `exactify`, `from_text`,
+appear as explicit equational steps.  `check`, `exactify` and `from_text`
+hold the running formula in one `terms.Cursor`, so a step rebuilds only
+what lies between its hole and the last one; the whole formula is plugged
+only at an AC joint and at the end.  A derivation known to thread exactly
+is marked `exact` (by `identity`, `exactify`, `from_text`,
 `before_step`/`after_step` of a marked derivation, and a `Builder` that
 adopted and spliced only marked ones), and `exactify` returns it as it is;
 `check` walks every derivation anyway.  The checker rebuilds
@@ -47,9 +48,9 @@ from .terms import (
     Compound,
     Constant,
     ContextPath,
+    Cursor,
     Formula,
     ParseError,
-    PathMismatch,
     PathStep,
     Variable,
     context_at,
@@ -60,7 +61,6 @@ from .terms import (
     print_formula,
     print_memo,
     spine,
-    subformula_at,
     subformula_at_sides,
 )
 
@@ -144,22 +144,6 @@ class CheckFailure:
         return f"step {self.step_index}: {self.reason}"
 
 
-def _thread(d: Derivation):
-    """Each step of d with its before and after formulas, read along the
-    running formula: where a step sits exactly on the formula the previous
-    step left, that formula is its before and only its after is built;
-    at an AC joint its before is plugged from its own context."""
-    cur = d.premise
-    for step in d.steps:
-        try:
-            on_cur = subformula_at(cur, step.context) == step.rule.premise
-        except PathMismatch:
-            on_cur = False
-        before = cur if on_cur else step.before
-        cur = plug(step.context, step.rule.conclusion)
-        yield step, before, cur
-
-
 _UNJUDGED = object()  # a verdict-table miss; a verdict is a reason or None
 
 
@@ -170,18 +154,18 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     if reason is not None:
         return CheckFailure(-1, f"{reason} in premise")
     verdicts: dict = {}  # RuleInstance -> reason or None
-    cur = d.premise
-    for i, (step, before, after) in enumerate(_thread(d)):
-        if before is not cur and not equal_mod_ac(spec, before, cur):
-            return CheckFailure(i, "ThreadBroken: step premise does not match")
+    cursor = Cursor(d.premise)
+    for i, step in enumerate(d.steps):
         rule = step.rule
+        was = cursor.rewrite(step.context, rule.premise, rule.conclusion)
+        if was is not None and not equal_mod_ac(spec, step.before, was):
+            return CheckFailure(i, "ThreadBroken: step premise does not match")
         reason = verdicts.get(rule, _UNJUDGED)
         if reason is _UNJUDGED:
             reason = verdicts[rule] = check_rule_instance(spec, rule)
         if reason is not None:
             return CheckFailure(i, reason)
-        cur = after
-    if not equal_mod_ac(spec, cur, d.conclusion):
+    if not equal_mod_ac(spec, cursor.formula(), d.conclusion):
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
 
@@ -269,14 +253,16 @@ def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
     if d.exact:
         return d
     steps: list[Step] = []
-    cur = d.premise
-    for step, before, after in _thread(d):
-        if before != cur:
-            if not equal_mod_ac(spec, before, cur):
+    cursor = Cursor(d.premise)
+    for step in d.steps:
+        was = cursor.rewrite(step.context, step.rule.premise, step.rule.conclusion)
+        if was is not None:
+            before = step.before
+            if not equal_mod_ac(spec, before, was):
                 raise JointMismatch("derivation thread broken beyond AC")
-            steps.append(Step((), ac_instance(spec, cur, before)))
+            steps.append(Step((), ac_instance(spec, was, before)))
         steps.append(step)
-        cur = after
+    cur = cursor.formula()
     if cur != d.conclusion:
         if not equal_mod_ac(spec, cur, d.conclusion):
             raise JointMismatch("conclusion differs beyond AC")
@@ -506,7 +492,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             raise ParseError(f"line {lineno}: unknown section {key!r}: {line}")
     if spec is None or premise is None or conclusion is None:
         raise ParseError("derivation file needs system, premise and conclusion lines")
-    cur = premise
+    cursor = Cursor(premise)
     steps = []
     parsed: dict = {}  # binding text -> formula; bindings recur from step to step
     for raw in raw_steps:
@@ -557,15 +543,14 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
                 raise ParseError(f"rule {rule_id} disagrees with rel={rel}: {raw}")
             _bind_exactly(bindings, "ABCD", rule_id, raw)
             rule = instantiate_rule(spec, decl.scheme, bindings, decl.alpha, decl.beta)
-        sub = subformula_at_sides(cur, sides)
-        if sub != rule.premise:
+        sub = cursor.move_sides(sides)
+        if sub is not rule.premise:
             raise DerivationError(
                 f"file not exactly threaded at rule {rule_id}: "
                 f"{print_formula(sub)} vs {print_formula(rule.premise)}"
             )
-        ctx = context_at(cur, sides)
-        steps.append(Step(ctx, rule))
-        cur = plug(ctx, rule.conclusion)
-    if cur != conclusion:
+        steps.append(Step(tuple(cursor.frames), rule))
+        cursor.focus = rule.conclusion
+    if cursor.formula() != conclusion:
         raise DerivationError("conclusion line does not match the threaded result")
     return spec, mark_exact(Derivation(premise, tuple(steps), conclusion))

@@ -238,19 +238,7 @@ def plug(ctx: Sequence[PathStep], f: Formula) -> Formula:
 
 def subformula_at(f: Formula, ctx: Sequence[PathStep]) -> Formula:
     """Read back the subterm at the hole; each step must match f's shape."""
-    cur = f
-    for step in ctx:
-        if not isinstance(cur, Compound) or cur.rel != step.rel:
-            raise PathMismatch(f"expected {step.rel!r} node, found {cur}")
-        if step.hole_side == "L":
-            if cur.right != step.sibling:
-                raise PathMismatch(f"sibling mismatch at {cur}")
-            cur = cur.left
-        else:
-            if cur.left != step.sibling:
-                raise PathMismatch(f"sibling mismatch at {cur}")
-            cur = cur.right
-    return cur
+    return Cursor(f).move(ctx)
 
 
 def context_at(f: Formula, sides: Sequence[str]) -> ContextPath:
@@ -260,14 +248,10 @@ def context_at(f: Formula, sides: Sequence[str]) -> ContextPath:
     for side in sides:
         if not isinstance(cur, Compound):
             raise PathMismatch(f"path descends below atom {cur}")
-        if side == "L":
-            steps.append(PathStep(cur.rel, "L", cur.right))
-            cur = cur.left
-        elif side == "R":
-            steps.append(PathStep(cur.rel, "R", cur.left))
-            cur = cur.right
-        else:
+        if side not in ("L", "R"):
             raise PathMismatch(f"bad path side {side!r}")
+        steps.append(PathStep(cur.rel, side, cur.right if side == "L" else cur.left))
+        cur = cur.left if side == "L" else cur.right
     return tuple(steps)
 
 
@@ -278,6 +262,69 @@ def subformula_at_sides(f: Formula, sides: Sequence[str]) -> Formula:
             raise PathMismatch(f"path descends below atom {cur}")
         cur = cur.left if side == "L" else cur.right
     return cur
+
+
+class Cursor:
+    """A formula as `frames`, the PathSteps from its root down to `focus`
+    (Huet's zipper); a move rebuilds only the nodes below the frames it keeps."""
+
+    __slots__ = ("frames", "focus")
+
+    def __init__(self, focus: Formula):
+        self.frames: list = []
+        self.focus = focus
+
+    def formula(self) -> Formula:
+        return plug(self.frames, self.focus)
+
+    def move(self, ctx: Sequence[PathStep]) -> Formula:
+        """Focus ctx's hole and return the subterm there; below the frames
+        equal to ctx's steps, each node must match ctx, else PathMismatch."""
+        frames, depth = self.frames, 0
+        for kept, step in zip(frames, ctx):
+            if kept is not step and kept != step:
+                break
+            depth += 1
+        cur = self.focus = plug(frames[depth:], self.focus)
+        del frames[depth:]
+        for step in ctx[depth:]:
+            if not isinstance(cur, Compound) or cur.rel != step.rel:
+                raise PathMismatch(f"expected {step.rel!r} node, found {cur}")
+            sibling, below = (cur.right, cur.left) if step.hole_side == "L" else (cur.left, cur.right)
+            if sibling is not step.sibling:
+                raise PathMismatch(f"sibling mismatch at {cur}")
+            frames.append(step)
+            cur = self.focus = below
+        return cur
+
+    def move_sides(self, sides: Sequence[str]) -> Formula:
+        """Focus the subterm at an L/R path and return it."""
+        frames, depth = self.frames, 0
+        for kept, side in zip(frames, sides):
+            if kept.hole_side != side:
+                break
+            depth += 1
+        cur = self.focus = plug(frames[depth:], self.focus)
+        del frames[depth:]
+        for side in sides[depth:]:
+            if not isinstance(cur, Compound):
+                raise PathMismatch(f"path descends below atom {cur}")
+            frames.append(PathStep(cur.rel, side, cur.right if side == "L" else cur.left))
+            cur = self.focus = cur.left if side == "L" else cur.right
+        return cur
+
+    def rewrite(self, ctx: Sequence[PathStep], premise: Formula, conclusion: Formula):
+        """Put conclusion for premise at ctx's hole and return None; where premise
+        is not there, hold plug(ctx, conclusion) and return the formula it was."""
+        try:
+            if self.move(ctx) is premise:
+                self.focus = conclusion
+                return None
+        except PathMismatch:
+            pass
+        was = self.formula()
+        self.frames, self.focus = list(ctx), conclusion
+        return was
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +351,17 @@ def negate(spec, f: Formula) -> Formula:
 
 def spine(spec, f: Formula, rel: str) -> list[Formula]:
     """Maximal same-relation operand list of f for an associative rel (the
-    singleton [f] when f is not a rel-compound)."""
-    if isinstance(f, Compound) and f.rel == rel and spec.is_associative(rel):
-        return spine(spec, f.left, rel) + spine(spec, f.right, rel)
-    return [f]
+    singleton [f] when f is not a rel-compound), by a loop, not recursion."""
+    if not (isinstance(f, Compound) and f.rel == rel and spec.is_associative(rel)):
+        return [f]
+    out, stack = [], [f]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Compound) and t.rel == rel:
+            stack.append(t.right)
+            t = t.left
+        out.append(t)
+    return out
 
 
 def join(rel: str, operands: Sequence[Formula]) -> Formula:

@@ -1,9 +1,11 @@
 """`check` and `exactify` against the loops they replaced, and the work
 they may do: both read each step's formulas along the running formula,
-and `check` judges each distinct rule instance once."""
+`check` judges each distinct rule instance once, and `from_text` and
+`check` rebuild only what the last step changed."""
 
 import collections
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ from medial.derivations import (
     Builder,
     CheckFailure,
     Derivation,
+    DerivationError,
     JointMismatch,
     Step,
     before_step,
@@ -35,7 +38,16 @@ from medial.splitting import (
 )
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import Scheme, ac_instance, check_rule_instance, undeclared_symbol
-from medial.terms import Compound, Variable, context_at, equal_mod_ac, parse_formula
+from medial.terms import (
+    Compound,
+    PathMismatch,
+    Variable,
+    context_at,
+    equal_mod_ac,
+    parse_formula,
+    print_formula,
+    subformula_at_sides,
+)
 
 from helpers import enumerate_formulas, injected_corpus, random_formula
 
@@ -118,6 +130,19 @@ def synthesised():
     raise AssertionError("fewer than 300 tautologies of height 3")
 
 
+@pytest.fixture(scope="module")
+def family5():
+    """The synthesised proof of (x0 & ... & x4) | ~x0 | ... | ~x4, read back
+    from its file, so that consecutive steps share their context objects
+    as in every derivation `from_text` returns."""
+    xs = [f"x{i}" for i in range(5)]
+    goal = "((" + " & ".join(xs) + ") | " + " | ".join("~" + x for x in xs) + ")"
+    text = to_text(spec, prove_tautology(parse_formula(goal)))
+    d = from_text(text, lambda name: spec)[1]
+    assert len(d.steps) == 7334
+    return text, d
+
+
 def _without_acr(d):
     """d with its acr steps left out: each joint they bridged now holds
     only modulo AC."""
@@ -189,6 +214,107 @@ def test_check_agrees_with_reference_on_named_defects():
         assert (failure and failure.step_index) == index, name
 
 
+def test_check_agrees_with_reference_on_deep_contexts(family5):
+    _, d = family5
+    loose = _without_acr(d)
+    assert _inexact_joints(loose) > 1000
+    assert sum(len(s.context) for s in d.steps) > 8 * len(d.steps)
+    for m in (d, loose):
+        assert check(spec, m) is None
+        assert _reference_check(spec, m) is None
+    assert exactify(spec, loose) == _reference_exactify(spec, loose)
+
+
+def _shared_prefix(a, b) -> int:
+    n = 0
+    for p, q in zip(a.context, b.context):
+        if p != q:
+            break
+        n += 1
+    return n
+
+
+def _with_frame(d, i, j, **change):
+    """The steps of d from 100 before step i to 100 after it, with fields
+    of frame j of step i's context replaced, and step i's index there."""
+    lo, hi = max(0, i - 100), min(len(d.steps), i + 100)
+    step = d.steps[i]
+    ctx = step.context
+    steps = list(d.steps[lo:hi])
+    steps[i - lo] = Step(ctx[:j] + (replace(ctx[j], **change),) + ctx[j + 1:], step.rule)
+    return Derivation(d.steps[lo].before, tuple(steps), d.steps[hi - 1].after), i - lo
+
+
+def test_check_agrees_with_reference_where_a_shared_frame_changes(family5):
+    # each mutant changes, in a step, one frame of the context prefix it
+    # shares with the step before, where the running formula holds the
+    # previous step's frames: the changed frame must be read, not kept
+    _, d = family5
+    rng = random.Random(20261020)
+    q = Variable("q")
+    other = {"&": "|", "|": "&", "p0": "p1", "p1": "p0"}
+    shared = [
+        (i, n) for i in range(1, len(d.steps))
+        if (n := _shared_prefix(d.steps[i - 1], d.steps[i])) >= 2
+    ]
+    assert len(shared) > 1000
+    mutants = []
+    for i, n in rng.sample(shared, 60):
+        j = rng.randrange(n)
+        frame = d.steps[i].context[j]
+        mutants.append((_with_frame(d, i, j, sibling=q), True))
+        mutants.append((_with_frame(d, i, j, rel=other[frame.rel]), True))
+        s = frame.sibling
+        if isinstance(s, Compound) and s.left is not s.right and spec.is_commutative(s.rel):
+            # the sibling commuted: a joint that holds modulo AC
+            commuted = Compound(s.rel, s.right, s.left)
+            mutants.append((_with_frame(d, i, j, sibling=commuted), False))
+    assert sum(not broken for _, broken in mutants) > 5
+    for (m, i), broken in mutants:
+        failure = check(spec, m)
+        assert failure == _reference_check(spec, m)
+        assert (failure and failure.step_index) == (i if broken else None)
+        try:
+            expected = _reference_exactify(spec, m)
+        except JointMismatch as e:
+            with pytest.raises(JointMismatch, match=re.escape(str(e))):
+                exactify(spec, m)
+        else:
+            assert exactify(spec, m) == expected
+
+
+def _repathed(text, i, path):
+    """A derivation file with step i's path replaced."""
+    lines = text.splitlines(keepends=True)
+    k = [n for n, line in enumerate(lines) if line.startswith("step: ")][i]
+    lines[k] = re.sub(r"path=\S+", "path=" + path, lines[k])
+    return "".join(lines)
+
+
+def test_from_text_threading_errors_on_deep_files(family5):
+    text, d = family5
+    i = max(i for i, s in enumerate(d.steps) if len(s.context) >= 10)
+    step = d.steps[i]
+    sides = "".join(step.sides)
+    # below the step's subterm, past an atom
+    deeper = sides + "L" * 40
+    with pytest.raises(PathMismatch) as expected:
+        subformula_at_sides(step.before, deeper)
+    assert str(expected.value).startswith("path descends below atom")
+    with pytest.raises(PathMismatch, match=re.escape(str(expected.value))):
+        from_text(_repathed(text, i, deeper), lambda name: spec)
+    # the subterm's sibling in place of the subterm
+    beside = sides[:-1] + {"L": "R", "R": "L"}[sides[-1]]
+    sub = subformula_at_sides(step.before, beside)
+    assert sub is not step.rule.premise
+    msg = (
+        f"file not exactly threaded at rule {step.rule.rule_id}: "
+        f"{print_formula(sub)} vs {print_formula(step.rule.premise)}"
+    )
+    with pytest.raises(DerivationError, match=re.escape(msg)):
+        from_text(_repathed(text, i, beside), lambda name: spec)
+
+
 def _counting(monkeypatch, name):
     calls = []
     original = getattr(derivations, name)
@@ -215,6 +341,27 @@ def test_check_and_to_text_read_each_step_once(monkeypatch):
     plugs.clear()
     to_text(spec, d)
     assert len(plugs) <= len(d.steps)
+
+
+def test_from_text_and_check_rebuild_only_what_a_step_changed(monkeypatch, family5):
+    # counts, not times: the nodes built per step, where each step of this
+    # proof sits about eight levels deep
+    text, _ = family5
+    built = []
+    original = Compound.__new__
+
+    def counted(cls, *fields):
+        built.append(None)
+        return original(cls, *fields)
+
+    monkeypatch.setattr(Compound, "__new__", staticmethod(counted))
+    d = from_text(text, lambda name: spec)[1]
+    read = len(built)
+    built.clear()
+    assert check(spec, d) is None
+    steps = len(d.steps)
+    assert read <= 4 * steps
+    assert len(built) <= steps
 
 
 def _commuted_conclusion(d):

@@ -11,6 +11,7 @@ from medial.systems import spec_from_text, spec_to_text
 from medial.terms import (
     Compound,
     Constant,
+    Cursor,
     Metavar,
     ParseError,
     PathMismatch,
@@ -24,6 +25,7 @@ from medial.terms import (
     plug,
     print_formula,
     size,
+    spine,
     subformula_at,
     subformula_at_sides,
     variables,
@@ -89,6 +91,70 @@ def test_plug_subformula_round_trip_random():
         sub = subformula_at(f, ctx)
         assert sub == subformula_at_sides(f, sides)
         assert plug(ctx, sub) == f
+
+
+def _random_sides(rng, f):
+    sides, cur = [], f
+    while isinstance(cur, Compound) and rng.random() < 0.8:
+        side = rng.choice("LR")
+        sides.append(side)
+        cur = cur.left if side == "L" else cur.right
+    return sides
+
+
+def test_cursor_moves_agree_with_plug_random():
+    # a walk of rewrites through one cursor, against rebuilding the whole
+    # formula from each step's context
+    rng = random.Random(21)
+    for _ in range(100):
+        f = random_formula(rng, 5)
+        cursor = Cursor(f)
+        for _ in range(10):
+            sides = _random_sides(rng, f)
+            ctx = context_at(f, sides)
+            if rng.random() < 0.5:
+                assert cursor.move_sides(sides) is subformula_at_sides(f, sides)
+                assert tuple(cursor.frames) == ctx
+            else:
+                assert cursor.move(ctx) is subformula_at_sides(f, sides)
+            new = random_formula(rng, 2)
+            assert cursor.rewrite(ctx, subformula_at_sides(f, sides), new) is None
+            f = plug(ctx, new)
+            assert cursor.formula() is f
+        # a context f does not have: the cursor becomes that context's formula
+        ctx = (PathStep("&", "L", Variable("q")),) + context_at(f, _random_sides(rng, f))
+        assert cursor.rewrite(ctx, x, y) is f
+        assert cursor.formula() is plug(ctx, y)
+
+
+def test_cursor_mismatch_leaves_the_formula():
+    f = parse_formula("((x | y) & z)")
+    cursor = Cursor(f)
+    with pytest.raises(PathMismatch, match="sibling mismatch at"):
+        cursor.move((PathStep("&", "L", z), PathStep("|", "R", y)))
+    with pytest.raises(PathMismatch, match="expected '&' node, found"):
+        cursor.move((PathStep("&", "L", z), PathStep("&", "L", y)))
+    with pytest.raises(PathMismatch, match="path descends below atom z"):
+        cursor.move_sides("RL")
+    assert cursor.formula() is f
+
+
+def _reference_spine(f, rel):
+    if isinstance(f, Compound) and f.rel == rel and spec.is_associative(rel):
+        return _reference_spine(f.left, rel) + _reference_spine(f.right, rel)
+    return [f]
+
+
+def test_spine_walks_deep_chains_in_order():
+    operands = [Variable(f"x{i}") for i in range(3000)]
+    f = parse_formula("(" + " | ".join(map(str, operands)) + ")")
+    assert spine(spec, f, "|") == operands
+    assert spine(spec, f, "&") == [f]
+    rng = random.Random(22)
+    for _ in range(300):
+        f = random_formula(rng, 5)
+        for rel in ("&", "|", "p0", "p1"):
+            assert spine(spec, f, rel) == _reference_spine(f, rel)
 
 
 def test_ac_canonical_examples():
