@@ -284,8 +284,9 @@ def run(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
+        # the parser reports nesting itself: this is a kernel walk
+        print("error: recursion limit reached in the kernel", file=sys.stderr)
+        return 1
     except TermError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -38,7 +38,6 @@ from .systems import (
     SystemSpec,
     ac_instance,
     check_rule_instance,
-    classify_relation,
     eq_instance,
     eq_step_for,
     instantiate_rule,
@@ -174,21 +173,12 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
 # Length measure
 
 
-def weak_units(spec: SystemSpec) -> list[tuple]:
-    """(beta, unit, co-unit) for every weak relation carrying a unit."""
-    out = []
-    for name, rel in spec.relations.items():
-        if classify_relation(spec, name) == "weak" and rel.unitary is not None:
-            out.append((name, rel.unitary, spec.negate_constant(rel.unitary)))
-    return out
-
-
-def _is_weak_axiom_step(spec: SystemSpec, pairs, prem: Formula, conc: Formula) -> bool:
+def _is_weak_axiom_step(spec: SystemSpec, prem: Formula, conc: Formula) -> bool:
     """Does the local rewrite instantiate one of the free axioms (unit,
     constant- or variable-annihilation) of a weak relation?  AC keeps the
     root relation, so a formula AC-equal to a beta node is one: each test
     that canonicalises first checks the roots."""
-    for beta, unit, co_unit in pairs:
+    for beta, unit, co_unit in spec.weak_units:
         u = Constant(unit)
         nu = Constant(co_unit)
         for big, small in ((prem, conc), (conc, prem)):
@@ -210,24 +200,23 @@ def _is_weak_axiom_step(spec: SystemSpec, pairs, prem: Formula, conc: Formula) -
     return False
 
 
-def step_cost(spec: SystemSpec, pairs, step: Step) -> int:
+def step_cost(spec: SystemSpec, step: Step) -> int:
     rule = step.rule
     if rule.scheme is Scheme.AC:
         return 0
     if rule.scheme.is_medial:
         return 1
-    return 0 if _is_weak_axiom_step(spec, pairs, rule.premise, rule.conclusion) else 1
+    return 0 if _is_weak_axiom_step(spec, rule.premise, rule.conclusion) else 1
 
 
-def steps_length(spec: SystemSpec, pairs, steps) -> int:
+def steps_length(spec: SystemSpec, steps) -> int:
     """The summed step_cost of steps.  Each rule instance is costed once
-    per spec: its cost is kept on it, under spec.ac_token.  pairs must be
-    weak_units(spec)."""
+    per spec: its cost is kept on it, under spec.ac_token."""
     token, total = spec.ac_token, 0
     for step in steps:
         memo = step.rule.cost_memo
         if memo is None or memo[0] is not token:
-            memo = (token, step_cost(spec, pairs, step))
+            memo = (token, step_cost(spec, step))
             object.__setattr__(step.rule, "cost_memo", memo)
         total += memo[1]
     return total
@@ -236,10 +225,9 @@ def steps_length(spec: SystemSpec, pairs, steps) -> int:
 def length(spec: SystemSpec, d: Derivation) -> int:
     """Counts the steps that grow a derivation: medial steps, plus every
     equational step not instantiating a weak relation's free axioms."""
-    pairs = weak_units(spec)
-    if not pairs:
+    if not spec.weak_units:
         raise NoSplittableFragment(f"system {spec.name} has no weak relation with a unit")
-    return steps_length(spec, pairs, d.steps)
+    return steps_length(spec, d.steps)
 
 
 # ---------------------------------------------------------------------------

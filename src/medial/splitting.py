@@ -8,9 +8,8 @@ guessing; the acceptance corpus must exercise none."""
 
 from __future__ import annotations
 
-import collections
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .derivations import (
@@ -24,13 +23,10 @@ from .derivations import (
     exactify,
     mark_exact,
     steps_length,
-    weak_units,
 )
 from .generators import atomic_deduction
 from .systems import (
     Metavar,
-    OrientedAxiom,
-    RuleInstance,
     Scheme,
     SystemSpec,
     ac_instance,
@@ -52,10 +48,8 @@ from .terms import (
     negate,
     plug,
     print_formula,
-    size,
     spine,
     subformula_at_sides,
-    subterms,
 )
 
 
@@ -82,27 +76,13 @@ class FragmentError(SplittingError):
 @dataclass(frozen=True)
 class SplittableFragment:
     spec: SystemSpec
-    weak: tuple  # ((beta, unit, co_unit), ...)
     down_rules: tuple  # splitting down-rule ids
     up_rules: tuple  # the corresponding splitting up-rule ids
-    # (rel, unit constant) -> the oriented axiom of the pad X -> (X rel unit),
-    # a weak relation with its unit or its dual with the co-unit, named
-    # where eq_step_for would answer every such pad with it (_searched_first)
-    pads: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def named_pad(self, x: Formula, rel: str, c: Formula) -> Optional[RuleInstance]:
-        """The step x -> (x rel c) by the named pad at (rel, c); None when
-        the fragment names no pad there."""
-        o = self.pads.get((rel, c))
-        if o is None:
-            return None
-        m = o.premise
-        return o.instance(self.spec, {m.name: negate(self.spec, x) if m.negated else x})
 
     def weak_for(self, premise: Formula) -> tuple:
         """(beta, unit, co_unit), the units as constants, of the weak
         relation whose co-unit is premise; splitting runs from there."""
-        for beta, unit, co_unit in self.weak:
+        for beta, unit, co_unit in self.spec.weak_units:
             if premise == Constant(co_unit):
                 return beta, Constant(unit), Constant(co_unit)
         raise NotDownFragment(
@@ -114,26 +94,15 @@ def make_fragment(spec: SystemSpec) -> SplittableFragment:
     """Validate the splittable down-fragment conditions and collect the
     down/up splitting rule lists."""
     issues = []
-    pairs = weak_units(spec)
-    if not pairs:
+    if not spec.weak_units:
         issues.append("no weak relation with a unit")
     probe_a = Variable("w1")
-    pads = {}
-    for beta, unit, co_unit in pairs:
-        u, nu = Constant(unit), Constant(co_unit)
+    for beta, unit, co_unit in spec.weak_units:
+        nu = Constant(co_unit)
         if not (spec.is_associative(beta) and spec.is_commutative(beta)):
             issues.append(f"{beta} lacks associativity/commutativity")
-        unit_step = unit_axiom(spec, beta)
-        if unit_step is None:
+        if unit_axiom(spec, beta) is None:
             issues.append(f"{beta} lacks its unit axiom")
-        else:
-            # the pads run the unit axiom backwards, its negation for the co-unit
-            back = "bwd" if unit_step.direction == "fwd" else "fwd"
-            for rel, c, negated in ((beta, u, unit_step.negated),
-                                    (spec.dual(beta), nu, not unit_step.negated)):
-                o = spec.oriented_axioms[unit_step.axiom_id, negated, back]
-                if _searched_first(spec, o, rel, c):
-                    pads[rel, c] = o
         for const in sorted(spec.constants):
             lhs = Compound(beta, Constant(const), Constant(spec.negate_constant(const)))
             if eq_step_for(spec, lhs, nu) is None:
@@ -156,29 +125,7 @@ def make_fragment(spec: SystemSpec) -> SplittableFragment:
             up.append(mate.rule_id)
     if issues:
         raise FragmentError("; ".join(issues))
-    return SplittableFragment(spec, tuple(pairs), down, tuple(up), pads)
-
-
-def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) -> bool:
-    """Does eq_step_for answer every pad X -> (X rel c) with o?  It does
-    when o's premise is a bare formula metavariable, which matches every X,
-    and no axiom searched before o can relate X to (X rel c): its conclusion
-    has another root (AC keeps the root), or it keeps each metavariable's
-    count, so its instances grow by its patterns' size difference, not 2."""
-    m, searched = o.premise, tuple(spec.oriented_axioms.values())
-    if not (isinstance(m, Metavar) and m.sort == "formula"
-            and o.conclusion in (Compound(rel, m, c), Compound(rel, c, m))):
-        return False
-
-    def counts(p):
-        return collections.Counter(t.name for t in subterms(p) if isinstance(t, Metavar))
-
-    return all(
-        isinstance(e.conclusion, Compound) and e.conclusion.rel != rel
-        or counts(e.premise) == counts(e.conclusion)
-        and size(e.conclusion) - size(e.premise) != 2
-        for e in searched[: searched.index(o)]
-    )
+    return SplittableFragment(spec, down, tuple(up))
 
 
 def in_down_fragment(step: Step) -> bool:
@@ -298,7 +245,7 @@ class _Splitter:
 
     def _length(self, d: Optional[Derivation]) -> Optional[int]:
         """The length of d, each rule instance costed once (steps_length)."""
-        return None if d is None else steps_length(self.spec, self.frag.weak, d.steps)
+        return None if d is None else steps_length(self.spec, d.steps)
 
     def _normalize(self, P: Derivation, node: Compound, kind: str, btree: Formula,
                    k0, k1, d, q0, q1) -> SplitResult:
@@ -317,7 +264,7 @@ class _Splitter:
         b = Builder(spec, Compound(spec.dual(alpha), k0, k1))
         b.splice((), d)
         if b.current != btree:
-            _steer_units(self.frag, beta, self.u, b, btree, "split remainder")
+            _steer_units(spec, beta, self.u, b, btree, "split remainder")
         dd = b.derivation(btree)
         rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
@@ -341,7 +288,7 @@ class _Splitter:
                 raise IrreducibleCase("bare atomic premise cannot hold the split node")
             last = P.steps[-1]
             b = Builder(spec, before_step(P, -1))
-            _pad(self.frag, b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
+            _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
             b.apply(("L",) + tuple(last.sides), last.rule)
             return self.split(b.derivation(), ("L",))
         C = P.conclusion
@@ -461,8 +408,7 @@ class _Splitter:
         ql, kl = self._rejoin(tree.left, alpha, by_class, used)
         qr, kr = self._rejoin(tree.right, alpha, by_class, used)
         b = Builder(spec, self.nu)
-        _pad(self.frag, b, (), Compound(alpha, self.nu, self.nu),
-             "co-unit merge for regrouping")
+        _eq_rewrite(b, (), Compound(alpha, self.nu, self.nu), "co-unit merge for regrouping")
         b.splice(("L",), ql)
         b.splice(("R",), qr)
         b.apply_scheme(
@@ -538,7 +484,7 @@ class _Splitter:
                     raise IrreducibleCase("unitary split needs the dual weak relation")
                 k_other = self.u
                 ob = Builder(spec, self.nu)
-                _pad(self.frag, ob, (), Compound(beta, other, self.u), "unit padding")
+                _eq_rewrite(ob, (), Compound(beta, other, self.u), "unit padding")
                 q_other = ob.derivation()
                 d = Builder(spec, Compound(na, *ordered(btree, k_other)))
                 d.acr((), Compound(beta, btree, self.u))
@@ -621,11 +567,11 @@ class _Splitter:
         kpath = _find_shallow_occ(spec, beta, d.current, keep)
         if kpath is None:
             raise IrreducibleCase("lost the kept component in a spine split")
-        _pad(self.frag, d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
+        _eq_rewrite(d, kpath, Compound(nb, keep, self.nu), "co-unit padding")
         d.splice(kpath + ("R",), other)
         za, zb = away
         d.acr(kpath + ("R",), Compound(beta, za, Compound(beta, zb, k_other)))
-        _pad(self.frag, d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
+        _eq_rewrite(d, kpath + ("L",), Compound(beta, keep, self.u), "unit padding")
         d.apply_scheme(
             kpath, Scheme.SPLIT_DOWN,
             dict(A=keep, B=self.u, C=za, D=Compound(beta, zb, k_other)), nb, beta,
@@ -758,23 +704,10 @@ def _eq_rewrite(b: Builder, sides, target: Formula, what: str) -> None:
         raise IrreducibleCase(f"{what}: {e}") from None
 
 
-def _pad(frag: SplittableFragment, b: Builder, sides, target: Formula, what: str) -> None:
-    """Pad the subterm X at sides to target, (X' rel c) with X' AC-equal to
-    X: by the fragment's named pad at (rel, c) when it has one, which is
-    the step _eq_rewrite would find, else by _eq_rewrite."""
-    inst = frag.named_pad(subformula_at_sides(b.current, sides), target.rel, target.right)
-    if inst is None:
-        _eq_rewrite(b, sides, target, what)
-        return
-    b.apply(sides, inst)
-    b.acr(sides, target)
-
-
-def _steer_units(frag: SplittableFragment, beta: str, u: Formula, b: Builder,
+def _steer_units(spec: SystemSpec, beta: str, u: Formula, b: Builder,
                  target: Formula, what: str) -> None:
     """Steer the builder's formula to target, padding or dropping unit
     elements where padded sub-derivations introduced them."""
-    spec = frag.spec
     for _ in range(64):
         if equal_mod_ac(spec, b.current, target):
             b.acr((), target)
@@ -792,7 +725,7 @@ def _steer_units(frag: SplittableFragment, beta: str, u: Formula, b: Builder,
             b.apply((), inst)
             continue
         if missing and all(e == u for e in missing):
-            _pad(frag, b, (), Compound(beta, b.current, u), what)
+            _eq_rewrite(b, (), Compound(beta, b.current, u), what)
             continue
         raise IrreducibleCase(
             f"{what}: cannot reconcile {print_formula(b.current)} "
@@ -906,7 +839,7 @@ def context_reduce(
     if depth == len(hole_sides):
         if hole_sides == ():
             qb = Builder(spec, P)
-            _pad(frag, qb, (), Compound(beta, C, u), "shallow case pad")
+            _eq_rewrite(qb, (), Compound(beta, C, u), "shallow case pad")
             cb = Builder(spec, Compound(beta, HOLE, u))
             _eq_rewrite(cb, (), HOLE, "shallow case close")
             return ContextReduction(u, cb.derivation(), qb.derivation())
@@ -934,7 +867,7 @@ def context_reduce(
     if split.kind == "unitary":
         if delta != spec.dual(beta):
             raise IrreducibleCase("unitary context node is not the dual weak relation")
-        _pad(frag, b, (), Compound(delta, b.current, nu), "unitary context rebuild")
+        _eq_rewrite(b, (), Compound(delta, b.current, nu), "unitary context rebuild")
         b.splice(("R",), split.q1 if side == "L" else split.q0)
     else:
         # a weakening re-expands the erased side
@@ -945,7 +878,7 @@ def context_reduce(
         (), Scheme.SPLIT_DOWN, dict(A=a0, B=split.k0, C=a1, D=split.k1), delta, beta
     )
     b.splice(("R",), split.d)
-    _steer_units(frag, beta, u, b, s_hole, "context rebuild")
+    _steer_units(spec, beta, u, b, s_hole, "context rebuild")
     return ContextReduction(rec.k, b.derivation(), rec.q)
 
 
@@ -1014,7 +947,7 @@ def eliminate_up_step(
             x, j, q_a, q_b = x1, j1, split2.q0, split3.q0
         else:
             x, j, q_a, q_b = x2, j2, split2.q1, split3.q1
-        _pad(frag, b, (), Compound(alpha_t, nu, nu), "co-unit merge")
+        _eq_rewrite(b, (), Compound(alpha_t, nu, nu), "co-unit merge")
         b.splice(("L",), q_a)
         b.splice(("R",), q_b)
         b.apply_scheme(
@@ -1036,8 +969,8 @@ def eliminate_up_step(
         nb = spec.dual(beta)
         split3 = shallow_split(frag, q2, ("L",), recorder)
         kc, kd = split3.k0, split3.k1
-        _pad(frag, b, (), Compound(nb, nu, nu), "co-unit merge")
-        _pad(frag, b, ("R",), Compound(nb, nu, nu), "co-unit merge")
+        _eq_rewrite(b, (), Compound(nb, nu, nu), "co-unit merge")
+        _eq_rewrite(b, ("R",), Compound(nb, nu, nu), "co-unit merge")
         b.splice(("L",), q1)
         b.acr(("L",), Compound(beta, t_a, Compound(beta, t_b, k1f)))
         b.splice(("R", "L"), split3.q0)

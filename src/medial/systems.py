@@ -14,6 +14,7 @@ instance, labels included.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -32,6 +33,7 @@ from .terms import (
     negate,
     parse_formula,
     print_formula,
+    size,
     spine,
     subterms,
 )
@@ -184,10 +186,11 @@ class SystemSpec:
     """System descriptor: declarations fixed at construction, caches that
     fill as it is used (not thread-safe).  Hash/eq by identity.
 
-    The caches: `eq_cache` (eq_step_for's answers, for the spec's life) and
-    the oriented axiom table, built on first use.  AC-canonical forms are
-    not kept here: each is memoised on its interned term, keyed by
-    `ac_token`, and goes when that term goes."""
+    The caches: `eq_cache` (eq_step_for's answers, for the spec's life), and
+    the oriented axiom table, the weak units and the unit pads, each built
+    on first use.  AC-canonical forms are not kept here: each is memoised
+    on its interned term, keyed by `ac_token`, and goes when that term
+    goes."""
 
     def __init__(
         self,
@@ -248,6 +251,40 @@ class SystemSpec:
                         ax, negated, direction, pp, pc, rule_id, names, sorts
                     )
         return table
+
+    @cached_property
+    def weak_units(self) -> tuple:
+        """(beta, unit, co-unit) for every weak relation carrying a unit."""
+        return tuple(
+            (name, rel.unitary, self.negate_constant(rel.unitary))
+            for name, rel in self.relations.items()
+            if classify_relation(self, name) == "weak" and rel.unitary is not None
+        )
+
+    @cached_property
+    def pads(self) -> dict:
+        """(rel, unit) -> the oriented axiom of the pad X -> (X rel unit) for
+        each relation with a unit: its unit axiom run backwards, named only
+        where eq_step_for would answer every such pad with it
+        (_searched_first).  The unit axiom is probed by the uncached search,
+        which never reads this table; a probe that runs out of budget names
+        no pad."""
+        pads, probe = {}, Variable("w")
+        for rel, r in self.relations.items():
+            if r.unitary is None:
+                continue
+            u = Constant(r.unitary)
+            try:
+                unit_step = _eq_step_for(self, Compound(rel, probe, u), probe)
+            except MatchBudgetExhausted:
+                continue
+            if unit_step is None:
+                continue
+            back = "bwd" if unit_step.direction == "fwd" else "fwd"
+            o = self.oriented_axioms[unit_step.axiom_id, unit_step.negated, back]
+            if _searched_first(self, o, rel, u):
+                pads[rel, u] = o
+        return pads
 
     # -- lookups used across modules -------------------------------------
     def negate_constant(self, name: str) -> str:
@@ -317,19 +354,6 @@ def instantiate(spec: SystemSpec, pattern: Formula, bindings: Mapping[str, Formu
 _MATCH_CAP = 64  # bounded AC fan-out per spine, matching cost guard
 
 
-def match_pattern(
-    spec: SystemSpec,
-    pattern: Formula,
-    term: Formula,
-    bindings: Optional[dict] = None,
-) -> Optional[dict]:
-    """Match term against pattern modulo the declared AC theory, returning
-    bindings or None.  Spine regroupings are capped at _MATCH_CAP."""
-    for res in iter_matches(spec, pattern, term, bindings):
-        return res
-    return None
-
-
 def iter_matches(
     spec: SystemSpec,
     pattern: Formula,
@@ -337,9 +361,10 @@ def iter_matches(
     bindings: Optional[dict] = None,
     budget: Optional[list] = None,
 ):
-    """All matches, lazily.  `budget` is a one-element list the regroupings
-    draw on (a fresh _MATCH_CAP by default); the search was cut short when
-    it ends at or below zero."""
+    """All matches of term against pattern modulo the declared AC theory,
+    lazily.  `budget` is a one-element list the spine regroupings draw on
+    (a fresh _MATCH_CAP by default); the search was cut short when it ends
+    at or below zero."""
     if budget is None:
         budget = [_MATCH_CAP]
     yield from _match(spec, pattern, term, dict(bindings or {}), budget)
@@ -530,10 +555,17 @@ def eq_step_for(
 
     AC-equal formulas get an `acr` rearrangement.  Otherwise the declared
     axioms (and their negations, both orientations) are searched in the
-    order of spec.oriented_axioms.  Premise/conclusion of an axiom instance
-    are pattern-exact; callers bridge AC differences themselves.  Raises MatchBudgetExhausted when
-    _MATCH_CAP cut the search short and nothing was found; that outcome is
-    not cached."""
+    order of spec.oriented_axioms; a pad X -> (X' rel u), with X' AC-equal
+    to X, is built from spec.pads where that names the orientation the
+    search would find.  Premise/conclusion of an axiom instance are
+    pattern-exact; callers bridge AC differences themselves.  Raises
+    MatchBudgetExhausted when _MATCH_CAP cut the search short and nothing
+    was found; that outcome is not cached."""
+    if isinstance(rhs, Compound):
+        o = spec.pads.get((rhs.rel, rhs.right))
+        if o is not None and equal_mod_ac(spec, rhs.left, lhs):
+            m = o.premise
+            return o.instance(spec, {m.name: negate(spec, lhs) if m.negated else lhs})
     key = (lhs, rhs)
     try:
         return spec.eq_cache[key]
@@ -580,6 +612,29 @@ def _eq_step_for(
             f"{print_formula(rhs)}"
         )
     return None
+
+
+def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) -> bool:
+    """Does _eq_step_for answer every pad X -> (X rel c) with o?  It does
+    when o's premise is a bare formula metavariable, which matches every X,
+    and no orientation searched before o can relate X to (X rel c): its
+    conclusion has another root (AC keeps the root), or it keeps each
+    metavariable's count, so its instances grow by its patterns' size
+    difference, not 2."""
+    m, searched = o.premise, tuple(spec.oriented_axioms.values())
+    if not (isinstance(m, Metavar) and m.sort == "formula"
+            and o.conclusion in (Compound(rel, m, c), Compound(rel, c, m))):
+        return False
+
+    def counts(p):
+        return collections.Counter(t.name for t in subterms(p) if isinstance(t, Metavar))
+
+    return all(
+        isinstance(e.conclusion, Compound) and e.conclusion.rel != rel
+        or counts(e.premise) == counts(e.conclusion)
+        and size(e.conclusion) - size(e.premise) != 2
+        for e in searched[: searched.index(o)]
+    )
 
 
 def undeclared_symbol(spec: SystemSpec, f: Formula) -> Optional[str]:

@@ -236,11 +236,6 @@ def plug(ctx: Sequence[PathStep], f: Formula) -> Formula:
     return out
 
 
-def subformula_at(f: Formula, ctx: Sequence[PathStep]) -> Formula:
-    """Read back the subterm at the hole; each step must match f's shape."""
-    return Cursor(f).move(ctx)
-
-
 def context_at(f: Formula, sides: Sequence[str]) -> ContextPath:
     """Build the full context (with siblings) for a bare L/R path into f."""
     steps = []
@@ -527,7 +522,10 @@ def parse_formula(text: str, metavars: bool = False) -> Formula:
     """Parse the textual grammar; with metavars=True uppercase names (other
     than T/F) parse as pattern metavariables."""
     parser = _Parser(_tokenize(text), metavars)
-    f = parser.formula()
+    try:
+        f = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input at token {parser.peek()!r}")
     return f

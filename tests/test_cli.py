@@ -268,9 +268,18 @@ def test_check_sort_violation_exits_2(tmp_path, capsys):
 
 
 def test_deeply_nested_formula_exits_2(capsys):
+    # the parser reports its own depth as malformed input
+    nested = "(" * 1500 + "x" + ")" * 1500
+    assert run(["taut", nested]) == 2
+    assert "error: formula nested too deeply" in capsys.readouterr().err
+
+
+def test_kernel_recursion_exits_1(capsys):
+    # a 3,000-operand chain parses; evaluating it recurses past the limit
     chain = "(" + " | ".join(["x"] * 3000) + ")"
-    assert run(["taut", chain]) == 2
-    assert "nested too deeply" in capsys.readouterr().err
+    assert run(["taut", chain]) == 1
+    err = capsys.readouterr().err
+    assert "recursion limit reached in the kernel" in err and "nested" not in err
 
 
 def test_check_validates_spec_file(tmp_path, capsys):

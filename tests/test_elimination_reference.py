@@ -1,5 +1,5 @@
 """The elimination path against the loops it replaced, and the work it may
-do: unit pads are built from the named unit axiom instead of searched,
+do: unit pads are built from the spec's named unit axiom instead of searched,
 each rule instance is costed once, `instantiate_hole` fills each node once
 and `from_text` parses each binding text once."""
 
@@ -24,7 +24,6 @@ from medial.derivations import (
     mark_exact,
     step_cost,
     to_text,
-    weak_units,
 )
 from medial.splitting import (
     HOLE,
@@ -51,7 +50,7 @@ from medial.terms import (
 from helpers import ac_flag_shapes, enumerate_formulas, injected_corpus, random_formula
 
 spec = make_p_spec()
-PAIRS = weak_units(spec)
+PAIRS = spec.weak_units
 T, F = Constant("T"), Constant("F")
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
 
@@ -79,16 +78,25 @@ def synthesised():
 # Unit pads by name
 
 
+def _is_pad(spec, lhs, rhs):
+    """Is lhs -> rhs a query X -> (X' rel u), X' AC-equal to X, at a pad?"""
+    return (isinstance(rhs, Compound) and (rhs.rel, rhs.right) in spec.pads
+            and equal_mod_ac(spec, rhs.left, lhs))
+
+
 def _pads_reached(monkeypatch, frag, corpus):
-    """(X, target) of every pad the elimination of corpus asks for."""
+    """(X, target) of every pad the elimination of corpus asks eq_step_for,
+    directly or through Builder.rewrite."""
     reached = []
-    original = splitting._pad
+    original = systems.eq_step_for
 
-    def recording(frag, b, sides, target, what):
-        reached.append((terms.subformula_at_sides(b.current, sides), target))
-        return original(frag, b, sides, target, what)
+    def recording(spec, lhs, rhs):
+        if _is_pad(spec, lhs, rhs):
+            reached.append((lhs, rhs))
+        return original(spec, lhs, rhs)
 
-    monkeypatch.setattr(splitting, "_pad", recording)
+    for module in (splitting, derivations):
+        monkeypatch.setattr(module, "eq_step_for", recording)
     for d in corpus:
         eliminate_all_up(frag, d)
     monkeypatch.undo()
@@ -97,10 +105,10 @@ def _pads_reached(monkeypatch, frag, corpus):
 
 def test_named_pads_are_what_the_search_finds(monkeypatch):
     frag = make_fragment(spec)
-    assert set(frag.pads) == {("|", F), ("&", T)}
+    assert set(spec.pads) == {("|", F), ("&", T)}
     reached = _pads_reached(monkeypatch, frag, injected_corpus(seed=20240817, size=100))
     assert len(reached) > 1000
-    assert {(t.rel, t.right) for _, t in reached} == set(frag.pads)
+    assert {(t.rel, t.right) for _, t in reached} == set(spec.pads)
     rng = random.Random(20261019)
     xs = [T, F, Variable("x"), Variable("x", True)]
     while len(xs) < 1200:
@@ -111,12 +119,23 @@ def test_named_pads_are_what_the_search_finds(monkeypatch):
         xs.append(join("|", [r, F, random_formula(rng, 2)]))
         xs.append(Compound("&", T, Compound("&", r, T)))
     cases = reached + [
-        (x, Compound(rel, x, c)) for x in xs for rel, c in frag.pads
+        (x, Compound(rel, x, c)) for x in xs for rel, c in spec.pads
     ]
-    for x, target in cases:
-        named = frag.named_pad(x, target.rel, target.right)
-        assert named.premise is x
-        assert named == systems._eq_step_for(spec, x, target), (x, target)
+    # every pad is answered from spec.pads: neither searched nor cached
+    searched, search = [], systems._eq_step_for
+
+    def counted_search(spec, lhs, rhs):
+        searched.append((lhs, rhs))
+        return search(spec, lhs, rhs)
+
+    monkeypatch.setattr(systems, "_eq_step_for", counted_search)
+    cached = len(spec.eq_cache)
+    named = [systems.eq_step_for(spec, x, target) for x, target in cases]
+    monkeypatch.undo()
+    assert searched == [] and len(spec.eq_cache) == cached
+    for (x, target), inst in zip(cases, named):
+        assert inst.premise is x
+        assert inst == systems._eq_step_for(spec, x, target), (x, target)
 
 
 def test_a_pad_another_axiom_could_answer_first_is_searched():
@@ -126,7 +145,7 @@ def test_a_pad_another_axiom_could_answer_first_is_searched():
     )
     own = spec_from_text(text)
     frag = make_fragment(own)
-    assert frag.pads == {}
+    assert own.pads == {}
     assert systems._eq_step_for(own, F, Compound("|", F, F)).axiom_id == "idem"
     x = Variable("x")
     assert systems._eq_step_for(own, x, Compound("|", x, F)).axiom_id == "or_unit"
@@ -174,7 +193,7 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
     for d in corpus + eliminated + synthesised:
         for step in d.steps:
             if step.rule.scheme is Scheme.EQ:
-                cost = step_cost(spec, PAIRS, step)
+                cost = step_cost(spec, step)
                 assert cost == _reference_cost(step), step.rule
                 costs[cost] += 1
         assert length(spec, d) == sum(_reference_cost(s) for s in d.steps)
@@ -195,7 +214,7 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
         for _ in range(50):
             rule = o.instance(spec, {m: by_sort[sorts[m]]() for m in o.metavars})
             step = Step((), rule)
-            assert step_cost(spec, PAIRS, step) == _reference_cost(step), rule
+            assert step_cost(spec, step) == _reference_cost(step), rule
     # associativity and commutativity are flags: the steps between the
     # random pairs their former axioms related are acr steps, and free
     free = 0
@@ -208,7 +227,7 @@ def test_filtered_step_cost_agrees_with_reference(corpus_and_eliminated, synthes
                 prem, conc = instantiate(spec, lhs, binding), instantiate(spec, rhs, binding)
                 for step in (Step((), systems.ac_instance(spec, prem, conc)),
                              Step((), systems.ac_instance(spec, conc, prem))):
-                    free += step_cost(spec, PAIRS, step) == _reference_cost(step) == 0
+                    free += step_cost(spec, step) == _reference_cost(step) == 0
     assert free == 6 * 2 * 50 * 2
 
 
@@ -238,22 +257,18 @@ def test_each_rule_instance_is_costed_once_and_no_pad_is_searched(monkeypatch):
     rules = []  # held, so that no id is reused during the count
     cost = derivations.step_cost
 
-    def counted_cost(spec, pairs, step):
+    def counted_cost(spec, step):
         costed[id(step.rule)] += 1
         rules.append(step.rule)
-        return cost(spec, pairs, step)
+        return cost(spec, step)
 
     monkeypatch.setattr(systems, "_eq_step_for", counted_search)
     monkeypatch.setattr(derivations, "step_cost", counted_cost)
     for d in corpus:
         eliminate_all_up(frag, d)
     monkeypatch.undo()
-    pads = [
-        (lhs, rhs) for lhs, rhs in searched
-        if isinstance(rhs, Compound) and (rhs.rel, rhs.right) in frag.pads
-        and equal_mod_ac(own, rhs.left, lhs)
-    ]
-    assert pads == []
+    assert own.pads
+    assert [(lhs, rhs) for lhs, rhs in searched if _is_pad(own, lhs, rhs)] == []
     assert 0 < len(searched) <= 560  # 1,605 while the pads were searched
     assert len(costed) > 1000 and max(costed.values()) == 1
 

@@ -34,7 +34,7 @@ T = Constant("T")
 def test_fragment_rule_lists():
     assert set(frag.down_rules) == {"ai0d", "ai1d", "sd"}
     assert set(frag.up_rules) == {"ai0u", "ai1u", "su"}
-    assert frag.weak == (("|", "F", "T"),)
+    assert spec.weak_units == (("|", "F", "T"),)
 
 
 def test_fragment_requires_weak_relation():

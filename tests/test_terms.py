@@ -26,7 +26,6 @@ from medial.terms import (
     print_formula,
     size,
     spine,
-    subformula_at,
     subformula_at_sides,
     variables,
 )
@@ -69,12 +68,12 @@ def test_plug_basics():
 
 def test_subformula_at():
     f = Compound("|", x, y)
-    assert subformula_at(f, (PathStep("|", "L", y),)) == x
-    assert subformula_at(f, ()) == f
+    assert Cursor(f).move((PathStep("|", "L", y),)) == x
+    assert Cursor(f).move(()) == f
     with pytest.raises(PathMismatch):
-        subformula_at(f, (PathStep("&", "L", y),))
+        Cursor(f).move((PathStep("&", "L", y),))
     with pytest.raises(PathMismatch):
-        subformula_at(f, (PathStep("|", "L", z),))
+        Cursor(f).move((PathStep("|", "L", z),))
 
 
 def test_plug_subformula_round_trip_random():
@@ -88,7 +87,7 @@ def test_plug_subformula_round_trip_random():
             sides.append(side)
             cur = cur.left if side == "L" else cur.right
         ctx = context_at(f, sides)
-        sub = subformula_at(f, ctx)
+        sub = Cursor(f).move(ctx)
         assert sub == subformula_at_sides(f, sides)
         assert plug(ctx, sub) == f
 
