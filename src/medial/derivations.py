@@ -1,27 +1,26 @@
 """Derivations: checkable step sequences from a premise to a conclusion.
 
-Each step re-anchors itself with a full plugging context (path with
-siblings), so its before/after formulas are computable from the step
-alone.  The checker threads the running formula through the derivation
-and treats AC equality silently at every joint; all other equalities must
-appear as explicit equational steps.  `check`, `exactify` and `from_text`
-hold the running formula in one `terms.Cursor`, so a step rebuilds only
-what lies between its hole and the last one; the whole formula is plugged
-only at an AC joint and at the end.  A derivation known to thread exactly
-is marked `exact` (by `identity`, `exactify`, `from_text`,
-`before_step`/`after_step` of a marked derivation, and a `Builder` that
-adopted and spliced only marked ones), and `exactify` returns it as it is;
-`check` walks every derivation anyway.  The checker rebuilds
-every medial and equational step from what the step declares, once per
-distinct instance, and accepts it only if the rebuilt instance is the
-stored one, labels included.  `converse` runs an equational or acr step
-backwards, optionally between negations; `reverse_equational` and
-`dualize` apply it to a whole derivation.
+Each step carries its full plugging context (path with siblings), so its
+before/after formulas follow from the step alone.  The checker threads the
+running formula through the derivation, treating AC equality silently at
+every joint; every other equality must be an explicit equational step.
+`check`, `exactify` and `from_text` hold the running formula in one
+`terms.Cursor`, so a step rebuilds only what lies between its hole and the
+last one.  `check` rebuilds every medial and equational step from what it
+declares, once per distinct instance, and accepts it only if the rebuilt
+instance is the stored one, labels included.  A derivation known to thread
+exactly is marked `exact` (by `identity`, `exactify`, `from_text`,
+`before_step`, `after_step` and the converses of a marked one, and a
+`Builder` that adopted and spliced only marked ones); `exactify` returns
+it as it is, and `check` checks it anyway.  `converse` runs an equational
+or acr step backwards, optionally between negations; `reverse_equational`
+and `dualize` reverse whole derivations.
 
-Derivations compose one way, through `Builder`: it starts at a formula or
-continues a derivation, `splice` runs a derivation inside the subterm at a
-path (sequential composition at the root, deep applicability below it),
-and `derivation(target)` closes with an `acr` step onto an AC-equal target.
+Derivations compose one way, through `Builder`, which copies no step: it
+starts at a formula or continues a derivation, `splice` runs a derivation
+in the subterm at a path (at the root, one after another; below it, deep
+applicability), and `derivation(target)` closes with an `acr` step onto an
+AC-equal target.  Steps it places by reference make its result a `Rope`.
 """
 
 from __future__ import annotations
@@ -98,10 +97,50 @@ class Step:
         return tuple(p.hole_side for p in self.context)
 
 
+class Rope:
+    """Steps as parts, each a Step or (context, steps) placing a tuple or Rope
+    in context (Boehm, Atkinson & Plass, "Ropes", SPE 1995); flat once read."""
+
+    def __init__(self, parts: tuple):
+        self.parts, self._flat = parts, None
+        self._len = len(parts) + sum([len(p[1]) - 1 for p in parts if type(p) is tuple])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if self._flat is None:
+            self._flat = tuple([s if c is s.context else Step(c, s.rule) for c, s in placed(self)])
+        return self._flat[i]
+
+    def __eq__(self, other) -> bool:
+        return self[:] == (other[:] if type(other) is Rope else other)
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
+def placed(steps):
+    """(context, step) per step, context in full, building no Step; a read Rope walks flat."""
+    stack = [((), iter(getattr(steps, "_flat", None) or getattr(steps, "parts", steps)))]
+    while stack:
+        outer, items = stack[-1]
+        for item in items:
+            if type(item) is tuple:  # (context, steps) placed below outer
+                stack.append((outer + item[0], iter(getattr(item[1], "parts", item[1]))))
+                break
+            yield outer + item.context, item
+        else:
+            stack.pop()
+
+
 @dataclass(frozen=True)
 class Derivation:
     premise: Formula
-    steps: tuple
+    steps: Sequence  # a tuple of Steps, or a Rope
     conclusion: Formula
     # set (by mark_exact) only where the steps are known to thread exactly:
     # each step's before is the formula the previous step left, and the
@@ -154,10 +193,10 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
         return CheckFailure(-1, f"{reason} in premise")
     verdicts: dict = {}  # RuleInstance -> reason or None
     cursor = Cursor(d.premise)
-    for i, step in enumerate(d.steps):
+    for i, (ctx, step) in enumerate(placed(d.steps)):
         rule = step.rule
-        was = cursor.rewrite(step.context, rule.premise, rule.conclusion)
-        if was is not None and not equal_mod_ac(spec, step.before, was):
+        was = cursor.rewrite(ctx, rule.premise, rule.conclusion)
+        if was is not None and not equal_mod_ac(spec, plug(ctx, rule.premise), was):
             return CheckFailure(i, "ThreadBroken: step premise does not match")
         reason = verdicts.get(rule, _UNJUDGED)
         if reason is _UNJUDGED:
@@ -289,10 +328,9 @@ def _backwards(spec: SystemSpec, d: Derivation, negated: bool) -> Derivation:
                 for p in ctx
             )
         steps.append(Step(ctx, converse(spec, step.rule, negated)))
-    premise, conclusion = d.conclusion, d.premise
-    if negated:
-        premise, conclusion = negate(spec, premise), negate(spec, conclusion)
-    return Derivation(premise, tuple(steps), conclusion)
+    premise, conclusion = (negate(spec, f) if negated else f for f in (d.conclusion, d.premise))
+    out = Derivation(premise, tuple(steps), conclusion)
+    return mark_exact(out) if d.exact else out
 
 
 def reverse_equational(spec: SystemSpec, d: Derivation) -> Derivation:
@@ -317,17 +355,12 @@ class Builder:
     derivation that was not."""
 
     def __init__(self, spec: SystemSpec, start: Formula | Derivation):
-        self.spec = spec
+        self.spec, self.parts, self.exact, self.roped = spec, [], True, False  # parts as in a Rope
+        self.start = self.current = start
         if isinstance(start, Derivation):
-            self.start = start.premise
-            self.current = start.conclusion
-            self.steps: list[Step] = list(start.steps)
-            self.exact = start.exact
-        else:
-            self.start = start
-            self.current = start
-            self.steps = []
-            self.exact = True
+            self.start, self.current, self.exact = start.premise, start.conclusion, start.exact
+            self.roped = type(start.steps) is Rope
+            self.parts = [((), start.steps)] if self.roped else list(start.steps)
 
     def acr(self, sides: Sequence[str], target: Formula) -> None:
         """Rearrange the subterm at sides into target; no step when it
@@ -335,7 +368,7 @@ class Builder:
         self._append(sides, target, (), target)
 
     def apply(self, sides: Sequence[str], rule: RuleInstance) -> None:
-        self._append(sides, rule.premise, (Step((), rule),), rule.conclusion)
+        self._append(sides, rule.premise, rule, rule.conclusion)
 
     def apply_eq(self, sides, axiom_id, bindings, negated=False, direction="fwd"):
         self.apply(sides, eq_instance(self.spec, axiom_id, bindings, negated, direction))
@@ -356,18 +389,18 @@ class Builder:
         self.acr(sides, target)
 
     def splice(self, sides: Sequence[str], d: Derivation) -> None:
-        """Run a whole derivation inside the subterm at sides; at the root
-        its steps are reused as they are."""
+        """Run a whole derivation inside the subterm at sides; its steps
+        are placed there as they are."""
         self.exact = self.exact and d.exact
         self._append(sides, d.premise, d.steps, d.conclusion)
 
-    def _append(self, sides, premise: Formula, steps, conclusion: Formula) -> None:
-        """Run the subterm at sides from premise to conclusion by steps (their
-        contexts relative to sides), after an acr step onto premise where it
-        is needed.  The context at sides is read once: every step shares it,
-        and the running formula is rebuilt from it."""
+    def _append(self, sides, premise: Formula, run, conclusion: Formula) -> None:
+        """Run the subterm at sides from premise to conclusion by run, a rule
+        or a derivation's steps, after an acr step onto premise where it is
+        needed.  The context at sides is read once: the run is placed in
+        it, and the running formula is rebuilt from it."""
         sub = subformula_at_sides(self.current, sides)
-        if sub is premise and not steps:
+        if sub is premise and not run:
             return
         ctx = context_at(self.current, sides)
         if sub is not premise:
@@ -376,8 +409,14 @@ class Builder:
             except SystemError:
                 msg = f"cannot join {print_formula(sub)} with {print_formula(premise)}"
                 raise JointMismatch(msg) from None
-            self.steps.append(Step(ctx, rule))
-        self.steps.extend([Step(ctx + s.context, s.rule) for s in steps] if ctx else steps)
+            self.parts.append(Step(ctx, rule))
+        if isinstance(run, RuleInstance):
+            self.parts.append(Step(ctx, run))
+        elif type(run) is Rope or ctx and run:  # placed by reference
+            self.parts.append((ctx, run))
+            self.roped = True
+        else:  # a tuple's steps at the root, as they are
+            self.parts.extend(run)
         self.current = plug(ctx, conclusion)
 
     def derivation(self, conclusion: Optional[Formula] = None) -> Derivation:
@@ -385,7 +424,8 @@ class Builder:
         step onto it unless the built formula already is that conclusion."""
         if conclusion is not None:
             self.acr((), conclusion)
-        d = Derivation(self.start, tuple(self.steps), self.current)
+        steps = Rope(tuple(self.parts)) if self.roped else tuple(self.parts)
+        d = Derivation(self.start, steps, self.current)
         return mark_exact(d) if self.exact else d
 
 
@@ -399,12 +439,12 @@ def to_text(spec: SystemSpec, d: Derivation) -> str:
     spaced: dict = {}
     tight: dict = {}
     lines = [f"system: {spec.name}", f"premise: {print_memo(d.premise, True, spaced)}"]
-    for step in d.steps:
+    for ctx, step in placed(d.steps):
         rule = step.rule
         parts = [f"rule={rule.rule_id}"]
         if rule.scheme is Scheme.EQ:
             parts.append(f"dir={rule.direction}")
-        path = "".join(step.sides)
+        path = "".join([p.hole_side for p in ctx])
         parts.append(f"path={path or '-'}")
         for name, value in rule.bindings:
             parts.append(f"{name}={print_memo(value, False, tight)}")

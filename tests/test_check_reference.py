@@ -22,9 +22,11 @@ from medial.derivations import (
     Step,
     before_step,
     check,
+    dualize,
     exactify,
     from_text,
     identity,
+    reverse_equational,
     to_text,
 )
 from medial.generators import derive_contraction, derive_excluded_middle
@@ -49,7 +51,7 @@ from medial.terms import (
     subformula_at_sides,
 )
 
-from helpers import enumerate_formulas, injected_corpus, random_formula
+from helpers import F, T, enumerate_formulas, injected_corpus, random_formula
 
 spec = make_p_spec()
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
@@ -130,14 +132,18 @@ def synthesised():
     raise AssertionError("fewer than 300 tautologies of height 3")
 
 
+def _family(n):
+    """(x0 & ... & xn-1) | ~x0 | ... | ~xn-1, family (i) of the synthesis."""
+    xs = [f"x{i}" for i in range(n)]
+    return parse_formula("((" + " & ".join(xs) + ") | " + " | ".join("~" + x for x in xs) + ")")
+
+
 @pytest.fixture(scope="module")
 def family5():
     """The synthesised proof of (x0 & ... & x4) | ~x0 | ... | ~x4, read back
     from its file, so that consecutive steps share their context objects
     as in every derivation `from_text` returns."""
-    xs = [f"x{i}" for i in range(5)]
-    goal = "((" + " & ".join(xs) + ") | " + " | ".join("~" + x for x in xs) + ")"
-    text = to_text(spec, prove_tautology(parse_formula(goal)))
+    text = to_text(spec, prove_tautology(_family(5)))
     d = from_text(text, lambda name: spec)[1]
     assert len(d.steps) == 7334
     return text, d
@@ -205,7 +211,7 @@ def test_check_agrees_with_reference_on_named_defects():
         "first acr dropped": (_drop(d, first_acr), None),
         "sibling beyond AC": (_with_sibling(d, deep, Variable("q")), deep),
         "mislabelled copy": (
-            Derivation(valid.premise, valid.steps + (copy,), valid.conclusion), 3
+            Derivation(valid.premise, valid.steps[:] + (copy,), valid.conclusion), 3
         ),
     }
     for name, (m, index) in cases.items():
@@ -364,6 +370,25 @@ def test_from_text_and_check_rebuild_only_what_a_step_changed(monkeypatch, famil
     assert len(built) <= steps
 
 
+def test_prove_to_text_and_check_place_steps_without_copying(monkeypatch):
+    # counts, not times: a spliced derivation's steps are placed by
+    # reference, not rebuilt at each level of splicing, and check and
+    # to_text walk the placed parts without building a Step
+    built = []
+    original = Step.__init__
+
+    def counted(self, *fields):
+        built.append(None)
+        original(self, *fields)
+
+    monkeypatch.setattr(Step, "__init__", counted)
+    d = prove_tautology(_family(5))
+    to_text(spec, d)
+    assert check(spec, d) is None
+    assert len(d) == len(d.steps) == 7334
+    assert len(built) <= 1.5 * len(d)
+
+
 def _commuted_conclusion(d):
     """d, its conclusion's root operands swapped where that is AC-equal
     and a different formula."""
@@ -399,6 +424,13 @@ def test_every_exact_mark_holds(monkeypatch):
         d = prove_tautology(f)
         assert from_text(to_text(spec, d), lambda name: spec)[1] == d
         exactify(spec, _without_acr(d))
+    # closed tautologies reverse an evaluation; reversed and dualised
+    # derivations of marked ones are marked
+    closed = [f for f in enumerate_formulas(3, (T, F)) if is_tautology(f)]
+    for f in closed[::10]:
+        d = prove_tautology(f)
+        assert d.exact
+        assert dualize(spec, d).exact and reverse_equational(spec, d).exact
     frag = make_fragment(spec)
     joints = 0
     for d in injected_corpus(seed=20240817, size=100):
@@ -421,7 +453,7 @@ def test_every_exact_mark_holds(monkeypatch):
     assert joints > 200
     assert set(marked) == {
         "identity", "exactify", "from_text", "derivation",  # Builder.derivation
-        "before_step", "after_step", "instantiate_hole",
+        "before_step", "after_step", "instantiate_hole", "_backwards",
     }
     assert len(seen) > 10_000
     for d in seen:

@@ -16,6 +16,7 @@ from medial.derivations import (
     from_text,
     identity,
     length,
+    placed,
     reverse_equational,
     to_text,
 )
@@ -269,10 +270,19 @@ def test_nest_random_property():
 
 def test_concat():
     d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
-    # continuing a derivation adopts its steps as they are
-    continued = Builder(spec, d)
-    assert continued.derivation() == d
-    assert all(a is b for a, b in zip(continued.steps, d.steps))
+    # continuing a derivation adopts its steps as they are: the built
+    # derivation places the very Step objects of d, in d's contexts (read
+    # here before either is read flat, which builds the nested steps)
+    continued = Builder(spec, d).derivation()
+    pairs = list(zip(placed(continued.steps), placed(d.steps)))
+    assert len(pairs) == len(d) and all(o == p and a is b for (o, a), (p, b) in pairs)
+    # spliced below the root, they are placed one frame deeper, not copied
+    nested = Builder(spec, Compound("|", d.premise, Constant("F")))
+    nested.splice(("L",), d)
+    pairs = list(zip(placed(nested.derivation().steps), placed(d.steps)))
+    assert len(pairs) == len(d)
+    assert all(o[1:] == p and a is b for (o, a), (p, b) in pairs)
+    assert continued == d and len(continued.steps) == len(d.steps)
     # continuing, then adding steps, equals starting at the premise and splicing
     C, F = d.conclusion, Constant("F")
 

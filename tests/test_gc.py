@@ -59,6 +59,16 @@ def test_kernel_calls_leave_no_cyclic_garbage():
         check(spec, d)
         from_text(to_text(spec, d), lambda name: spec)
         print_formula(d.conclusion, spaces=False)
+        # a derivation spliced below the root, read lazily: no placed part
+        # holds a reference cycle
+        b = Builder(spec, Compound("&", terms.Constant("T"), Variable("x")))
+        b.splice(("L",), prove_tautology(parse_formula("((T | F) & T)")))
+        spliced = b.derivation()
+        assert len(spliced) == len(spliced.steps) > 1
+        assert spliced.steps[-1] is spliced.steps[1:][-1]
+        assert [s.rule for s in spliced.steps][0] is spliced.steps[0].rule
+        assert check(spec, dualize(spec, spliced)) is None
+        del b, spliced
         derive_excluded_middle(spec, "&", parse_formula("((x | y) & (x p0 ~y))"))
         derive_contraction(spec, "|", parse_formula("((x | y) & (x p1 ~y))"))
         # atoms with names nothing else holds, so each is made, interned
