@@ -82,10 +82,21 @@ def derive_contraction(spec: SystemSpec, beta: str, A: Formula) -> Derivation:
     """Derivation from A beta A to A, for weak beta."""
     if classify_relation(spec, beta) != "weak":
         raise NotWeak(beta)
-    return _contraction(spec, beta, A)
+    return contraction(spec, beta, A, {})
 
 
-def _contraction(spec: SystemSpec, beta: str, f: Formula) -> Derivation:
+def contraction(spec: SystemSpec, beta: str, f: Formula, lemmas: dict) -> Derivation:
+    """From f beta f to f, for weak beta.  lemmas is the caller's table: the
+    contraction of each (beta, subformula) is built once, kept there and
+    spliced by reference wherever it recurs."""
+    key = (beta, f)
+    done = lemmas.get(key)
+    if done is None:
+        done = lemmas[key] = _contraction(spec, beta, f, lemmas)
+    return done
+
+
+def _contraction(spec: SystemSpec, beta: str, f: Formula, lemmas: dict) -> Derivation:
     """From f beta f to f, by recursion on f."""
     b = Builder(spec, Compound(beta, f, f))
     if is_atom(f):
@@ -103,8 +114,8 @@ def _contraction(spec: SystemSpec, beta: str, f: Formula) -> Derivation:
             (), Scheme.CONTRACT_DOWN,
             dict(A=f.left, B=f.right, C=f.left, D=f.right), gamma, beta,
         )
-    b.splice(("L",), _contraction(spec, beta, f.left))
-    b.splice(("R",), _contraction(spec, beta, f.right))
+    b.splice(("L",), contraction(spec, beta, f.left, lemmas))
+    b.splice(("R",), contraction(spec, beta, f.right, lemmas))
     return b.derivation(f)
 
 

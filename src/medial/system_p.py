@@ -14,7 +14,7 @@ from .derivations import (
     identity,
     reverse_equational,
 )
-from .generators import derive_contraction
+from .generators import contraction
 from .systems import (
     Axiom,
     Metavar,
@@ -227,57 +227,14 @@ def _insert_atom_at_t(b: Builder, tpath: tuple, atom: Formula,
         b.apply_eq(tpath, "or_unit", dict(A=T), direction="bwd")
         b.acr(tpath, Compound(OR, F, T))
         return
-    live = atom if evaluate(atom, valuation) else negate(make_p_spec(), atom)
-    dead = negate(make_p_spec(), live)
+    live = atom if evaluate(atom, valuation) else negate(b.spec, atom)
+    dead = negate(b.spec, live)
     b.apply_eq(tpath, "var_em", dict(X=live), direction="bwd")
     # current subtree: (live | dead); duplicate the wanted copy, merge the pair
     side = "L" if atom == live else "R"
     b.apply_eq(tpath + (side,), "var_idem", dict(X=atom), direction="bwd")
     b.acr(tpath, Compound(OR, atom, Compound(OR, live, dead)))
     b.apply_eq(tpath + ("R",), "var_em", dict(X=live))
-
-
-def _chain_insert(spec: SystemSpec, element: Formula, P: Derivation,
-                  valuation: Mapping[str, bool]) -> Derivation:
-    """Given P from T to a clause (T | rest) (or bare T), return a proof of
-    (T | element | rest).  The element may be semantically dead; the clause
-    keeps a live T seed throughout."""
-    old_rest = spine(spec, P.conclusion, OR)
-    old_rest.remove(T)
-
-    def arranged(new: Formula) -> Formula:
-        return Compound(OR, T, join(OR, [new] + old_rest))
-
-    b = Builder(spec, P)
-    tpath = () if b.current == T else ("L",)
-    if is_atom(element):
-        _insert_atom_at_t(b, tpath, element, valuation)
-        b.acr((), arranged(element))
-        return b.derivation()
-    if element.rel in (P0, P1):
-        kept, axiom = _selection(element)
-        b2 = Builder(spec, _chain_insert(spec, kept, P, valuation))
-        # a disjunction kept is inserted part by part; regroup it as one
-        b2.acr((), arranged(kept))
-        kpath = ("R",) if not old_rest else ("R", "L")
-        b2.apply_eq(kpath, axiom, dict(A=element.left, B=element.right), direction="bwd")
-        b2.acr((), arranged(element))
-        return b2.derivation()
-    if element.rel == OR:
-        out = P
-        for part in reversed(spine(spec, element, OR)):
-            out = _chain_insert(spec, part, out, valuation)
-        return out
-    # conjunction: two supported sub-clauses, one split, one contraction
-    base = P.conclusion  # (T | rest) or T
-    b3 = _conjoin(
-        spec, element.left, element.right, base,
-        _chain_insert(spec, element.left, P, valuation),
-        _chain_insert(spec, element.right, P, valuation),
-    )
-    b3.splice(("R",), derive_contraction(spec, OR, base))
-    b3.acr((), arranged(element))
-    return b3.derivation()
 
 
 def _conjoin(spec: SystemSpec, a: Formula, c: Formula, rest: Formula,
@@ -292,57 +249,6 @@ def _conjoin(spec: SystemSpec, a: Formula, c: Formula, rest: Formula,
     b.acr(("R",), Compound(OR, c, rest))
     b.apply_scheme((), Scheme.SPLIT_DOWN, dict(A=a, B=rest, C=c, D=rest), AND, OR)
     return b
-
-
-def _pos(spec: SystemSpec, w: Formula, valuation: Mapping[str, bool]) -> Derivation:
-    """Proof of (w | J) from T, where w is true at the valuation and J joins
-    one false literal per variable of w (sorted); bare w when w is closed."""
-    target = _clause(w, sorted(variables(w)), valuation)
-    if is_atom(w):
-        if isinstance(w, Constant):
-            if w != T:
-                raise SystemError("false constant cannot head a line proof")
-            return identity(T)
-        b = Builder(spec, T)
-        b.apply_eq((), "var_em", dict(X=w), direction="bwd")
-        return b.derivation(target)
-    if w.rel == AND:
-        d0 = _pos(spec, w.left, valuation)
-        d1 = _pos(spec, w.right, valuation)
-        b = Builder(spec, T)
-        b.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
-        b.splice(("L",), d0)
-        b.splice(("R",), d1)
-        j0 = _ensure_join(spec, b, ("L",), w.left)
-        j1 = _ensure_join(spec, b, ("R",), w.right)
-        b.apply_scheme(
-            (), Scheme.SPLIT_DOWN, dict(A=w.left, B=j0, C=w.right, D=j1), AND, OR
-        )
-        _finish_clause(spec, b, w)
-        return b.derivation(target)
-    if w.rel in (P0, P1):
-        kept, axiom = _selection(w)
-        dead = []
-    else:
-        # disjunction: seed dead material first, host the live disjunct last
-        elems = spine(spec, w, OR)
-        live = next(i for i, e in enumerate(elems) if evaluate(e, valuation))
-        kept, axiom = elems[live], None
-        dead = elems[:live] + elems[live + 1:]
-    P = identity(T)
-    for name in sorted(variables(w) - variables(kept), reverse=True):
-        P = _chain_insert(spec, opposite_literal(name, valuation), P, valuation)
-    for e in dead:
-        P = _chain_insert(spec, e, P, valuation)
-    b = Builder(spec, P)
-    tpath = () if b.current == T else ("L",)
-    sub = _pos(spec, kept, valuation)
-    b.splice(tpath, sub)
-    if axiom is not None:
-        kpath = tpath if sub.conclusion == kept else tpath + ("L",)
-        b.apply_eq(kpath, axiom, dict(A=w.left, B=w.right), direction="bwd")
-    _finish_clause(spec, b, w)
-    return b.derivation(target)
 
 
 def _ensure_join(spec: SystemSpec, b: Builder, sides: tuple, w_part: Formula) -> Formula:
@@ -394,14 +300,155 @@ def _finish_clause(spec: SystemSpec, b: Builder, w: Formula) -> None:
         b.apply_eq(("L",), axiom, {key: dup})
 
 
+class _Prover:
+    """One proof's synthesis over spec, with a lemma table that dies with
+    it: each line lemma, keyed by its formula and the valuation on that
+    formula's variables, and each contraction, keyed by (relation,
+    formula), is built once and spliced by reference wherever it recurs."""
+
+    def __init__(self, spec: SystemSpec):
+        self.spec, self.lemmas = spec, {}
+
+    def chain_insert(self, element: Formula, P: Derivation,
+                     valuation: Mapping[str, bool]) -> Derivation:
+        """Given P from T to a clause (T | rest) (or bare T), return a proof
+        of (T | element | rest).  The element may be semantically dead; the
+        clause keeps a live T seed throughout."""
+        spec = self.spec
+        old_rest = spine(spec, P.conclusion, OR)
+        old_rest.remove(T)
+
+        def arranged(new: Formula) -> Formula:
+            return Compound(OR, T, join(OR, [new] + old_rest))
+
+        b = Builder(spec, P)
+        tpath = () if b.current == T else ("L",)
+        if is_atom(element):
+            _insert_atom_at_t(b, tpath, element, valuation)
+            b.acr((), arranged(element))
+            return b.derivation()
+        if element.rel in (P0, P1):
+            kept, axiom = _selection(element)
+            b2 = Builder(spec, self.chain_insert(kept, P, valuation))
+            # a disjunction kept is inserted part by part; regroup it as one
+            b2.acr((), arranged(kept))
+            kpath = ("R",) if not old_rest else ("R", "L")
+            b2.apply_eq(kpath, axiom, dict(A=element.left, B=element.right), direction="bwd")
+            b2.acr((), arranged(element))
+            return b2.derivation()
+        if element.rel == OR:
+            out = P
+            for part in reversed(spine(spec, element, OR)):
+                out = self.chain_insert(part, out, valuation)
+            return out
+        # conjunction: two supported sub-clauses, one split, one contraction
+        base = P.conclusion  # (T | rest) or T
+        b3 = _conjoin(
+            spec, element.left, element.right, base,
+            self.chain_insert(element.left, P, valuation),
+            self.chain_insert(element.right, P, valuation),
+        )
+        b3.splice(("R",), contraction(spec, OR, base, self.lemmas))
+        b3.acr((), arranged(element))
+        return b3.derivation()
+
+    def line(self, A: Formula, valuation: Mapping[str, bool]) -> Derivation:
+        """prove_line's proof, built from this proof's lemmas."""
+        return self.pos(A if evaluate(A, valuation) else negate(self.spec, A), valuation)
+
+    def pos(self, w: Formula, valuation: Mapping[str, bool]) -> Derivation:
+        """Proof of (w | J) from T, where w is true at the valuation and J
+        joins one false literal per variable of w (sorted); bare w when w is
+        closed.  It reads the valuation on w's variables only."""
+        names = sorted(variables(w))
+        key = (w, tuple([valuation[n] for n in names]))
+        done = self.lemmas.get(key)
+        if done is None:
+            done = self.lemmas[key] = self._pos(w, names, valuation)
+        return done
+
+    def _pos(self, w: Formula, names: list, valuation: Mapping[str, bool]) -> Derivation:
+        """pos's proof, built afresh; names are w's variables, sorted."""
+        spec = self.spec
+        target = _clause(w, names, valuation)
+        if is_atom(w):
+            if isinstance(w, Constant):
+                if w != T:
+                    raise SystemError("false constant cannot head a line proof")
+                return identity(T)
+            b = Builder(spec, T)
+            b.apply_eq((), "var_em", dict(X=w), direction="bwd")
+            return b.derivation(target)
+        if w.rel == AND:
+            d0 = self.pos(w.left, valuation)
+            d1 = self.pos(w.right, valuation)
+            b = Builder(spec, T)
+            b.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
+            b.splice(("L",), d0)
+            b.splice(("R",), d1)
+            j0 = _ensure_join(spec, b, ("L",), w.left)
+            j1 = _ensure_join(spec, b, ("R",), w.right)
+            b.apply_scheme(
+                (), Scheme.SPLIT_DOWN, dict(A=w.left, B=j0, C=w.right, D=j1), AND, OR
+            )
+            _finish_clause(spec, b, w)
+            return b.derivation(target)
+        if w.rel in (P0, P1):
+            kept, axiom = _selection(w)
+            dead = []
+        else:
+            # disjunction: seed dead material first, host the live disjunct last
+            elems = spine(spec, w, OR)
+            live = next(i for i, e in enumerate(elems) if evaluate(e, valuation))
+            kept, axiom = elems[live], None
+            dead = elems[:live] + elems[live + 1:]
+        P = identity(T)
+        for name in sorted(set(names) - variables(kept), reverse=True):
+            P = self.chain_insert(opposite_literal(name, valuation), P, valuation)
+        for e in dead:
+            P = self.chain_insert(e, P, valuation)
+        b = Builder(spec, P)
+        tpath = () if b.current == T else ("L",)
+        sub = self.pos(kept, valuation)
+        b.splice(tpath, sub)
+        if axiom is not None:
+            kpath = tpath if sub.conclusion == kept else tpath + ("L",)
+            b.apply_eq(kpath, axiom, dict(A=w.left, B=w.right), direction="bwd")
+        _finish_clause(spec, b, w)
+        return b.derivation(target)
+
+    def fold_var(self, y: Formula, name: str,
+                 p_true: Derivation, p_false: Derivation) -> Derivation:
+        """Merge proofs of (y | name) and (y | ~name) into a proof of y."""
+        nv = Variable(name, negated=True)
+        b = _conjoin(self.spec, Variable(name), nv, y, p_false, p_true)
+        b.apply_eq(("L",), "var_em", dict(X=nv), negated=True)
+        b.apply_eq((), "or_unit", dict(A=Compound(OR, y, y)))
+        b.splice((), contraction(self.spec, OR, y, self.lemmas))
+        return b.derivation(y)
+
+    def fold(self, x: Formula, names: tuple, valuation: dict) -> Derivation:
+        """Proof from T of x joined with the literals false at the
+        valuation, which binds a prefix of names in order: the line proof
+        once it binds every name, else the proofs for the next name true
+        and false merged."""
+        if len(valuation) == len(names):
+            return self.line(x, valuation)
+        name = names[len(valuation)]
+        return self.fold_var(
+            _clause(x, valuation, valuation), name,
+            self.fold(x, names, {**valuation, name: True}),
+            self.fold(x, names, {**valuation, name: False}),
+        )
+
+
 def prove_line(A: Formula, valuation: Mapping[str, bool]) -> Derivation:
     """Checkable proof from T of (w | J): w is A signed by its value at the
     valuation (A when true, its negation when false) and J joins the literal
     over each variable that is false at the valuation, in name order."""
     if set(valuation) != variables(A):
         raise VariableMismatch(f"valuation of {sorted(valuation)} differs from vars({A})")
-    spec = make_p_spec()
-    return _pos(spec, A if evaluate(A, valuation) else negate(spec, A), valuation)
+    return _Prover(make_p_spec()).line(A, valuation)
 
 
 def _closed_tautology_proof(spec: SystemSpec, x: Formula) -> Derivation:
@@ -421,35 +468,9 @@ def _evaluation(spec: SystemSpec, f: Formula) -> Derivation:
     return b.derivation()
 
 
-def _fold_var(spec: SystemSpec, y: Formula, name: str,
-              p_true: Derivation, p_false: Derivation) -> Derivation:
-    """Merge proofs of (y | name) and (y | ~name) into a proof of y."""
-    nv = Variable(name, negated=True)
-    b = _conjoin(spec, Variable(name), nv, y, p_false, p_true)
-    b.apply_eq(("L",), "var_em", dict(X=nv), negated=True)
-    b.apply_eq((), "or_unit", dict(A=Compound(OR, y, y)))
-    b.splice((), derive_contraction(spec, OR, y))
-    return b.derivation(y)
-
-
-def _fold(spec: SystemSpec, x: Formula, names: tuple,
-          valuation: dict) -> Derivation:
-    """Proof from T of x joined with the literals false at the valuation,
-    which binds a prefix of names in order: the line proof once it binds
-    every name, else the proofs for the next name true and false merged."""
-    if len(valuation) == len(names):
-        return prove_line(x, valuation)
-    name = names[len(valuation)]
-    return _fold_var(
-        spec, _clause(x, valuation, valuation), name,
-        _fold(spec, x, names, {**valuation, name: True}),
-        _fold(spec, x, names, {**valuation, name: False}),
-    )
-
-
 def prove_tautology(A: Formula, hypotheses: Sequence[Formula] = ()) -> Derivation:
     """Proof from T of A | ~B1 | ... | ~Bn: one line proof per valuation,
-    folded depth-first one variable at a time."""
+    folded depth-first one variable at a time, each lemma built once."""
     spec = make_p_spec()
     x = A
     if hypotheses:
@@ -459,4 +480,4 @@ def prove_tautology(A: Formula, hypotheses: Sequence[Formula] = ()) -> Derivatio
     names = tuple(sorted(variables(x)))
     if not names:
         return _closed_tautology_proof(spec, x)
-    return _fold(spec, x, names, {})
+    return _Prover(spec).fold(x, names, {})

@@ -4,6 +4,7 @@ they may do: both read each step's formulas along the running formula,
 `check` rebuild only what the last step changed."""
 
 import collections
+import hashlib
 import random
 import re
 import sys
@@ -387,6 +388,24 @@ def test_prove_to_text_and_check_place_steps_without_copying(monkeypatch):
     assert check(spec, d) is None
     assert len(d) == len(d.steps) == 7334
     assert len(built) <= 1.5 * len(d)
+
+
+def test_prove_builds_each_lemma_once(monkeypatch):
+    # counts, not times: one proof builds each line lemma and each
+    # contraction once and splices it wherever it recurs (2,660 builders
+    # when every use rebuilt its lemma), and the output stays the same
+    built = []
+    original = Builder.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        original(self, *args)
+
+    monkeypatch.setattr(Builder, "__init__", counted)
+    d = prove_tautology(_family(5))
+    assert len(built) <= 1000
+    digest = hashlib.sha256(to_text(spec, d).encode()).hexdigest()
+    assert digest == "dc5031d268c9b6a7e5b382edf966d511d2dc79eba055d0e7727a6eb047e48e67"
 
 
 def _commuted_conclusion(d):

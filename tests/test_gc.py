@@ -7,10 +7,10 @@ import gc
 import random
 import weakref
 
-from medial import terms
+from medial import system_p, terms
 from medial.generators import derive_contraction, derive_excluded_middle
 from medial.r23 import random_clone_formula
-from medial.derivations import Builder, check, dualize, from_text, length, to_text
+from medial.derivations import Builder, Rope, check, dualize, from_text, length, to_text
 from medial.splitting import HOLE, eliminate_all_up, instantiate_hole, make_fragment
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import spec_from_text, spec_to_text
@@ -81,6 +81,36 @@ def test_kernel_calls_leave_no_cyclic_garbage():
         for clone in ("C2", "C3"):
             random_clone_formula(rng, clone, 4)
     assert kinds == {}
+
+
+def test_lemma_table_dies_with_the_proof(monkeypatch):
+    # the lemmas a proof builds are held by its call alone: the spec gains
+    # no attribute, and by reference counting alone each lemma derivation
+    # is freed when the call returns, and the steps placed from it when
+    # the proof is
+    spec = make_p_spec()
+    lemmas, placed_steps = [], []
+    original = system_p.contraction
+
+    def recorded(*args):
+        d = original(*args)
+        lemmas.append(weakref.ref(d))
+        if isinstance(d.steps, Rope):
+            placed_steps.append(weakref.ref(d.steps))
+        return d
+
+    monkeypatch.setattr(system_p, "contraction", recorded)
+    attributes = set(vars(spec))
+    gc.disable()
+    try:
+        proof = prove_tautology(parse_formula("((x & y & z) | ~x | ~y | ~z)"))
+        assert set(vars(spec)) == attributes
+        assert lemmas and all(d() is None for d in lemmas)
+        assert placed_steps and all(steps() is not None for steps in placed_steps)
+        del proof
+        assert all(steps() is None for steps in placed_steps)
+    finally:
+        gc.enable()
 
 
 def test_synthesis_leaves_only_what_the_spec_keeps():

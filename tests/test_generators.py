@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from medial.derivations import Builder, check, identity
+from medial.derivations import Builder, check, identity, placed
 from medial.generators import (
     CheckFailed,
     NotStrong,
@@ -81,6 +81,20 @@ def test_contraction_disjunction_is_equational():
     d = derive_contraction(spec, "|", parse_formula("(x | y)"))
     assert non_equational_steps(d) == 0
     assert check(spec, d) is None
+
+
+def test_contraction_places_each_subformula_lemma_once():
+    # the two copies of (x & y) are contracted by one derivation, placed
+    # by reference at both sides of the medial step
+    d = derive_contraction(spec, "|", parse_formula("((x & y) & (x & y))"))
+    assert check(spec, d) is None
+    halves = {"L": [], "R": []}
+    for ctx, step in placed(d.steps):
+        if ctx:
+            halves[ctx[0].hole_side].append(step)
+    left, right = halves["L"], halves["R"]
+    assert len(left) == len(right) == 3
+    assert all(a is b for a, b in zip(left, right))
 
 
 def test_contraction_not_weak():
