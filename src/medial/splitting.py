@@ -4,7 +4,8 @@ elimination of splitting up-rules.
 Shallow splitting decomposes a proof of (A0 a A1) b B into component
 proofs by induction on the derivation, analysing the step adjacent to
 the conclusion.  Unhandled step shapes raise IrreducibleCase instead of
-guessing; the acceptance corpus must exercise none."""
+guessing; the acceptance corpus must exercise none.  A part that already
+ends at the formula it is pinned to is returned as it is, not rebuilt."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .derivations import (
 from .generators import atomic_deduction
 from .systems import (
     Metavar,
+    RuleInstance,
     Scheme,
     SystemSpec,
     ac_instance,
@@ -235,6 +237,12 @@ def _is_prefix(a: tuple, b: tuple) -> bool:
     return b[: len(a)] == a
 
 
+def _pinned(spec: SystemSpec, d: Derivation, target: Formula) -> Derivation:
+    """d closed onto target: d itself when it already ends there (formulas
+    are hash-consed), else d and an acr step onto target."""
+    return d if d.conclusion is target else Builder(spec, d).derivation(target)
+
+
 class _Splitter:
     def __init__(self, frag: SplittableFragment, premise: Formula, recorder: Optional[list]):
         self.frag = frag
@@ -250,22 +258,25 @@ class _Splitter:
     def _normalize(self, P: Derivation, node: Compound, kind: str, btree: Formula,
                    k0, k1, d, q0, q1) -> SplitResult:
         """Pin a case's parts to this call's exact trees: the node's
-        components, and btree, P's conclusion with the node deleted."""
+        components, and btree, P's conclusion with the node deleted.  A
+        part that already runs to where it is pinned is returned as it is."""
         spec, beta = self.spec, self.beta
         alpha = node.rel
 
         def fix_q(q, a_part, k):
-            if q is None:
-                return None
-            return Builder(spec, q).derivation(Compound(beta, a_part, k))
+            return None if q is None else _pinned(spec, q, Compound(beta, a_part, k))
 
         q0 = fix_q(q0, node.left, k0)
         q1 = fix_q(q1, node.right, k1)
-        b = Builder(spec, Compound(spec.dual(alpha), k0, k1))
-        b.splice((), d)
-        if b.current != btree:
-            _steer_units(spec, beta, self.u, b, btree, "split remainder")
-        dd = b.derivation(btree)
+        top = Compound(spec.dual(alpha), k0, k1)
+        if d.premise is top and d.conclusion is btree:
+            dd = d
+        else:
+            b = Builder(spec, top)
+            b.splice((), d)
+            if b.current != btree:
+                _steer_units(spec, beta, self.u, b, btree, "split remainder")
+            dd = b.derivation(btree)
         rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
         if self.recorder is not None:
             self.recorder.append(rec)
@@ -289,7 +300,7 @@ class _Splitter:
             last = P.steps[-1]
             b = Builder(spec, before_step(P, -1))
             _eq_rewrite(b, (), Compound(beta, last.before, self.u), "bare conclusion pad")
-            b.apply(("L",) + tuple(last.sides), last.rule)
+            b.apply(("L",) + last.sides, last.rule)
             return self.split(b.derivation(), ("L",))
         C = P.conclusion
         node = subformula_at_sides(C, occ)
@@ -304,7 +315,7 @@ class _Splitter:
             raise IrreducibleCase("the co-unit premise contains no split node")
         sigma = P.steps[-1]
         P1 = before_step(P, -1)
-        p = tuple(sigma.sides)
+        p = sigma.sides
         scheme = sigma.rule.scheme
         if scheme is Scheme.AC and P1.steps and P1.steps[-1].rule.scheme is Scheme.AC:
             # merge adjacent rearrangements so the node stays verbatim
@@ -352,7 +363,7 @@ class _Splitter:
         if occ2 is None:
             raise IrreducibleCase("AC step hides the split node")
         t = subformula_at_sides(P1.conclusion, occ2)
-        base = Builder(spec, P1).derivation(Compound(beta, t, _delete(P1.conclusion, occ2)))
+        base = _pinned(spec, P1, Compound(beta, t, _delete(P1.conclusion, occ2)))
         by_class: dict = {}  # element class -> [(id, q, K)], leftmost first
         chain: list = []  # (left_id, right_id, parent_id, remainder), bottom-up
         self._atomize(base, t, alpha, itertools.count(1), by_class, chain)
@@ -455,7 +466,7 @@ class _Splitter:
             q1 = self._make_pair_proof(a1)
             d = Builder(spec, Compound(na, k0, k1))
             d.apply((), converse(spec, sigma.rule, negated=True))  # ~node -> ~s_pre
-            padded = Builder(spec, P1).derivation(Compound(beta, s_pre, btree))
+            padded = _pinned(spec, P1, Compound(beta, s_pre, btree))
             d.splice((), atomic_deduction(spec, beta, s_pre, btree, padded))
             return k0, k1, d.derivation(), q0, q1
 
@@ -476,7 +487,7 @@ class _Splitter:
                 return (x, y) if held == "L" else (y, x)
 
             kept, other = ordered(a0, a1)
-            q_kept = Builder(spec, P1).derivation(Compound(beta, kept, btree))
+            q_kept = _pinned(spec, P1, Compound(beta, kept, btree))
             if kind == "unitary":
                 if other != Constant(spec.relation(alpha).unitary) or other != self.nu:
                     raise IrreducibleCase("unit expansion with a non-co-unit unit")
@@ -507,7 +518,7 @@ class _Splitter:
         a2, b2 = rule.relations
         if b2 != beta:
             raise IrreducibleCase("splitting step over a foreign weak relation")
-        p = tuple(sigma.sides)
+        p = sigma.sides
         rel = occ[len(p) :]
         alpha = node.rel
         na = spec.dual(alpha)
@@ -546,7 +557,7 @@ class _Splitter:
         split node sits inside Y or W."""
         spec, beta = self.spec, self.beta
         rule = sigma.rule
-        p = tuple(sigma.sides)
+        p = sigma.sides
         nb = rule.relations[0]  # == dual(beta)
         X = rule.binding("A")
         Y = rule.binding("B")
@@ -599,7 +610,7 @@ class _Splitter:
     def _under_eq(self, P1, occ, sigma) -> tuple:
         spec, beta = self.spec, self.beta
         rule = sigma.rule
-        p = tuple(sigma.sides)
+        p = sigma.sides
         rel = occ[len(p) :]
         oriented = spec.oriented_axioms[(rule.axiom_id, rule.negated, rule.direction)]
         pp, pc = oriented.premise, oriented.conclusion
@@ -626,11 +637,12 @@ class _Splitter:
         # patch d from the recursion's remainder towards delete(C, occ); a
         # step that wrapped or unwrapped the whole node (r_m empty) leaves
         # only a unit for _normalize to pad or drop
+        if r_m == ():
+            return res.k0, res.k1, res.d, res.q0, res.q1
+        new_binding = dict(bindings)
+        new_binding[m_name] = _delete(bindings[m_name], r_m)
         d = Builder(spec, res.d)
-        if r_m != ():
-            new_binding = dict(bindings)
-            new_binding[m_name] = _delete(bindings[m_name], r_m)
-            d.apply(_relocate_after_delete(p, occ2), oriented.instance(spec, new_binding))
+        d.apply(_relocate_after_delete(p, occ2), oriented.instance(spec, new_binding))
         return res.k0, res.k1, d.derivation(), res.q0, res.q1
 
     def _triad(self, P1, occ, sigma) -> tuple:
@@ -638,7 +650,7 @@ class _Splitter:
         then split the kept component (the paper's weakening case triad)."""
         spec, beta = self.spec, self.beta
         rule = sigma.rule
-        p = tuple(sigma.sides)
+        p = sigma.sides
         s_pre, s_con = rule.premise, rule.conclusion
         if not isinstance(s_pre, Compound):
             raise IrreducibleCase("unrecognised step above the split node")
@@ -844,8 +856,7 @@ def context_reduce(
             _eq_rewrite(cb, (), HOLE, "shallow case close")
             return ContextReduction(u, cb.derivation(), qb.derivation())
         k = _delete(C, hole_sides)
-        q = Builder(spec, P).derivation(
-            Compound(beta, subformula_at_sides(C, hole_sides), k))
+        q = _pinned(spec, P, Compound(beta, subformula_at_sides(C, hole_sides), k))
         cb = Builder(spec, Compound(beta, HOLE, k))
         cb.acr((), s_hole)
         return ContextReduction(k, cb.derivation(), q)
@@ -908,7 +919,7 @@ def eliminate_up_step(
             r.left_weakening and cstep.hole_side == "L"
         )
         if erased:
-            prefix = tuple(sigma.sides)[:j]
+            prefix = sigma.sides[:j]
             gpost = subformula_at_sides(sigma.after, prefix)
             b = Builder(spec, above)
             b.rewrite(prefix, cstep.sibling)
@@ -916,7 +927,7 @@ def eliminate_up_step(
             b.splice((), after_step(P, i))
             return b.derivation()
 
-    cr = context_reduce(frag, above, tuple(sigma.sides), recorder)
+    cr = context_reduce(frag, above, sigma.sides, recorder)
     gamma, alpha_t = sigma.rule.relations
     beta, _, nu = frag.weak_for(P.premise)
     if spec.dual(alpha_t) != beta:

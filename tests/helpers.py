@@ -104,9 +104,9 @@ def inject_up_step(rng: random.Random, b: Builder) -> None:
                        dict(A=junk, B=T, C=x, D=T), "p1", "&")
 
 
-def injected_corpus(seed: int, size: int) -> list:
-    """Seed-fixed pure down-fragment proofs, each injected with one to
-    three up-rule instances."""
+def injected_corpus(seed: int, size: int, ups: tuple = (1, 3)) -> list:
+    """Seed-fixed pure down-fragment proofs, each injected with ups[0] to
+    ups[1] up-rule instances (by default one to three)."""
     rng = random.Random(seed)
     spec = make_p_spec()
     out = []
@@ -114,7 +114,7 @@ def injected_corpus(seed: int, size: int) -> list:
         base = base_down_proof(rng)
         b = Builder(spec, base.premise)
         b.splice((), base)
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(*ups)):
             inject_up_step(rng, b)
         out.append(b.derivation())
     return out

@@ -1,7 +1,8 @@
 """The elimination path against the loops it replaced, and the work it may
 do: unit pads are built from the spec's named unit axiom instead of searched,
-each rule instance is costed once, `instantiate_hole` fills each node once
-and `from_text` parses each binding text once."""
+each rule instance is costed once, `instantiate_hole` fills each node once,
+`from_text` parses each binding text once and the splitter builds no
+`Builder` for a part that already ends where it is pinned."""
 
 import collections
 import hashlib
@@ -380,4 +381,38 @@ def test_split_records_are_the_pinned_sequence():
     assert all(r.bound_holds for r in records)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "f2585475fa0a750f5c84d5211bc0224cb212412987da75773e16d3f37053cbe9"
+    )
+
+
+def test_splitting_builds_a_builder_only_where_a_part_changes(monkeypatch):
+    """A splitter level returns a part that already ends at the formula it
+    is pinned to as it is; rebuilding each one through a Builder took
+    16,285 of them over this corpus."""
+    frag = make_fragment(_fresh_spec())
+    corpus = injected_corpus(seed=20240817, size=100)
+    built = []
+    original = Builder.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        original(self, *args)
+
+    monkeypatch.setattr(Builder, "__init__", counted)
+    records = []
+    for d in corpus:
+        eliminate_all_up(frag, d, records)
+    assert len(records) == 3650
+    assert len(built) <= 5000
+
+
+def test_dense_elimination_output_is_pinned():
+    """Elimination output outside the benchmark corpus: the first 40 proofs
+    of the 4-6 up-rule set, under the default recursion limit."""
+    frag = make_fragment(spec)
+    corpus = injected_corpus(seed=20261019 + 4, size=40, ups=(4, 6))
+    out = [eliminate_all_up(frag, d) for d in corpus]
+    assert sum(len(e.steps) for e in out) == 3627
+    text = "".join(to_text(spec, e) for e in out)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cff9f3694a80ba97b2e3375eace6493d34e53983bbe1a2c5c3fea0784fe06263"
     )
