@@ -28,7 +28,7 @@ from .system_p import (
     prove_tautology,
 )
 from .systems import SystemError, SystemSpec, spec_from_text, validate_spec
-from .terms import ParseError, TermError, parse_formula, print_formula
+from .terms import ParseError, TermError, parse_formula, print_formula, variables
 
 
 def resolve_system(name: str) -> SystemSpec:
@@ -175,11 +175,18 @@ def _cmd_bench(args) -> int:
 
 def _cmd_eval(args) -> int:
     f = parse_formula(args.formula)
+    truth = {"0": False, "F": False, "false": False, "1": True, "T": True, "true": True}
     valuation = {}
-    if args.assign:
-        for part in args.assign.split(","):
-            name, _, value = part.partition("=")
-            valuation[name.strip()] = value.strip() in ("1", "T", "true")
+    for part in args.assign.split(",") if args.assign is not None else ():
+        name, eq, value = (s.strip() for s in part.partition("="))
+        if not (name and eq) or value not in truth:
+            raise ParseError(f"--assign: expected name=0|1|F|T|false|true, not {part!r}")
+        if name in valuation:
+            raise ParseError(f"--assign: {name} is assigned twice")
+        valuation[name] = truth[value]
+    unassigned = sorted(variables(f) - valuation.keys())
+    if unassigned:
+        raise ParseError(f"--assign gives no value for {', '.join(unassigned)}")
     print("T" if evaluate(f, valuation) else "F")
     return 0
 

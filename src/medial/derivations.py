@@ -1,9 +1,11 @@
 """Derivations: checkable step sequences from a premise to a conclusion.
 
 Each step carries its full plugging context (path with siblings), so its
-before/after formulas follow from the step alone.  The checker threads the
-running formula through the derivation, treating AC equality silently at
-every joint; every other equality must be an explicit equational step.
+before/after formulas follow from the step alone.  Steps and derivations,
+like rule instances and path steps, are slotted frozen records built
+through their slot setters.  The checker threads the running formula
+through the derivation, treating AC equality silently at every joint;
+every other equality must be an explicit equational step.
 `check`, `exactify` and `from_text` hold the running formula in one
 `terms.Cursor`, so a step rebuilds only what lies between its hole and the
 last one.  `check` rebuilds every medial and equational step from what it
@@ -79,10 +81,14 @@ class NonEquationalStep(DerivationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     context: ContextPath
     rule: RuleInstance
+
+    def __init__(self, context: ContextPath, rule: RuleInstance) -> None:
+        _set_context(self, context)
+        _set_rule(self, rule)
 
     @property
     def before(self) -> Formula:
@@ -137,8 +143,12 @@ def placed(steps):
             stack.pop()
 
 
-@dataclass(frozen=True)
-class Derivation:
+class _WeakReferable:  # dataclass's weakref_slot needs Python 3.11
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True)
+class Derivation(_WeakReferable):
     premise: Formula
     steps: Sequence  # a tuple of Steps, or a Rope
     conclusion: Formula
@@ -147,8 +157,20 @@ class Derivation:
     # last one leaves the conclusion; exactify then returns d itself
     exact: bool = field(default=False, init=False, compare=False, repr=False)
 
+    def __init__(self, premise: Formula, steps: Sequence, conclusion: Formula) -> None:
+        _set_premise(self, premise)
+        _set_steps(self, steps)
+        _set_conclusion(self, conclusion)
+        _set_exact(self, False)
+
     def __len__(self) -> int:
         return len(self.steps)
+
+
+# slot setters, as in terms: faster than a generated frozen __init__
+_set_context, _set_rule = Step.context.__set__, Step.rule.__set__
+_set_premise, _set_steps = Derivation.premise.__set__, Derivation.steps.__set__
+_set_conclusion, _set_exact = Derivation.conclusion.__set__, Derivation.exact.__set__
 
 
 def mark_exact(d: Derivation) -> Derivation:

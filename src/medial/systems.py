@@ -3,7 +3,9 @@
 A system declares its relations (with duals and unit/weakening flags), a
 strict partial order among them, a set of equational axioms given as
 patterns, and the medial-shape rules it declares (`rule:` lines of a spec
-file).  Rule instances are fully instantiated premise/conclusion pairs;
+file).  Rule instances are fully instantiated premise/conclusion pairs,
+slotted frozen records built through their slot setters, which hash by
+rule id, premise and conclusion (equal instances agree on those);
 equational instances may use either orientation of an axiom, or of its
 negation (the congruence is closed under the involutive negation).  Each
 of those four orientations is one `OrientedAxiom`, built once per spec,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -117,7 +119,7 @@ class RuleDecl:
     beta: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     scheme: Scheme
     rule_id: str
@@ -134,11 +136,34 @@ class RuleInstance:
         default=None, init=False, compare=False, repr=False
     )
 
+    def __init__(self, scheme: Scheme, rule_id: str, premise: Formula, conclusion: Formula,
+                 bindings: tuple, relations: Optional[tuple] = None, axiom_id: Optional[str] = None,
+                 negated: bool = False, direction: str = "fwd") -> None:
+        _set_scheme(self, scheme)
+        _set_rule_id(self, rule_id)
+        _set_premise(self, premise)
+        _set_conclusion(self, conclusion)
+        _set_bindings(self, bindings)
+        _set_relations(self, relations)
+        _set_axiom_id(self, axiom_id)
+        _set_negated(self, negated)
+        _set_direction(self, direction)
+        _set_cost_memo(self, None)
+
+    def __hash__(self) -> int:  # equal instances agree on these
+        return hash((self.rule_id, self.premise, self.conclusion))
+
     def binding(self, name: str) -> Formula:
         for k, v in self.bindings:
             if k == name:
                 return v
         raise KeyError(name)
+
+
+# slot setters, in field order: faster than a generated frozen __init__
+(_set_scheme, _set_rule_id, _set_premise, _set_conclusion, _set_bindings, _set_relations,
+ _set_axiom_id, _set_negated, _set_direction, _set_cost_memo) = [
+    getattr(RuleInstance, f.name).__set__ for f in fields(RuleInstance)]
 
 
 class OrientedAxiom(NamedTuple):
@@ -176,10 +201,6 @@ class OrientedAxiom(NamedTuple):
             negated=self.negated,
             direction=self.direction,
         )
-
-
-def _bind(**kw: Formula) -> tuple:
-    return tuple(sorted(kw.items()))
 
 
 class SystemSpec:
@@ -514,7 +535,7 @@ def instantiate_rule(
         rule_id=decl.rule_id,
         premise=prem,
         conclusion=conc,
-        bindings=_bind(A=A, B=B, C=C, D=D),
+        bindings=(("A", A), ("B", B), ("C", C), ("D", D)),
         relations=(alpha, beta),
     )
 
@@ -544,7 +565,7 @@ def ac_instance(spec: SystemSpec, premise: Formula, conclusion: Formula) -> Rule
         rule_id="acr",
         premise=premise,
         conclusion=conclusion,
-        bindings=_bind(A=premise, B=conclusion),
+        bindings=(("A", premise), ("B", conclusion)),
     )
 
 

@@ -215,11 +215,21 @@ def size(f: Formula) -> int:
 # Contexts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathStep:
     rel: str
     hole_side: str  # "L" | "R"
     sibling: Formula
+
+    def __init__(self, rel: str, hole_side: str, sibling: Formula) -> None:
+        _set_step_rel(self, rel)
+        _set_hole_side(self, hole_side)
+        _set_sibling(self, sibling)
+
+
+# slot setters, as for Compound: faster than a generated frozen __init__
+_set_step_rel, _set_hole_side = PathStep.rel.__set__, PathStep.hole_side.__set__
+_set_sibling = PathStep.sibling.__set__
 
 
 ContextPath = tuple  # tuple[PathStep, ...], outermost first

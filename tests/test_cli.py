@@ -106,6 +106,30 @@ def test_eval_sat_classify_audit(capsys):
     assert run(["audit", "--system", "R23"]) == 1  # unsound transcriptions surfaced
 
 
+@pytest.mark.parametrize(
+    "assign, message",
+    [
+        ("x=maybe,y=1", "expected name=0|1|F|T|false|true, not 'x=maybe'"),
+        ("x", "not 'x'"),
+        ("x=1,,y=0", "not ''"),
+        ("=1,x=1,y=1", "not '=1'"),
+        ("x=1,y=1,x=0", "x is assigned twice"),
+        ("x=1", "no value for y"),
+    ],
+)
+def test_eval_rejects_malformed_assignment(capsys, assign, message):
+    assert run(["eval", "(x & y)", "--assign", assign]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_eval_reads_every_truth_value(capsys):
+    for assign, out in [("x=true, y = T", "T"), ("x=1,y=0", "F"), ("x=false,y=1", "F")]:
+        assert run(["eval", "(x & y)", "--assign", assign]) == 0
+        assert capsys.readouterr().out.strip() == out
+    assert run(["eval", "(x & y)"]) == 2
+    assert "no value for x, y" in capsys.readouterr().err
+
+
 def test_bench_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["bench", "--clone", "C2", "--vars", "3", "--sizes", "10",
