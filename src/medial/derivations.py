@@ -37,6 +37,7 @@ from .systems import (
     SortViolation,
     SystemError,
     SystemSpec,
+    _WeakReferable,
     ac_instance,
     check_rule_instance,
     eq_instance,
@@ -53,6 +54,7 @@ from .terms import (
     ParseError,
     PathStep,
     Variable,
+    _refuse_assignment,
     context_at,
     equal_mod_ac,
     negate,
@@ -81,6 +83,7 @@ class NonEquationalStep(DerivationError):
     pass
 
 
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
 class Step:
     context: ContextPath
@@ -143,10 +146,7 @@ def placed(steps):
             stack.pop()
 
 
-class _WeakReferable:  # dataclass's weakref_slot needs Python 3.11
-    __slots__ = ("__weakref__",)
-
-
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
 class Derivation(_WeakReferable):
     premise: Formula

@@ -36,6 +36,7 @@ from .terms import (
     negate,
     spine,
     subformula_at_sides,
+    subterms,
     variables,
 )
 
@@ -138,6 +139,8 @@ TRUTH_TABLES: dict[str, tuple] = {
 
 
 def evaluate(f: Formula, valuation: Mapping[str, bool]) -> bool:
+    """f's truth value under valuation; a compound is evaluated left to
+    right on a stack of its own, so a deep formula costs no recursion."""
     if isinstance(f, Constant):
         if f.name == "T":
             return True
@@ -150,10 +153,22 @@ def evaluate(f: Formula, valuation: Mapping[str, bool]) -> bool:
         except KeyError:
             raise UnboundVariable(f.name) from None
         return (not value) if f.negated else value
-    table = TRUTH_TABLES.get(f.rel)
-    if table is None:
-        raise SystemError(f"relation {f.rel} has no boolean table")
-    return table[2 * evaluate(f.left, valuation) + evaluate(f.right, valuation)]
+    if not isinstance(f, Compound):
+        raise SystemError(f"{f} has no boolean value")
+    todo, values = [f], []  # formulas to evaluate, and a node's table after its children
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:  # both children evaluated
+            right = values.pop()
+            values[-1] = t[2 * values[-1] + right]
+        elif isinstance(t, Compound):
+            table = TRUTH_TABLES.get(t.rel)
+            if table is None:
+                raise SystemError(f"relation {t.rel} has no boolean table")
+            todo += (table, t.right, t.left)
+        else:
+            values.append(evaluate(t, valuation))
+    return values[0]
 
 
 def all_valuations(names: Sequence[str]) -> Iterable[dict]:

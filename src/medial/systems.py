@@ -11,12 +11,17 @@ negation (the congruence is closed under the involutive negation).  Each
 of those four orientations is one `OrientedAxiom`, built once per spec,
 which holds the facts every instance of it shares and builds them.  The
 checker rebuilds each step from what it declares and compares the whole
-instance, labels included.
+instance, labels included.  Rule instances are hash-consed by their
+constructor's inputs while they live: `ac_instance`, `OrientedAxiom.instance`
+and `instantiate_rule` return the live instance built from the same
+`spec.ac_token` and inputs, found in a weak table like that of `terms`,
+before they instantiate, check sorts or test AC.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -30,6 +35,9 @@ from .terms import (
     Metavar,
     TermError,
     Variable,
+    _InternRef,
+    _forget,
+    _refuse_assignment,
     equal_mod_ac,
     join,
     negate,
@@ -119,8 +127,13 @@ class RuleDecl:
     beta: str
 
 
+class _WeakReferable:  # dataclass's weakref_slot needs Python 3.11
+    __slots__ = ("__weakref__",)
+
+
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
-class RuleInstance:
+class RuleInstance(_WeakReferable):
     scheme: Scheme
     rule_id: str
     premise: Formula
@@ -165,6 +178,24 @@ class RuleInstance:
  _set_axiom_id, _set_negated, _set_direction, _set_cost_memo) = [
     getattr(RuleInstance, f.name).__set__ for f in fields(RuleInstance)]
 
+# (spec.ac_token, constructor inputs) -> weak reference to the live rule
+# instance built from them; an acr key has 3 items, an equational 5, a
+# medial 8.  An entry goes when its instance is freed.
+_instances: dict = {}
+_forget_instance = functools.partial(_forget, table=_instances)
+
+
+def _live(key: tuple) -> Optional[RuleInstance]:
+    ref = _instances.get(key)
+    return ref and ref()
+
+
+def _keep(key: tuple, inst: RuleInstance) -> RuleInstance:
+    ref = _InternRef(inst, _forget_instance)
+    ref.key = key
+    _instances[key] = ref
+    return inst
+
 
 class OrientedAxiom(NamedTuple):
     """One orientation of an axiom or of its negation, premise -> conclusion,
@@ -183,6 +214,10 @@ class OrientedAxiom(NamedTuple):
         """The rule instance under bindings, which must bind exactly the
         metavariables; premise/conclusion are the exact pattern
         instantiations."""
+        pairs = tuple(sorted(bindings.items()))
+        key = (spec.ac_token, self.axiom.axiom_id, self.negated, self.direction, pairs)
+        if (inst := _live(key)) is not None:
+            return inst
         if bindings.keys() != self.metavars:
             raise SystemError(
                 f"{self.rule_id} binds {', '.join(sorted(self.metavars))}, "
@@ -191,16 +226,16 @@ class OrientedAxiom(NamedTuple):
         for name, sort in self.sorts:
             if not _sort_ok(spec, sort, bindings[name]):
                 raise SortViolation(f"binding for {name} violates sort {sort}")
-        return RuleInstance(
+        return _keep(key, RuleInstance(
             scheme=Scheme.EQ,
             rule_id=self.rule_id,
             premise=instantiate(spec, self.premise, bindings),
             conclusion=instantiate(spec, self.conclusion, bindings),
-            bindings=tuple(sorted(bindings.items())),
+            bindings=pairs,
             axiom_id=self.axiom.axiom_id,
             negated=self.negated,
             direction=self.direction,
-        )
+        ))
 
 
 class SystemSpec:
@@ -519,6 +554,9 @@ def instantiate_rule(
 ) -> RuleInstance:
     """Build the fully instantiated medial rule for one scheme, labelled by
     the one declared rule of that shape."""
+    key = (spec.ac_token, scheme, alpha, beta, *map(bindings.get, "ABCD"))
+    if (inst := _live(key)) is not None:
+        return inst
     if not scheme.is_medial:
         raise SystemError(f"{scheme.value} is not a medial scheme")
     if not _side_condition_ok(spec, scheme, alpha, beta):
@@ -530,14 +568,14 @@ def instantiate_rule(
         )
     A, B, C, D = (bindings[k] for k in "ABCD")
     prem, conc = _scheme_shapes(spec, scheme, alpha, beta, A, B, C, D)
-    return RuleInstance(
+    return _keep(key, RuleInstance(
         scheme=scheme,
         rule_id=decl.rule_id,
         premise=prem,
         conclusion=conc,
         bindings=(("A", A), ("B", B), ("C", C), ("D", D)),
         relations=(alpha, beta),
-    )
+    ))
 
 
 def eq_instance(
@@ -558,15 +596,18 @@ def eq_instance(
 
 
 def ac_instance(spec: SystemSpec, premise: Formula, conclusion: Formula) -> RuleInstance:
+    key = (spec.ac_token, premise, conclusion)
+    if (inst := _live(key)) is not None:
+        return inst
     if not equal_mod_ac(spec, premise, conclusion):
         raise SystemError("ac rearrangement between AC-distinct formulas")
-    return RuleInstance(
+    return _keep(key, RuleInstance(
         scheme=Scheme.AC,
         rule_id="acr",
         premise=premise,
         conclusion=conclusion,
         bindings=(("A", premise), ("B", conclusion)),
-    )
+    ))
 
 
 def eq_step_for(
@@ -677,12 +718,13 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
     A medial or equational step is rebuilt from what it declares (scheme,
     relations or axiom orientation, bindings) by the constructor that made
     it, and must equal the rebuilt instance, labels included.  An acr step
-    needs its label, AC-equal formulas, its two formulas as its bindings A
-    and B, and no medial or equational fields."""
+    needs its label, AC-equal formulas (or a live acr instance between them),
+    its formulas as its bindings A and B, and no medial or equational fields."""
     if rule.scheme is Scheme.AC:
         if rule.rule_id != "acr":
             return f"ac step labelled {rule.rule_id}"
-        if not equal_mod_ac(spec, rule.premise, rule.conclusion):
+        if _live((spec.ac_token, rule.premise, rule.conclusion)) is None and not equal_mod_ac(
+                spec, rule.premise, rule.conclusion):
             return "ac step between AC-distinct formulas"
         if rule.bindings != (("A", rule.premise), ("B", rule.conclusion)):
             return "ac step whose bindings are not its premise A and conclusion B"
@@ -710,7 +752,7 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
             )
     except (SystemError, KeyError) as e:
         return f"bad instance of {rule.rule_id}: {e}"
-    if rebuilt != rule:
+    if rebuilt is not rule and rebuilt != rule:
         return f"step labelled {rule.rule_id} differs from the {rebuilt.rule_id} it declares"
     return None
 

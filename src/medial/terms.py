@@ -10,12 +10,15 @@ exactly one object, so equality and hashing are by identity.  The intern
 table is process-wide and weak: a formula leaves it when nothing else
 holds it.  Building terms from several threads at once needs a lock
 around construction; parallel work should use one process per worker.
+`equal_mod_ac` canonicalises only what a spine test leaves: AC keeps the
+root, and root spines holding the same operand objects (as a multiset under
+A+C, in order under A alone, swapped under C alone) are equal.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Sequence, Union
 
 
@@ -39,9 +42,9 @@ _interned: dict = {}
 
 
 class _InternRef(weakref.ref):
-    """Weak reference from the intern table to a term, carrying its key, so
-    that every term shares the one callback `_forget` (a closure per term
-    would add a collector-tracked object per term)."""
+    """Weak reference from an intern table to its entry (a term here, a rule
+    instance in `systems`), carrying its key, so that entries share one
+    callback `_forget` (a closure each would add a collector-tracked object)."""
 
     __slots__ = ("key",)
 
@@ -215,6 +218,16 @@ def size(f: Formula) -> int:
 # Contexts
 
 
+def _refuse_assignment(cls):
+    """cls, a frozen slotted dataclass, refusing to set or delete any name (the
+    refusal slots=True keeps names the replaced class: TypeError for a non-field)."""
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@_refuse_assignment
 @dataclass(frozen=True, slots=True)
 class PathStep:
     rel: str
@@ -344,14 +357,23 @@ class Cursor:
 
 def negate(spec, f: Formula) -> Formula:
     """Involutive negation: constants via the spec table, variables flip
-    their polarity flag, compounds dualise the relation and recurse."""
+    their polarity flag, compounds dualise the relation, bottom-up from a
+    walk with its own stack, so a deep formula costs no recursion."""
     if isinstance(f, Constant):
         return Constant(spec.negate_constant(f.name))
     if isinstance(f, Variable):
         return Variable(f.name, not f.negated)
     if isinstance(f, Metavar):
         return Metavar(f.name, not f.negated, f.sort)
-    return Compound(spec.dual(f.rel), negate(spec, f.left), negate(spec, f.right))
+    done, nodes = {}, []  # atom or node -> its negation; (node, dual) in pre-order
+    for t in subterms(f):  # the order in which recursion met a missing symbol
+        if isinstance(t, Compound):
+            nodes.append((t, spec.dual(t.rel)))
+        elif t not in done:
+            done[t] = negate(spec, t)
+    for t, rel in reversed(nodes):  # each node after its subterms
+        done[t] = Compound(rel, done[t.left], done[t.right])
+    return done[f]
 
 
 def spine(spec, f: Formula, rel: str) -> list[Formula]:
@@ -418,7 +440,18 @@ def ac_canonical(spec, f: Formula) -> Formula:
 
 
 def equal_mod_ac(spec, f: Formula, g: Formula) -> bool:
-    return f == g or ac_canonical(spec, f) == ac_canonical(spec, g)
+    """Equal modulo AC: by the spine test where it answers, else by canonical forms."""
+    if f is g:
+        return True
+    if not (isinstance(f, Compound) and isinstance(g, Compound)) or f.rel != g.rel:
+        return False
+    if spec.is_associative(f.rel):
+        fs, gs = spine(spec, f, f.rel), spine(spec, g, f.rel)
+        if fs == gs or spec.is_commutative(f.rel) and sorted(fs, key=id) == sorted(gs, key=id):
+            return True
+    elif spec.is_commutative(f.rel) and f.left is g.right and f.right is g.left:
+        return True
+    return ac_canonical(spec, f) is ac_canonical(spec, g)
 
 
 # ---------------------------------------------------------------------------

@@ -298,12 +298,25 @@ def test_deeply_nested_formula_exits_2(capsys):
     assert "error: formula nested too deeply" in capsys.readouterr().err
 
 
-def test_kernel_recursion_exits_1(capsys):
-    # a 3,000-operand chain parses; evaluating it recurses past the limit
-    chain = "(" + " | ".join(["x"] * 3000) + ")"
-    assert run(["taut", chain]) == 1
+def test_kernel_recursion_exits_1(tmp_path, capsys):
+    # a 3,000-operand chain parses; canonicalising it below a conjunction
+    # orders the operands by a key that recurses past the limit
+    ops = ["x", "y"] * 1500
+    chain, turned = (f"({'|'.join(o)})" for o in (ops, ops[1:] + ops[:1]))
+    drv = tmp_path / "deep.drv"
+    drv.write_text(f"system: P\npremise: (a & {chain})\n"
+                   f"step: rule=acr path=- A=(a&{chain}) B=({turned}&a)\n"
+                   f"conclusion: ({turned} & a)\n")
+    assert run(["check", str(drv)]) == 1
     err = capsys.readouterr().err
     assert "recursion limit reached in the kernel" in err and "nested" not in err
+
+
+def test_taut_accepts_a_deep_chain(capsys):
+    # evaluating a 3,000-operand chain walks it without recursion
+    chain = "(" + " | ".join(["x", "~x"] * 1500) + ")"
+    assert run(["taut", chain]) == 0
+    assert capsys.readouterr().out == "tautology\n"
 
 
 def test_check_validates_spec_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """The kernel's records, RuleInstance, Step, PathStep and Derivation, are
-slotted and frozen: they carry no __dict__, refuse assignment, take exactly
-their init fields and read every field back.  A RuleInstance hashes by rule
-id, premise and conclusion alone, and `check` still judges each distinct
-instance value once."""
+slotted and frozen: they carry no __dict__, refuse assignment to any name,
+take exactly their init fields and read every field back.  A RuleInstance
+hashes by rule id, premise and conclusion alone, and `check` still judges
+each distinct instance value once.  The rule-instance constructors return
+the live instance built from the same inputs, per descriptor, and `check`
+still rejects an altered copy of one."""
 
 import collections
 import inspect
@@ -12,10 +14,19 @@ from dataclasses import MISSING, FrozenInstanceError, fields, replace
 import pytest
 
 import medial.derivations as derivations
-from medial.derivations import Derivation, Step, check, mark_exact
+from medial.derivations import Derivation, Step, check, mark_exact, to_text
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
-from medial.systems import RuleInstance, Scheme
-from medial.terms import Compound, PathStep, Variable
+from medial.systems import (
+    RuleInstance,
+    Scheme,
+    ac_instance,
+    check_rule_instance,
+    eq_instance,
+    instantiate_rule,
+    spec_from_text,
+    spec_to_text,
+)
+from medial.terms import Compound, PathStep, Variable, parse_formula
 
 from helpers import enumerate_formulas
 
@@ -49,6 +60,16 @@ def test_record_is_slotted_and_frozen(record, values):
         with pytest.raises(FrozenInstanceError):
             setattr(record, f.name, None)
     assert {f.name: getattr(record, f.name) for f in fields(record)} == values
+
+
+@pytest.mark.parametrize("record, values", RECORDS, ids=IDS)
+def test_record_refuses_any_name(record, values):
+    # a name that is no field raises the same error as a field does
+    with pytest.raises(FrozenInstanceError):
+        record.foo = 1
+    with pytest.raises(FrozenInstanceError):
+        del record.foo
+    assert not hasattr(record, "foo")
 
 
 @pytest.mark.parametrize("record, values", RECORDS, ids=IDS)
@@ -94,10 +115,79 @@ def test_check_judges_each_distinct_instance_value_once(monkeypatch):
     equal_but_distinct = 0
     for f in tautologies:
         d = prove_tautology(f)
+        # the constructors return one object per value, so every other step
+        # of this copy holds an equal instance built apart by replace
+        steps = tuple([Step(s.context, replace(s.rule) if i % 2 else s.rule)
+                       for i, s in enumerate(d.steps)])
         judged.clear()
-        assert check(spec, d) is None
-        rules = [s.rule for s in d.steps]
+        assert check(spec, Derivation(d.premise, steps, d.conclusion)) is None
+        rules = [s.rule for s in steps]
         assert judged == collections.Counter({_value(r) for r in rules})
         equal_but_distinct += len({id(r) for r in rules}) - len(judged)
-    # the proofs hold equal instances built apart, which check dedups by value
     assert equal_but_distinct > 0
+
+
+def test_synthesis_builds_each_rule_instance_once_while_it_lives(monkeypatch):
+    # proving, printing and checking the 2,008 height-3 tautologies, one
+    # after another, built 203,489 rule instances when each call built its own
+    spec = make_p_spec()
+    tautologies = [f for f in enumerate_formulas(3, LEAVES) if is_tautology(f)]
+    built = 0
+    init = RuleInstance.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RuleInstance, "__init__", counted)
+    for f in tautologies:
+        d = prove_tautology(f)
+        to_text(spec, d)
+        assert check(spec, d) is None
+    assert built <= 110_000
+
+
+p, q = parse_formula("((x | y) & z)"), parse_formula("(z & (y | x))")
+MEDIAL = dict(A=x, B=y, C=Variable("z"), D=x)
+
+
+def _built(spec):
+    """One instance from each constructor, in fixed inputs."""
+    return (ac_instance(spec, p, q),
+            eq_instance(spec, "or_unit", {"A": p}, True, "bwd"),
+            instantiate_rule(spec, Scheme.SPLIT_DOWN, MEDIAL, "&", "|"))
+
+
+def test_constructors_return_the_live_instance_per_descriptor():
+    spec = make_p_spec()
+    first = _built(spec)
+    again = _built(spec)
+    assert all(a is b for a, b in zip(first, again))
+    # the bindings' order does not matter, nor do names a medial rule ignores
+    shuffled = dict(reversed(MEDIAL.items()), E=y)
+    assert instantiate_rule(spec, Scheme.SPLIT_DOWN, shuffled, "&", "|") is first[2]
+    # a copy of the descriptor has a token of its own, so instances of its own
+    own = spec_from_text(spec_to_text(spec))
+    copies = _built(own)
+    assert all(a == b and a is not b for a, b in zip(first, copies))
+    assert all(check_rule_instance(own, r) is None for r in first + copies)
+
+
+def test_check_rejects_an_altered_copy_of_a_live_instance():
+    spec = make_p_spec()
+    acr, eq, medial = _built(spec)
+    r = parse_formula("(z & (x | x))")
+    altered = [
+        replace(acr, rule_id="ac"),
+        replace(acr, conclusion=r, bindings=(("A", p), ("B", r))),
+        replace(acr, bindings=(("A", p), ("B", p))),
+        replace(acr, negated=True),
+        replace(eq, direction="fwd"),
+        replace(eq, conclusion=p),
+        replace(medial, relations=("&", "&")),
+        replace(medial, rule_id="s_up"),
+        replace(medial, premise=q),
+    ]
+    assert all(check_rule_instance(spec, a) is not None for a in altered)
+    assert all(check_rule_instance(spec, r) is None for r in (acr, eq, medial))

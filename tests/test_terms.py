@@ -6,6 +6,7 @@ import random
 import pytest
 
 from medial import terms
+from medial.r23 import make_r23_spec
 from medial.system_p import make_p_spec
 from medial.systems import spec_from_text, spec_to_text
 from medial.terms import (
@@ -48,6 +49,14 @@ def test_negate_involution_random():
     for _ in range(200):
         f = random_formula(rng, 3)
         assert negate(spec, negate(spec, f)) == f
+
+
+def test_negate_walks_deep_chains():
+    # a 3,000-operand chain nests 3,000 levels deep, past the recursion limit
+    f = parse_formula("(" + " | ".join(["x", "~x"] * 1500) + ")")
+    g = negate(spec, f)
+    assert spine(spec, g, "&") == [negate(spec, x), x] * 1500
+    assert negate(spec, g) is f
 
 
 def test_negation_is_ac_congruence_morphism():
@@ -185,6 +194,73 @@ def test_equal_mod_ac():
         spec, parse_formula("(x | (y | x))"), parse_formula("((x | y) | x)")
     )
     assert not equal_mod_ac(spec, parse_formula("(x | x)"), x)
+
+
+# a descriptor whose relations commute but do not associate
+COMMUTING = spec_from_text("""name: commuting
+constants: T F
+negation: T = F
+negation: F = T
+relation: c dual=d comm
+relation: d dual=c comm
+""")
+
+
+def _formula_over(rng, rels, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Variable(rng.choice("xyz"), rng.random() < 0.3)
+    return Compound(rng.choice(rels), _formula_over(rng, rels, depth - 1),
+                    _formula_over(rng, rels, depth - 1))
+
+
+def _bracketed(rng, rel, operands):
+    if len(operands) == 1:
+        return operands[0]
+    cut = rng.randrange(1, len(operands))
+    return Compound(rel, _bracketed(rng, rel, operands[:cut]), _bracketed(rng, rel, operands[cut:]))
+
+
+def _ac_shuffled(own, rng, f, below):
+    """f regrouped and reordered as own's flags allow, at the root, and
+    below it when below is set."""
+    if not isinstance(f, Compound):
+        return f
+    operands = spine(own, f, f.rel) if own.is_associative(f.rel) else [f.left, f.right]
+    if below:
+        operands = [_ac_shuffled(own, rng, o, below) for o in operands]
+    if own.is_commutative(f.rel):
+        rng.shuffle(operands)
+    if own.is_associative(f.rel):
+        return _bracketed(rng, f.rel, operands)
+    return Compound(f.rel, *operands)
+
+
+def _leaf_changed(rng, f):
+    if not isinstance(f, Compound):
+        return Variable(rng.choice("xyz"), rng.random() < 0.5)
+    if rng.random() < 0.5:
+        return Compound(f.rel, _leaf_changed(rng, f.left), f.right)
+    return Compound(f.rel, f.left, _leaf_changed(rng, f.right))
+
+
+@pytest.mark.parametrize("own", [spec, make_r23_spec(), COMMUTING], ids=["P", "R23", "commuting"])
+def test_equal_mod_ac_agrees_with_canonical_forms(own):
+    # every pair equal_mod_ac answers without canonicalising gets the verdict
+    # the canonical forms give: AC-shuffled copies at the root and below it,
+    # copies that differ below the root, the root's children swapped whatever
+    # the flags, and unrelated formulas
+    rng = random.Random(25)
+    rels = sorted(own.relations)
+    verdicts = []
+    for _ in range(400):
+        f = _formula_over(rng, rels, 4)
+        shuffled = _ac_shuffled(own, rng, f, below=rng.random() < 0.5)
+        swapped = Compound(f.rel, f.right, f.left) if isinstance(f, Compound) else f
+        for g in (shuffled, _leaf_changed(rng, shuffled), swapped, _formula_over(rng, rels, 4)):
+            verdict = equal_mod_ac(own, f, g)
+            assert verdict == (ac_canonical(own, f) is ac_canonical(own, g))
+            verdicts.append(verdict)
+    assert 400 <= sum(verdicts) < len(verdicts) - 400
 
 
 def test_parse_print_round_trip_random():
