@@ -36,7 +36,6 @@ from .terms import (
     negate,
     spine,
     subformula_at_sides,
-    subterms,
     variables,
 )
 

@@ -11,11 +11,9 @@ negation (the congruence is closed under the involutive negation).  Each
 of those four orientations is one `OrientedAxiom`, built once per spec,
 which holds the facts every instance of it shares and builds them.  The
 checker rebuilds each step from what it declares and compares the whole
-instance, labels included.  Rule instances are hash-consed by their
-constructor's inputs while they live: `ac_instance`, `OrientedAxiom.instance`
-and `instantiate_rule` return the live instance built from the same
-`spec.ac_token` and inputs, found in a weak table like that of `terms`,
-before they instantiate, check sorts or test AC.
+instance, labels included.  Rule instances are hash-consed while they live:
+`ac_instance`, `OrientedAxiom.instance` and `instantiate_rule` first look up
+the live instance built from the same `spec.ac_token` and inputs in a weak table.
 """
 
 from __future__ import annotations
@@ -191,9 +189,8 @@ def _live(key: tuple) -> Optional[RuleInstance]:
 
 
 def _keep(key: tuple, inst: RuleInstance) -> RuleInstance:
-    ref = _InternRef(inst, _forget_instance)
+    _instances[key] = ref = _InternRef(inst, _forget_instance)
     ref.key = key
-    _instances[key] = ref
     return inst
 
 

@@ -219,8 +219,8 @@ def size(f: Formula) -> int:
 
 
 def _refuse_assignment(cls):
-    """cls, a frozen slotted dataclass, refusing to set or delete any name (the
-    refusal slots=True keeps names the replaced class: TypeError for a non-field)."""
+    """cls, a frozen slotted dataclass, refusing to set or delete any name: the
+    refusal that slots=True keeps calls super() on the class it replaced."""
     def refuse(self, name, *value):
         raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
     cls.__setattr__ = cls.__delattr__ = refuse
@@ -357,23 +357,25 @@ class Cursor:
 
 def negate(spec, f: Formula) -> Formula:
     """Involutive negation: constants via the spec table, variables flip
-    their polarity flag, compounds dualise the relation, bottom-up from a
-    walk with its own stack, so a deep formula costs no recursion."""
+    their polarity flag, compounds dualise the relation, left to right on a
+    stack of their own, so a deep formula costs no recursion."""
     if isinstance(f, Constant):
         return Constant(spec.negate_constant(f.name))
     if isinstance(f, Variable):
         return Variable(f.name, not f.negated)
     if isinstance(f, Metavar):
         return Metavar(f.name, not f.negated, f.sort)
-    done, nodes = {}, []  # atom or node -> its negation; (node, dual) in pre-order
-    for t in subterms(f):  # the order in which recursion met a missing symbol
-        if isinstance(t, Compound):
-            nodes.append((t, spec.dual(t.rel)))
-        elif t not in done:
-            done[t] = negate(spec, t)
-    for t, rel in reversed(nodes):  # each node after its subterms
-        done[t] = Compound(rel, done[t.left], done[t.right])
-    return done[f]
+    todo, out = [f], []  # formulas to negate, and a node's dual after its operands
+    while todo:
+        t = todo.pop()
+        if type(t) is str:  # both operands negated
+            right = out.pop()
+            out[-1] = Compound(t, out[-1], right)
+        elif isinstance(t, Compound):
+            todo += (spec.dual(t.rel), t.right, t.left)
+        else:
+            out.append(negate(spec, t))
+    return out[0]
 
 
 def spine(spec, f: Formula, rel: str) -> list[Formula]:
