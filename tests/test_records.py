@@ -153,7 +153,7 @@ MEDIAL = dict(A=x, B=y, C=Variable("z"), D=x)
 
 
 def _built(spec):
-    """One instance from each constructor, in fixed inputs."""
+    """One instance from each constructor, from fixed inputs."""
     return (ac_instance(spec, p, q),
             eq_instance(spec, "or_unit", {"A": p}, True, "bwd"),
             instantiate_rule(spec, Scheme.SPLIT_DOWN, MEDIAL, "&", "|"))
