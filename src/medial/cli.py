@@ -85,10 +85,14 @@ def _cmd_prove(args) -> int:
 def _cmd_prove_lemma(args) -> int:
     spec = resolve_system(args.system)
     f = parse_formula(args.formula)
+    rel = args.rel or ("&" if args.lemma == "excluded-middle" else "|")
+    if rel not in spec.relations:
+        raise ParseError(f"--rel: {rel!r} is not a relation of system {spec.name}, "
+                         f"which declares {', '.join(spec.relations)}")
     if args.lemma == "excluded-middle":
-        d = derive_excluded_middle(spec, args.rel or "&", f)
+        d = derive_excluded_middle(spec, rel, f)
     else:
-        d = derive_contraction(spec, args.rel or "|", f)
+        d = derive_contraction(spec, rel, f)
     _emit(to_text(spec, d), args.out)
     return 0
 
@@ -200,6 +204,13 @@ def _cmd_taut(args) -> int:
     return 1
 
 
+def _positive_int(text: str) -> int:
+    """A positive integer (an argparse type)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
 def _positive_ints(text: str) -> list:
     """A comma-separated list of positive integers (an argparse type)."""
     values = [int(v) for v in text.split(",") if v.isdecimal()]
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vars", type=_positive_ints, default="4,8")
     p.add_argument("--sizes", type=_positive_ints, default="20,60")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_bench)
 

@@ -43,8 +43,9 @@ def _rewrite(builder: Builder, sides, target: Formula, what: str) -> None:
 
 def derive_excluded_middle(spec: SystemSpec, alpha: str, A: Formula) -> Derivation:
     """Derivation from u_alpha to A ~alpha ~A, for strong unitary alpha."""
-    if classify_relation(spec, alpha) != "strong":
-        raise NotStrong(alpha)
+    kind = classify_relation(spec, alpha)
+    if kind != "strong":
+        raise NotStrong(f"excluded middle needs a strong relation; {alpha} is {kind}")
     unit = spec.unit_of(alpha)
     if unit is None:
         raise MissingAxiom(f"{alpha} has no unit")
@@ -80,8 +81,9 @@ def _excluded_middle(spec: SystemSpec, alpha: str, unit: Formula, f: Formula) ->
 
 def derive_contraction(spec: SystemSpec, beta: str, A: Formula) -> Derivation:
     """Derivation from A beta A to A, for weak beta."""
-    if classify_relation(spec, beta) != "weak":
-        raise NotWeak(beta)
+    kind = classify_relation(spec, beta)
+    if kind != "weak":
+        raise NotWeak(f"contraction needs a weak relation; {beta} is {kind}")
     return contraction(spec, beta, A, {})
 
 

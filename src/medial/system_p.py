@@ -231,24 +231,36 @@ def _selection(w: Compound) -> tuple:
     return (w.left, "p0_select") if w.rel == P0 else (w.right, "p1_select")
 
 
-def _insert_atom_at_t(b: Builder, tpath: tuple, atom: Formula,
-                      valuation: Mapping[str, bool]) -> None:
-    """Rewrite the T element at tpath into (atom | T)."""
+def _atom_seed(spec: SystemSpec, atom: Formula, true: bool) -> Derivation:
+    """T -> (atom | T), where true is atom's value."""
+    b = Builder(spec, T)
     if atom == T:
-        b.apply_eq(tpath, "const_idem", dict(U=T), direction="bwd")
-        return
-    if atom == F:
-        b.apply_eq(tpath, "or_unit", dict(A=T), direction="bwd")
-        b.acr(tpath, Compound(OR, F, T))
-        return
-    live = atom if evaluate(atom, valuation) else negate(b.spec, atom)
-    dead = negate(b.spec, live)
-    b.apply_eq(tpath, "var_em", dict(X=live), direction="bwd")
-    # current subtree: (live | dead); duplicate the wanted copy, merge the pair
-    side = "L" if atom == live else "R"
-    b.apply_eq(tpath + (side,), "var_idem", dict(X=atom), direction="bwd")
-    b.acr(tpath, Compound(OR, atom, Compound(OR, live, dead)))
-    b.apply_eq(tpath + ("R",), "var_em", dict(X=live))
+        b.apply_eq((), "const_idem", dict(U=T), direction="bwd")
+    elif atom == F:
+        b.apply_eq((), "or_unit", dict(A=T), direction="bwd")
+        b.acr((), Compound(OR, F, T))
+    else:
+        live = atom if true else negate(spec, atom)
+        dead = negate(spec, live)
+        b.apply_eq((), "var_em", dict(X=live), direction="bwd")
+        # current subtree: (live | dead); duplicate the wanted copy, merge the pair
+        b.apply_eq(("L" if true else "R",), "var_idem", dict(X=atom), direction="bwd")
+        b.acr((), Compound(OR, atom, Compound(OR, live, dead)))
+        b.apply_eq(("R",), "var_em", dict(X=live))
+    return b.derivation()
+
+
+def _seed(e: Formula, valuation: Mapping[str, bool]) -> tuple:
+    """e with what inserting it into a clause reads of the valuation: an
+    atom's value, read directly, or a compound's values on its variables."""
+    if isinstance(e, Variable):
+        return e, valuation[e.name] != e.negated
+    if isinstance(e, Constant):
+        return e, e == T
+    return e, tuple([valuation[n] for n in sorted(variables(e))])
+
+
+_ATOM_SEED, _CLAUSE = object(), object()  # key tags no pos or contraction key equals
 
 
 def _conjoin(spec: SystemSpec, a: Formula, c: Formula, rest: Formula,
@@ -316,34 +328,60 @@ def _finish_clause(spec: SystemSpec, b: Builder, w: Formula) -> None:
 
 class _Prover:
     """One proof's synthesis over spec, with a lemma table that dies with
-    it: each line lemma, keyed by its formula and the valuation on that
-    formula's variables, and each contraction, keyed by (relation,
-    formula), is built once and spliced by reference wherever it recurs."""
+    it.  Each line lemma, keyed by its formula and the valuation on that
+    formula's variables, each contraction, keyed by (relation, formula),
+    each atom seed T -> (a | T), keyed by a and its value, and each seeded
+    clause, keyed by the _seed of each element it inserted, is built once
+    and spliced by reference wherever it recurs.  The sorted variables of
+    each formula, which key its line lemmas, are read once as well."""
 
     def __init__(self, spec: SystemSpec):
-        self.spec, self.lemmas = spec, {}
+        self.spec, self.lemmas, self.names = spec, {}, {}
 
-    def chain_insert(self, element: Formula, P: Derivation,
+    def _lemma(self, key: tuple, build, *args) -> Derivation:
+        """The lemma at key, built as build(*args) where it is new."""
+        done = self.lemmas.get(key)
+        if done is None:
+            done = self.lemmas[key] = build(*args)
+        return done
+
+    def clause(self, seeds: tuple, valuation: Mapping[str, bool]) -> Derivation:
+        """Proof from T of (T | e_k | ... | e_1), or bare T, from the _seed of each
+        e_i; each prefix is built once, in a loop from the longest one built."""
+        built = len(seeds)
+        while built and (_CLAUSE, seeds[:built]) not in self.lemmas:
+            built -= 1
+        P = self.lemmas[_CLAUSE, seeds[:built]] if built else identity(T)
+        for k in range(built + 1, len(seeds) + 1):
+            P = self.lemmas[_CLAUSE, seeds[:k]] = self.chain_insert(seeds[:k], P, valuation)
+        return P
+
+    def chain_insert(self, seeds: tuple, P: Derivation,
                      valuation: Mapping[str, bool]) -> Derivation:
-        """Given P from T to a clause (T | rest) (or bare T), return a proof
-        of (T | element | rest).  The element may be semantically dead; the
-        clause keeps a live T seed throughout."""
+        """Given P from T to the clause (T | rest) (or bare T) of seeds but
+        the last, a proof of (T | element | rest) for the last element.  It
+        may be semantically dead; the clause keeps a live T seed throughout."""
         spec = self.spec
+        (element, value), before = seeds[-1], seeds[:-1]
         old_rest = spine(spec, P.conclusion, OR)
         old_rest.remove(T)
 
         def arranged(new: Formula) -> Formula:
             return Compound(OR, T, join(OR, [new] + old_rest))
 
+        def inserted(*parts: Formula) -> Derivation:
+            return self.clause(before + tuple([_seed(e, valuation) for e in parts]), valuation)
+
         b = Builder(spec, P)
         tpath = () if b.current == T else ("L",)
         if is_atom(element):
-            _insert_atom_at_t(b, tpath, element, valuation)
+            seed = self._lemma((_ATOM_SEED, element, value), _atom_seed, spec, element, value)
+            b.splice(tpath, seed)
             b.acr((), arranged(element))
             return b.derivation()
         if element.rel in (P0, P1):
             kept, axiom = _selection(element)
-            b2 = Builder(spec, self.chain_insert(kept, P, valuation))
+            b2 = Builder(spec, inserted(kept))
             # a disjunction kept is inserted part by part; regroup it as one
             b2.acr((), arranged(kept))
             kpath = ("R",) if not old_rest else ("R", "L")
@@ -351,35 +389,26 @@ class _Prover:
             b2.acr((), arranged(element))
             return b2.derivation()
         if element.rel == OR:
-            out = P
-            for part in reversed(spine(spec, element, OR)):
-                out = self.chain_insert(part, out, valuation)
-            return out
+            return inserted(*reversed(spine(spec, element, OR)))
         # conjunction: two supported sub-clauses, one split, one contraction
         base = P.conclusion  # (T | rest) or T
         b3 = _conjoin(
             spec, element.left, element.right, base,
-            self.chain_insert(element.left, P, valuation),
-            self.chain_insert(element.right, P, valuation),
+            inserted(element.left), inserted(element.right),
         )
         b3.splice(("R",), contraction(spec, OR, base, self.lemmas))
         b3.acr((), arranged(element))
         return b3.derivation()
 
-    def line(self, A: Formula, valuation: Mapping[str, bool]) -> Derivation:
-        """prove_line's proof, built from this proof's lemmas."""
-        return self.pos(A if evaluate(A, valuation) else negate(self.spec, A), valuation)
-
     def pos(self, w: Formula, valuation: Mapping[str, bool]) -> Derivation:
         """Proof of (w | J) from T, where w is true at the valuation and J
         joins one false literal per variable of w (sorted); bare w when w is
         closed.  It reads the valuation on w's variables only."""
-        names = sorted(variables(w))
+        names = self.names.get(w)
+        if names is None:
+            names = self.names[w] = sorted(variables(w))
         key = (w, tuple([valuation[n] for n in names]))
-        done = self.lemmas.get(key)
-        if done is None:
-            done = self.lemmas[key] = self._pos(w, names, valuation)
-        return done
+        return self._lemma(key, self._pos, w, names, valuation)
 
     def _pos(self, w: Formula, names: list, valuation: Mapping[str, bool]) -> Derivation:
         """pos's proof, built afresh; names are w's variables, sorted."""
@@ -416,12 +445,11 @@ class _Prover:
             live = next(i for i, e in enumerate(elems) if evaluate(e, valuation))
             kept, axiom = elems[live], None
             dead = elems[:live] + elems[live + 1:]
-        P = identity(T)
-        for name in sorted(set(names) - variables(kept), reverse=True):
-            P = self.chain_insert(opposite_literal(name, valuation), P, valuation)
-        for e in dead:
-            P = self.chain_insert(e, P, valuation)
-        b = Builder(spec, P)
+        # an opposite literal is false: its seed needs no lookup
+        seeds = [(opposite_literal(n, valuation), False)
+                 for n in sorted(set(names) - variables(kept), reverse=True)]
+        b = Builder(spec, self.clause(tuple(seeds + [_seed(e, valuation) for e in dead]),
+                                      valuation))
         tpath = () if b.current == T else ("L",)
         sub = self.pos(kept, valuation)
         b.splice(tpath, sub)
@@ -442,12 +470,12 @@ class _Prover:
         return b.derivation(y)
 
     def fold(self, x: Formula, names: tuple, valuation: dict) -> Derivation:
-        """Proof from T of x joined with the literals false at the
-        valuation, which binds a prefix of names in order: the line proof
-        once it binds every name, else the proofs for the next name true
-        and false merged."""
+        """Proof from T of the tautology x joined with the literals false at
+        the valuation, which binds a prefix of names in order: the line
+        proof (pos, as x is true) once it binds every name, else the proofs
+        for the next name true and false merged."""
         if len(valuation) == len(names):
-            return self.line(x, valuation)
+            return self.pos(x, valuation)
         name = names[len(valuation)]
         return self.fold_var(
             _clause(x, valuation, valuation), name,
@@ -462,7 +490,8 @@ def prove_line(A: Formula, valuation: Mapping[str, bool]) -> Derivation:
     over each variable that is false at the valuation, in name order."""
     if set(valuation) != variables(A):
         raise VariableMismatch(f"valuation of {sorted(valuation)} differs from vars({A})")
-    return _Prover(make_p_spec()).line(A, valuation)
+    spec = make_p_spec()
+    return _Prover(spec).pos(A if evaluate(A, valuation) else negate(spec, A), valuation)
 
 
 def _closed_tautology_proof(spec: SystemSpec, x: Formula) -> Derivation:

@@ -14,6 +14,7 @@ import pytest
 
 import medial.derivations as derivations
 import medial.splitting as splitting
+import medial.system_p as system_p
 from medial.derivations import (
     Builder,
     CheckFailure,
@@ -123,14 +124,9 @@ def corpus_and_eliminated():
 
 
 @pytest.fixture(scope="module")
-def synthesised():
-    proofs = []
-    for f in enumerate_formulas(3, LEAVES):
-        if is_tautology(f):
-            proofs.append(prove_tautology(f))
-            if len(proofs) == 300:
-                return proofs
-    raise AssertionError("fewer than 300 tautologies of height 3")
+def synthesised(height3):
+    assert len(height3.proofs) >= 300
+    return height3.proofs[:300]
 
 
 def _family(n):
@@ -406,6 +402,54 @@ def test_prove_builds_each_lemma_once(monkeypatch):
     assert len(built) <= 1000
     digest = hashlib.sha256(to_text(spec, d).encode()).hexdigest()
     assert digest == "dc5031d268c9b6a7e5b382edf966d511d2dc79eba055d0e7727a6eb047e48e67"
+
+
+def _held_steps(d) -> int:
+    """The Steps held by the distinct tuples and Ropes that d's steps reach,
+    each shared part counted once: what a proof keeps in memory."""
+    seen, runs, held = set(), [d.steps], 0
+    while runs:
+        run = runs.pop()
+        if id(run) not in seen:
+            seen.add(id(run))
+            items = getattr(run, "parts", run)
+            nested = [item[1] for item in items if type(item) is tuple]
+            runs += nested
+            held += len(items) - len(nested)
+    return held
+
+
+# first-failure F_3: every clause (ci | di) holds, or one fails first
+F3 = ("(((c1 | d1) & (c2 | d2) & (c3 | d3)) | (~c1 & ~d1) | ((c1 | d1) & ~c2 & ~d2)"
+      " | ((c1 | d1) & (c2 | d2) & ~c3 & ~d3))")
+
+
+@pytest.mark.parametrize(
+    "goal, flat, bound",
+    [(_family(8), 139_564, 20_000), (parse_formula(F3), 60_218, 4_500)],
+    ids=["family-8", "F3"],
+)
+def test_prove_holds_each_seed_and_clause_once(goal, flat, bound):
+    # counts, not times: atom seeds and seeded clauses are built once per
+    # proof and placed by reference (103,068 and 8,660 held steps when each
+    # use rebuilt them), while the flat sequence stays the same
+    d = prove_tautology(goal)
+    assert len(d) == flat
+    assert _held_steps(d) <= bound
+
+
+def test_prove_writes_each_atom_seed_once(monkeypatch):
+    # one proof builds the seed T -> (a | T) of each atom a and value once
+    written = []
+    original = system_p._atom_seed
+
+    def recorded(spec, atom, true):
+        written.append((atom, true))
+        return original(spec, atom, true)
+
+    monkeypatch.setattr(system_p, "_atom_seed", recorded)
+    prove_tautology(_family(5))
+    assert len(written) == len(set(written)) >= 10
 
 
 def _commuted_conclusion(d):

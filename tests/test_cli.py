@@ -214,6 +214,10 @@ LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
         (["classify", "--fn", "0111/3"], "--fn '0111/3'"),
         (["bench", "--clone", "C2", "--vars", "a"], "argument --vars"),
         (["bench", "--clone", "C3", "--sizes", "10,,20"], "argument --sizes"),
+        (["bench", "--clone", "C2", "--samples", "0"], "argument --samples: expected a positive"),
+        (["bench", "--clone", "C2", "--samples", "-2"], "argument --samples: expected a positive"),
+        (["prove-lemma", "contraction", "x", "--rel", "zz"],
+         "--rel: 'zz' is not a relation of system P, which declares &, |, p0, p1"),
         (["split", "{em}", "--at", "ZZ"], "bad path 'ZZ'"),
         (LEMMA + ["{spec}"], "malformed axiom line: axiom: foo"),
         (LEMMA + ["{kind}"], "line 13: malformed axiom line: axiom: or_unit"),
@@ -224,7 +228,8 @@ LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
         (LEMMA + ["{foreign}"], "axiom foo cannot be negated: no negation declared for zz"),
         (["audit", "--system", "{unusable}"], "rule x cannot be instantiated"),
     ],
-    ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "split-path",
+    ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "bench-samples-0",
+         "bench-samples-negative", "lemma-undeclared-rel", "split-path",
          "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
          "spec-ac-silent", "spec-repeated-id", "spec-foreign-axiom", "spec-unusable-rule"],
 )
@@ -249,6 +254,22 @@ def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
     capsys.readouterr()
     assert run([a.format(em=em, **specs) for a in argv]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["excluded-middle", "x", "--rel", "p0"],
+         "excluded middle needs a strong relation; p0 is intermediate"),
+        (["contraction", "(x|y)", "--rel", "&"], "contraction needs a weak relation; & is strong"),
+    ],
+    ids=["em-intermediate", "contraction-strong"],
+)
+def test_prove_lemma_names_the_class_a_relation_lacks(capsys, argv, message):
+    # a declared relation of the wrong class is a negative answer, with the
+    # message library callers get from NotStrong / NotWeak
+    assert run(["prove-lemma"] + argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_check_rejects_relation_from_binding(tmp_path, capsys):

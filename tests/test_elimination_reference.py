@@ -35,7 +35,7 @@ from medial.splitting import (
     instantiate_hole,
     make_fragment,
 )
-from medial.system_p import is_tautology, make_p_spec, prove_tautology
+from medial.system_p import make_p_spec, prove_tautology
 from medial.systems import Scheme, instantiate, spec_from_text, spec_to_text
 from medial.terms import (
     Compound,
@@ -48,12 +48,11 @@ from medial.terms import (
     parse_formula,
 )
 
-from helpers import ac_flag_shapes, enumerate_formulas, injected_corpus, random_formula
+from helpers import ac_flag_shapes, injected_corpus, random_formula
 
 spec = make_p_spec()
 PAIRS = spec.weak_units
 T, F = Constant("T"), Constant("F")
-LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
 
 
 def _fresh_spec():
@@ -70,9 +69,8 @@ def corpus_and_eliminated():
 
 
 @pytest.fixture(scope="module")
-def synthesised():
-    tautologies = (f for f in enumerate_formulas(3, LEAVES) if is_tautology(f))
-    return [prove_tautology(f) for f, _ in zip(tautologies, range(300))]
+def synthesised(height3):
+    return height3.proofs[:300]
 
 
 # ---------------------------------------------------------------------------

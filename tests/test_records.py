@@ -14,6 +14,7 @@ from dataclasses import MISSING, FrozenInstanceError, fields, replace
 import pytest
 
 import medial.derivations as derivations
+import medial.system_p as system_p
 from medial.derivations import Derivation, Step, check, mark_exact, to_text
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import (
@@ -100,10 +101,9 @@ def _value(rule: RuleInstance) -> tuple:
     return tuple([getattr(rule, f.name) for f in fields(rule) if f.compare])
 
 
-def test_check_judges_each_distinct_instance_value_once(monkeypatch):
+def test_check_judges_each_distinct_instance_value_once(monkeypatch, height3):
     spec = make_p_spec()
-    tautologies = [f for f in enumerate_formulas(3, LEAVES) if is_tautology(f)]
-    assert len(tautologies) == 2008
+    assert len(height3.tautologies) == 2008
     judged: collections.Counter = collections.Counter()
     original = derivations.check_rule_instance
 
@@ -113,8 +113,7 @@ def test_check_judges_each_distinct_instance_value_once(monkeypatch):
 
     monkeypatch.setattr(derivations, "check_rule_instance", counted)
     equal_but_distinct = 0
-    for f in tautologies:
-        d = prove_tautology(f)
+    for d in height3.proofs:
         # the constructors return one object per value, so every other step
         # of this copy holds an equal instance built apart by replace
         steps = tuple([Step(s.context, replace(s.rule) if i % 2 else s.rule)
@@ -129,8 +128,11 @@ def test_check_judges_each_distinct_instance_value_once(monkeypatch):
 
 def test_synthesis_builds_each_rule_instance_once_while_it_lives(monkeypatch):
     # proving, printing and checking the 2,008 height-3 tautologies, one
-    # after another, built 203,489 rule instances when each call built its own
-    spec = make_p_spec()
+    # after another, built 203,489 rule instances when each call built its own.
+    # They are proved in a copy of P, whose instances are its own, so that
+    # no live proof of another test lends this one its instances
+    spec = spec_from_text(spec_to_text(make_p_spec()))
+    monkeypatch.setattr(system_p, "make_p_spec", lambda: spec)
     tautologies = [f for f in enumerate_formulas(3, LEAVES) if is_tautology(f)]
     built = 0
     init = RuleInstance.__init__
