@@ -135,11 +135,8 @@ def _cmd_classify(args) -> int:
         if arity < 0 or set(bits) - {"0", "1"} or len(bits) != 2 ** arity:
             raise ParseError(f"--fn {args.fn!r}: give <bits>/<arity> with 2^arity bits")
         fn = clones.BoolFn(arity, tuple(c == "1" for c in bits))
-    elif args.formula:
-        fn = clones.formula_function(parse_formula(args.formula))
     else:
-        print("classify needs --fn or --formula", file=sys.stderr)
-        return 2
+        fn = clones.formula_function(parse_formula(args.formula))
     print(" ".join(clones.classify(fn)))
     return 0
 
@@ -257,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("classify", help="clones containing a boolean function")
-    p.add_argument("--fn", default=None, help="<bits>/<arity>")
-    p.add_argument("--formula", default=None)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--fn", default=None, help="<bits>/<arity>")
+    given.add_argument("--formula", default=None)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("sat", help="satisfiability inside a clone")

@@ -4,19 +4,19 @@ Each step carries its full plugging context (path with siblings), so its
 before/after formulas follow from the step alone.  Steps and derivations,
 like rule instances and path steps, are slotted frozen records built
 through their slot setters.  The checker threads the running formula
-through the derivation, treating AC equality silently at every joint;
-every other equality must be an explicit equational step.
+through the derivation and accepts only exact threading: each step's
+premise is the running formula's subterm at its context, and the last
+step leaves the conclusion itself.  AC is judged in one place, inside an
+explicit `acr` step; every other equality must be an explicit equational
+step.  `exactify` is the one way to turn steps joined only modulo AC into
+a derivation `check` accepts: it inserts the `acr` steps.
 `check`, `exactify` and `from_text` hold the running formula in one
 `terms.Cursor`, so a step rebuilds only what lies between its hole and the
 last one.  `check` rebuilds every medial and equational step from what it
 declares, once per distinct instance, and accepts it only if the rebuilt
-instance is the stored one, labels included.  A derivation known to thread
-exactly is marked `exact` (by `identity`, `exactify`, `from_text`,
-`before_step`, `after_step` and the converses of a marked one, and a
-`Builder` that adopted and spliced only marked ones); `exactify` returns
-it as it is, and `check` checks it anyway.  `converse` runs an equational
-or acr step backwards, optionally between negations; `reverse_equational`
-and `dualize` reverse whole derivations.
+instance is the stored one, labels included.  `converse` runs an
+equational or acr step backwards, optionally between negations;
+`reverse_equational` and `dualize` reverse whole derivations.
 
 Derivations compose one way, through `Builder`, which copies no step: it
 starts at a formula or continues a derivation, `splice` runs a derivation
@@ -28,7 +28,7 @@ AC-equal target.  Steps it places by reference make its result a `Rope`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .systems import (
@@ -152,16 +152,11 @@ class Derivation(_WeakReferable):
     premise: Formula
     steps: Sequence  # a tuple of Steps, or a Rope
     conclusion: Formula
-    # set (by mark_exact) only where the steps are known to thread exactly:
-    # each step's before is the formula the previous step left, and the
-    # last one leaves the conclusion; exactify then returns d itself
-    exact: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __init__(self, premise: Formula, steps: Sequence, conclusion: Formula) -> None:
         _set_premise(self, premise)
         _set_steps(self, steps)
         _set_conclusion(self, conclusion)
-        _set_exact(self, False)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -170,29 +165,21 @@ class Derivation(_WeakReferable):
 # slot setters, as in terms: faster than a generated frozen __init__
 _set_context, _set_rule = Step.context.__set__, Step.rule.__set__
 _set_premise, _set_steps = Derivation.premise.__set__, Derivation.steps.__set__
-_set_conclusion, _set_exact = Derivation.conclusion.__set__, Derivation.exact.__set__
-
-
-def mark_exact(d: Derivation) -> Derivation:
-    """d, marked exact; the caller vouches for its threading."""
-    object.__setattr__(d, "exact", True)
-    return d
+_set_conclusion = Derivation.conclusion.__set__
 
 
 def identity(f: Formula) -> Derivation:
-    return mark_exact(Derivation(f, (), f))
+    return Derivation(f, (), f)
 
 
 def before_step(d: Derivation, i: int) -> Derivation:
-    """d's steps before step i, up to where step i starts; exact when d is."""
-    out = Derivation(d.premise, d.steps[:i], d.steps[i].before)
-    return mark_exact(out) if d.exact else out
+    """d's steps before step i, up to where step i starts."""
+    return Derivation(d.premise, d.steps[:i], d.steps[i].before)
 
 
 def after_step(d: Derivation, i: int) -> Derivation:
-    """d's steps after step i, from where step i ends; exact when d is."""
-    out = Derivation(d.steps[i].after, d.steps[i + 1 :], d.conclusion)
-    return mark_exact(out) if d.exact else out
+    """d's steps after step i, from where step i ends."""
+    return Derivation(d.steps[i].after, d.steps[i + 1 :], d.conclusion)
 
 
 @dataclass(frozen=True)
@@ -209,7 +196,7 @@ _UNJUDGED = object()  # a verdict-table miss; a verdict is a reason or None
 
 def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     """None when d is valid for spec; otherwise the first failure.  Each
-    distinct rule instance is judged once."""
+    joint must hold exactly, and each distinct rule instance is judged once."""
     reason = undeclared_symbol(spec, d.premise)
     if reason is not None:
         return CheckFailure(-1, f"{reason} in premise")
@@ -217,15 +204,14 @@ def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
     cursor = Cursor(d.premise)
     for i, (ctx, step) in enumerate(placed(d.steps)):
         rule = step.rule
-        was = cursor.rewrite(ctx, rule.premise, rule.conclusion)
-        if was is not None and not equal_mod_ac(spec, plug(ctx, rule.premise), was):
+        if cursor.rewrite(ctx, rule.premise, rule.conclusion) is not None:
             return CheckFailure(i, "ThreadBroken: step premise does not match")
         reason = verdicts.get(rule, _UNJUDGED)
         if reason is _UNJUDGED:
             reason = verdicts[rule] = check_rule_instance(spec, rule)
         if reason is not None:
             return CheckFailure(i, reason)
-    if not equal_mod_ac(spec, cursor.formula(), d.conclusion):
+    if cursor.formula() is not d.conclusion:
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
 
@@ -297,10 +283,7 @@ def length(spec: SystemSpec, d: Derivation) -> int:
 
 def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
     """Insert AC rearrangement steps so consecutive formulas agree exactly,
-    as the line-oriented file format requires; d itself when it is marked
-    exact."""
-    if d.exact:
-        return d
+    as `check` and the line-oriented file format require."""
     steps: list[Step] = []
     cursor = Cursor(d.premise)
     for step in d.steps:
@@ -316,7 +299,7 @@ def exactify(spec: SystemSpec, d: Derivation) -> Derivation:
         if not equal_mod_ac(spec, cur, d.conclusion):
             raise JointMismatch("conclusion differs beyond AC")
         steps.append(Step((), ac_instance(spec, cur, d.conclusion)))
-    return mark_exact(Derivation(d.premise, tuple(steps), d.conclusion))
+    return Derivation(d.premise, tuple(steps), d.conclusion)
 
 
 def converse(spec: SystemSpec, rule: RuleInstance, negated: bool = False) -> RuleInstance:
@@ -351,8 +334,7 @@ def _backwards(spec: SystemSpec, d: Derivation, negated: bool) -> Derivation:
             )
         steps.append(Step(ctx, converse(spec, step.rule, negated)))
     premise, conclusion = (negate(spec, f) if negated else f for f in (d.conclusion, d.premise))
-    out = Derivation(premise, tuple(steps), conclusion)
-    return mark_exact(out) if d.exact else out
+    return Derivation(premise, tuple(steps), conclusion)
 
 
 def reverse_equational(spec: SystemSpec, d: Derivation) -> Derivation:
@@ -372,15 +354,13 @@ def dualize(spec: SystemSpec, d: Derivation) -> Derivation:
 
 class Builder:
     """Composes derivations: starts at a formula, or continues a derivation
-    by adopting its steps, and threads each step exactly onto the last.
-    What it builds is marked exact unless it adopted or spliced a
-    derivation that was not."""
+    by adopting its steps, and threads each step exactly onto the last."""
 
     def __init__(self, spec: SystemSpec, start: Formula | Derivation):
-        self.spec, self.parts, self.exact, self.roped = spec, [], True, False  # parts as in a Rope
+        self.spec, self.parts, self.roped = spec, [], False  # parts as in a Rope
         self.start = self.current = start
         if isinstance(start, Derivation):
-            self.start, self.current, self.exact = start.premise, start.conclusion, start.exact
+            self.start, self.current = start.premise, start.conclusion
             self.roped = type(start.steps) is Rope
             self.parts = [((), start.steps)] if self.roped else list(start.steps)
 
@@ -413,7 +393,6 @@ class Builder:
     def splice(self, sides: Sequence[str], d: Derivation) -> None:
         """Run a whole derivation inside the subterm at sides; its steps
         are placed there as they are."""
-        self.exact = self.exact and d.exact
         self._append(sides, d.premise, d.steps, d.conclusion)
 
     def _append(self, sides, premise: Formula, run, conclusion: Formula) -> None:
@@ -447,8 +426,7 @@ class Builder:
         if conclusion is not None:
             self.acr((), conclusion)
         steps = Rope(tuple(self.parts)) if self.roped else tuple(self.parts)
-        d = Derivation(self.start, steps, self.current)
-        return mark_exact(d) if self.exact else d
+        return Derivation(self.start, steps, self.current)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +434,7 @@ class Builder:
 
 
 def to_text(spec: SystemSpec, d: Derivation) -> str:
-    d = exactify(spec, d)
+    """d as a derivation file; d threads exactly, as `check` requires."""
     # one memo per spaces mode: formulas print with spaces, bindings without
     spaced: dict = {}
     tight: dict = {}
@@ -514,15 +492,16 @@ def parse_sides(path: str) -> tuple:
 
 def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     """Parse a derivation file; returns (spec, derivation).  A file with an
-    unknown section or without its system, premise or conclusion line, and a
-    step line that names an unknown axiom or rule, lacks its rule, path or a
-    binding the rule needs, has a path letter other than L/R, gives a field
-    (dir, rel) or binds a name the rule does not take, or binds a
-    metavariable outside its sort, raise ParseError."""
+    unknown section, or without its system, premise or conclusion line or
+    with one twice, and a step line that names an unknown axiom or rule,
+    lacks its rule, path or a binding the rule needs, has a path letter
+    other than L/R, gives a field (dir, rel) or binds a name the rule does
+    not take, or binds a metavariable outside its sort, raise ParseError."""
     spec: Optional[SystemSpec] = None
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
     raw_steps: list[str] = []
+    seen: set = set()  # the sections read so far; only step lines repeat
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -530,6 +509,10 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         key, _, rest = line.partition(":")
         key = key.strip()
         rest = rest.strip()
+        if key in seen:
+            raise ParseError(f"line {lineno}: repeated section {key!r}: {line}")
+        if key != "step":
+            seen.add(key)
         if key == "system":
             spec = resolve_system(rest)
         elif key == "premise":
@@ -603,4 +586,4 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         cursor.focus = rule.conclusion
     if cursor.formula() != conclusion:
         raise DerivationError("conclusion line does not match the threaded result")
-    return spec, mark_exact(Derivation(premise, tuple(steps), conclusion))
+    return spec, Derivation(premise, tuple(steps), conclusion)

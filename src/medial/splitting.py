@@ -21,8 +21,6 @@ from .derivations import (
     after_step,
     before_step,
     converse,
-    exactify,
-    mark_exact,
     steps_length,
 )
 from .generators import atomic_deduction
@@ -767,13 +765,13 @@ def shallow_split(
 ) -> SplitResult:
     """Split a proof of (A0 a A1) b B (the a-node designated by occ) into
     component proofs and a remainder derivation, per the shallow splitting
-    theorem; the length bounds are asserted on every recursive call.  P is
-    exactified first, since the case analysis reads adjacent steps."""
+    theorem; the length bounds are asserted on every recursive call.  The
+    case analysis reads adjacent steps, which P threads exactly."""
     splitter = _Splitter(frag, P.premise, recorder)
     i = first_up_index(frag, P)
     if i is not None:
         raise NotDownFragment(f"step {i} ({P.steps[i].rule.rule_id}) is not a down rule")
-    return splitter.split(exactify(frag.spec, P), tuple(occ))
+    return splitter.split(P, tuple(occ))
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +818,7 @@ def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
         for s in d.steps
     )
     # substitution commutes with plugging, so exact threading survives it
-    out = Derivation(fill(d.premise), steps, fill(d.conclusion))
-    return mark_exact(out) if d.exact else out
+    return Derivation(fill(d.premise), steps, fill(d.conclusion))
 
 
 @dataclass(frozen=True)
@@ -838,8 +835,7 @@ def context_reduce(
     recorder: Optional[list] = None,
 ) -> ContextReduction:
     """Reduce a proof of S{A} to a proof of A beta K plus a hole-uniform
-    derivation rebuilding S{ } around { } beta K.  P may join its steps
-    modulo AC."""
+    derivation rebuilding S{ } around { } beta K."""
     spec = frag.spec
     hole_sides = tuple(hole_sides)
     beta, u, nu = frag.weak_for(P.premise)
@@ -902,7 +898,7 @@ def eliminate_up_step(
 ) -> Derivation:
     """Remove the up-rule step nearest the premise, per the admissibility
     theorem (context reduction, two layers of shallow splitting, and the
-    reassembly derivation).  P may join its steps modulo AC."""
+    reassembly derivation)."""
     spec = frag.spec
     i = first_up_index(frag, P)
     if i is None:

@@ -975,6 +975,8 @@ def spec_from_text(text: str) -> SystemSpec:
             elif key == "relation":
                 parts = rest.split()
                 rel_name = parts[0]
+                if any(r.name == rel_name for r in relations):
+                    raise SystemError(f"relation {rel_name} declared twice")
                 kw: dict = {}
                 dual = rel_name
                 for part in parts[1:]:

@@ -1,12 +1,15 @@
 """`check` and `exactify` against the loops they replaced, and the work
 they may do: both read each step's formulas along the running formula,
-`check` judges each distinct rule instance once, and `from_text` and
-`check` rebuild only what the last step changed."""
+`check` accepts only exact joints and judges each distinct rule instance
+once, and `from_text` and `check` rebuild only what the last step
+changed."""
 
 import collections
 import hashlib
+import os
 import random
 import re
+import subprocess
 import sys
 from dataclasses import replace
 
@@ -22,12 +25,10 @@ from medial.derivations import (
     DerivationError,
     JointMismatch,
     Step,
-    before_step,
     check,
     dualize,
     exactify,
     from_text,
-    identity,
     reverse_equational,
     to_text,
 )
@@ -62,21 +63,34 @@ LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True)
 def _reference_check(spec, d):
     """check as it was before it threaded the running formula: both
     formulas of every step plugged from its context, every rule instance
-    judged anew."""
+    judged anew, and each joint the identical formula."""
     reason = undeclared_symbol(spec, d.premise)
     if reason is not None:
         return CheckFailure(-1, f"{reason} in premise")
     cur = d.premise
     for i, step in enumerate(d.steps):
-        if not equal_mod_ac(spec, step.before, cur):
+        if step.before is not cur:
             return CheckFailure(i, "ThreadBroken: step premise does not match")
         reason = check_rule_instance(spec, step.rule)
         if reason is not None:
             return CheckFailure(i, reason)
         cur = step.after
-    if not equal_mod_ac(spec, cur, d.conclusion):
+    if cur is not d.conclusion:
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
+
+
+# checks each derivation file named on the command line as `medial check`
+# does, in a fresh interpreter: one line per file, its exit code and stderr
+_CHECK_FILES = """
+import contextlib, io, sys
+from medial.cli import run
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["check", path])
+    print(code, err.getvalue().strip().replace(chr(10), " "))
+"""
 
 
 def _reference_exactify(spec, d):
@@ -101,6 +115,29 @@ def _inexact_joints(d) -> int:
     """Joints where a step's before is the running formula only modulo AC."""
     joints = sum(a.after != b.before for a, b in zip(d.steps, d.steps[1:]))
     return joints + (bool(d.steps) and d.steps[0].before != d.premise)
+
+
+def _first_inexact_joint(d):
+    """Where check must reject d, whose steps are valid and whose joints
+    hold modulo AC: at its first joint that is not exact, if it has one."""
+    cur = d.premise
+    for i, step in enumerate(d.steps):
+        if step.before is not cur:
+            return CheckFailure(i, "ThreadBroken: step premise does not match")
+        cur = step.after
+    if cur is not d.conclusion:
+        return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
+    return None
+
+
+def _rejected_and_repaired(d):
+    """check judges d, whose valid steps may join only modulo AC, as the
+    reference does, at its first inexact joint, and accepts it exactified;
+    returns d exactified."""
+    assert check(spec, d) == _reference_check(spec, d) == _first_inexact_joint(d)
+    fixed = exactify(spec, d)
+    assert check(spec, fixed) is None
+    return fixed
 
 
 def _drop(d, i):
@@ -157,18 +194,20 @@ def test_check_agrees_with_reference_on_valid_proofs(corpus_and_eliminated, synt
     corpus, eliminated = corpus_and_eliminated
     loose = [_without_acr(d) for d in eliminated + synthesised]
     assert sum(_inexact_joints(d) for d in loose) > 1000
-    for d in corpus + eliminated + synthesised + loose:
+    for d in corpus + eliminated + synthesised:
         assert check(spec, d) is None
         assert _reference_check(spec, d) is None
-    for d in eliminated + loose:
+    for d in eliminated:
         assert exactify(spec, d) == _reference_exactify(spec, d)
+    for d in loose:
+        assert _rejected_and_repaired(d) == _reference_exactify(spec, d)
 
 
 def test_check_agrees_with_reference_on_mutants(corpus_and_eliminated, synthesised):
     corpus, eliminated = corpus_and_eliminated
     rng = random.Random(20261018)
     q = Variable("q")  # occurs in no input, so a sibling set to it differs beyond AC
-    verdicts = []
+    repaired = []
     for d in corpus + eliminated + synthesised[::3]:
         mutants = [_drop(d, rng.randrange(len(d.steps)))]
         deep = [i for i, s in enumerate(d.steps) if s.context]
@@ -177,16 +216,19 @@ def test_check_agrees_with_reference_on_mutants(corpus_and_eliminated, synthesis
         for m in mutants:
             expected = _reference_check(spec, m)
             assert check(spec, m) == expected
-            verdicts.append(expected is None)
+            assert expected is not None
             try:
                 expected = _reference_exactify(spec, m)
             except JointMismatch as e:
                 with pytest.raises(JointMismatch, match=str(e)):
                     exactify(spec, m)
+                repaired.append(False)
             else:
-                assert exactify(spec, m) == expected
-    # a dropped acr step leaves a joint that holds modulo AC
-    assert 0 < sum(verdicts) < len(verdicts)
+                assert _rejected_and_repaired(m) == expected
+                repaired.append(True)
+    # a dropped acr step leaves a joint that holds only modulo AC: check
+    # rejects it, and exactify bridges it
+    assert 0 < sum(repaired) < len(repaired)
 
 
 def test_check_agrees_with_reference_on_named_defects():
@@ -204,8 +246,8 @@ def test_check_agrees_with_reference_on_named_defects():
     copy = Step(context_at(valid.conclusion, "RRR"), replace(rule, rule_id="eq:const_em"))
     assert copy.before == valid.conclusion
     cases = {
-        # the joint left behind holds modulo AC, so the proof stays valid
-        "first acr dropped": (_drop(d, first_acr), None),
+        # the joint left behind holds only modulo AC: rejected where it is
+        "first acr dropped": (_drop(d, first_acr), first_acr),
         "sibling beyond AC": (_with_sibling(d, deep, Variable("q")), deep),
         "mislabelled copy": (
             Derivation(valid.premise, valid.steps[:] + (copy,), valid.conclusion), 3
@@ -215,6 +257,7 @@ def test_check_agrees_with_reference_on_named_defects():
         failure = check(spec, m)
         assert failure == _reference_check(spec, m), name
         assert (failure and failure.step_index) == index, name
+    _rejected_and_repaired(cases["first acr dropped"][0])
 
 
 def test_check_agrees_with_reference_on_deep_contexts(family5):
@@ -222,10 +265,9 @@ def test_check_agrees_with_reference_on_deep_contexts(family5):
     loose = _without_acr(d)
     assert _inexact_joints(loose) > 1000
     assert sum(len(s.context) for s in d.steps) > 8 * len(d.steps)
-    for m in (d, loose):
-        assert check(spec, m) is None
-        assert _reference_check(spec, m) is None
-    assert exactify(spec, loose) == _reference_exactify(spec, loose)
+    assert check(spec, d) is None
+    assert _reference_check(spec, d) is None
+    assert _rejected_and_repaired(loose) == _reference_exactify(spec, loose)
 
 
 def _shared_prefix(a, b) -> int:
@@ -269,21 +311,24 @@ def test_check_agrees_with_reference_where_a_shared_frame_changes(family5):
         mutants.append((_with_frame(d, i, j, rel=other[frame.rel]), True))
         s = frame.sibling
         if isinstance(s, Compound) and s.left is not s.right and spec.is_commutative(s.rel):
-            # the sibling commuted: a joint that holds modulo AC
+            # the sibling commuted: a joint that holds only modulo AC
             commuted = Compound(s.rel, s.right, s.left)
             mutants.append((_with_frame(d, i, j, sibling=commuted), False))
-    assert sum(not broken for _, broken in mutants) > 5
-    for (m, i), broken in mutants:
+    assert sum(not beyond_ac for _, beyond_ac in mutants) > 5
+    for (m, i), beyond_ac in mutants:
         failure = check(spec, m)
         assert failure == _reference_check(spec, m)
-        assert (failure and failure.step_index) == (i if broken else None)
+        assert (failure and failure.step_index) == i
         try:
             expected = _reference_exactify(spec, m)
         except JointMismatch as e:
+            assert beyond_ac
             with pytest.raises(JointMismatch, match=re.escape(str(e))):
                 exactify(spec, m)
         else:
+            assert not beyond_ac
             assert exactify(spec, m) == expected
+            assert check(spec, expected) is None
 
 
 def _repathed(text, i, path):
@@ -461,64 +506,133 @@ def _commuted_conclusion(d):
     return Derivation(d.premise, d.steps, Compound(c.rel, c.right, c.left))
 
 
-def test_every_exact_mark_holds(monkeypatch):
-    """Every derivation marked exact, wherever the mark is set, threads
-    exactly: exactify returns it as it is, and the plug-based reference
-    inserts no step into it."""
-    marked = collections.Counter()  # marking function -> derivations marked
+def test_every_built_derivation_threads_exactly(monkeypatch):
+    """Every derivation the kernel builds, wherever it is built, threads
+    exactly: the plug-based reference exactify inserts no step into it.
+    Steps joined only modulo AC are exactified before they are eliminated."""
+    built = collections.Counter()  # building function -> derivations built
     seen = []
-    original = derivations.mark_exact
 
-    def recording(d):
-        marked[sys._getframe(1).f_code.co_name] += 1
-        seen.append(d)
-        return original(d)
+    def record(module, name):
+        original = getattr(module, name)
 
-    for module in (derivations, splitting):
-        monkeypatch.setattr(module, "mark_exact", recording)
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            built[name] += 1
+            seen.append(out[1] if name == "from_text" else out)
+            return out
+
+        monkeypatch.setattr(module, name, recording)
+
+    for module, names in (
+        (derivations, ("identity", "exactify", "from_text", "before_step", "after_step",
+                       "_backwards")),
+        (derivations.Builder, ("derivation",)),
+        (splitting, ("before_step", "after_step", "instantiate_hole")),
+        (system_p, ("identity",)),
+    ):
+        for name in names:
+            record(module, name)
     rng = random.Random(20261019)
     for _ in range(40):
         f = random_formula(rng, 3)
         derive_excluded_middle(spec, "&", f)
         derive_contraction(spec, "|", f)
-        identity(f)
+        derivations.identity(f)
     tautologies = (f for f in enumerate_formulas(3, LEAVES) if is_tautology(f))
     for f, _ in zip(tautologies, range(100)):
         d = prove_tautology(f)
-        assert from_text(to_text(spec, d), lambda name: spec)[1] == d
-        exactify(spec, _without_acr(d))
-    # closed tautologies reverse an evaluation; reversed and dualised
-    # derivations of marked ones are marked
+        assert derivations.from_text(to_text(spec, d), lambda name: spec)[1] == d
+        derivations.exactify(spec, _without_acr(d))
+    # closed tautologies reverse an evaluation; reverse and dualise some
     closed = [f for f in enumerate_formulas(3, (T, F)) if is_tautology(f)]
     for f in closed[::10]:
         d = prove_tautology(f)
-        assert d.exact
-        assert dualize(spec, d).exact and reverse_equational(spec, d).exact
+        dualize(spec, d)
+        reverse_equational(spec, d)
     frag = make_fragment(spec)
     joints = 0
     for d in injected_corpus(seed=20240817, size=100):
-        assert eliminate_all_up(frag, d).exact
+        assert check(spec, eliminate_all_up(frag, d)) is None
         # joints that hold only modulo AC, above the up-steps and at the
-        # conclusion: a slice of these that were marked would be caught below
+        # conclusion: check rejects them, and elimination runs on them exactified
         for loose in (_without_acr(d), _commuted_conclusion(d)):
-            joints += _inexact_joints(loose) + (loose.conclusion != d.conclusion)
-            assert check(spec, eliminate_all_up(frag, loose)) is None
-        # a context derivation whose conclusion joint is inexact, filled
+            inexact = _inexact_joints(loose) + (loose.conclusion != d.conclusion)
+            assert (check(spec, loose) is None) == (inexact == 0)
+            fixed = derivations.exactify(spec, loose)
+            assert check(spec, eliminate_all_up(frag, fixed)) is None
+            joints += inexact
         i = first_up_index(frag, d)
         sigma = d.steps[i]
         try:
-            ctx = context_reduce(frag, before_step(d, i), sigma.sides).ctx
+            ctx = context_reduce(frag, splitting.before_step(d, i), sigma.sides).ctx
         except IrreducibleCase:  # a redex in weakening junk: no context to reduce
             continue
+        splitting.instantiate_hole(spec, ctx, sigma.rule.conclusion)
+        # a context derivation whose conclusion joint is inexact keeps that
+        # joint once filled (by the unrecorded instantiate_hole)
         loose = _commuted_conclusion(ctx)
-        joints += loose is not ctx
-        instantiate_hole(spec, loose, sigma.rule.conclusion)
+        if loose is not ctx:
+            joints += 1
+            _rejected_and_repaired(instantiate_hole(spec, loose, sigma.rule.conclusion))
     assert joints > 200
-    assert set(marked) == {
+    assert set(built) == {
         "identity", "exactify", "from_text", "derivation",  # Builder.derivation
         "before_step", "after_step", "instantiate_hole", "_backwards",
     }
     assert len(seen) > 10_000
     for d in seen:
-        assert exactify(spec, d) is d
         assert _reference_exactify(spec, d) == d
+
+
+def _relabelled(d, i, rule_id):
+    steps = list(d.steps)
+    steps[i] = Step(steps[i].context, replace(steps[i].rule, rule_id=rule_id))
+    return Derivation(d.premise, tuple(steps), d.conclusion)
+
+
+def _with_undeclared_relation(d):
+    """d, then a step that brings in the undeclared relation zz through an
+    equational binding: threaded exactly, so a file of it reads back."""
+    b = Builder(spec, d)
+    b.apply_eq((), "p0_select", dict(A=d.conclusion, B=parse_formula("(x zz y)")),
+               direction="bwd")
+    return b.derivation()
+
+
+def test_check_verdicts_do_not_depend_on_process_state(tmp_path, corpus_and_eliminated,
+                                                       synthesised):
+    # check in this process, where the inputs' rule instances are live and
+    # shared, and on the inputs' files in a fresh interpreter, whose
+    # instance table starts empty: the verdicts must agree
+    _, eliminated = corpus_and_eliminated
+    rng = random.Random(20261021)
+    inputs = []
+    for d in rng.sample(eliminated, 20) + rng.sample(synthesised, 20):
+        labelled = [i for i, s in enumerate(d.steps) if s.rule.scheme is not Scheme.AC]
+        i = rng.choice(labelled)
+        other = rng.choice([d.steps[j].rule.rule_id for j in labelled
+                            if d.steps[j].rule.rule_id != d.steps[i].rule.rule_id])
+        inputs += [d, _drop(d, rng.randrange(len(d.steps))), _relabelled(d, i, other),
+                   _with_undeclared_relation(d)]
+    paths = []
+    for n, d in enumerate(inputs):
+        paths.append(tmp_path / f"{n}.drv")
+        paths[-1].write_text(to_text(spec, d))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(derivations.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _CHECK_FILES, *map(str, paths)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    verdicts = proc.stdout.splitlines()
+    assert len(verdicts) == len(inputs)
+    read = collections.Counter()
+    for d, verdict in zip(inputs, verdicts):
+        code, _, err = verdict.partition(" ")
+        failure = check(spec, d)
+        assert (failure is None) == (code == "0"), (failure, verdict)
+        if failure is None or err.startswith("invalid: "):  # the file was read
+            assert err == ("" if failure is None else f"invalid: {failure}")
+            read[failure is None] += 1
+    # every unmutated input and every added step with zz reads back
+    assert read == {True: 40, False: 40}

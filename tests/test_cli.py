@@ -190,8 +190,15 @@ def test_check_malformed_step_exits_2(tmp_path, capsys, rule, edit, message):
         (lambda lines: lines[:2] + ["bogus: 1"] + lines[2:],
          "line 3: unknown section 'bogus': bogus: 1"),
         (lambda lines: lines[:-1], "needs system, premise and conclusion"),
+        # a repeated header line would silently replace the one before it
+        (lambda lines: lines[:1] + ["system: P"] + lines[1:],
+         "line 2: repeated section 'system': system: P"),
+        (lambda lines: lines + ["premise: F"], "line 27: repeated section 'premise': premise: F"),
+        (lambda lines: lines[:2] + [lines[-1]] + lines[2:],
+         "line 27: repeated section 'conclusion': conclusion: (x | ~x)"),
     ],
-    ids=["unknown-section", "no-conclusion"],
+    ids=["unknown-section", "no-conclusion", "repeated-system", "repeated-premise",
+         "repeated-conclusion"],
 )
 def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
     good = tmp_path / "good.drv"
@@ -212,6 +219,9 @@ LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
     [
         (["classify", "--fn", "abc/x"], "--fn 'abc/x'"),
         (["classify", "--fn", "0111/3"], "--fn '0111/3'"),
+        (["classify", "--fn", "0110/2", "--formula", "x"],
+         "argument --formula: not allowed with argument --fn"),
+        (["classify"], "one of the arguments --fn --formula is required"),
         (["bench", "--clone", "C2", "--vars", "a"], "argument --vars"),
         (["bench", "--clone", "C3", "--sizes", "10,,20"], "argument --sizes"),
         (["bench", "--clone", "C2", "--samples", "0"], "argument --samples: expected a positive"),
@@ -227,11 +237,13 @@ LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
         (["audit", "--system", "{twice}"], "rule id c0d declared 2 times"),
         (LEMMA + ["{foreign}"], "axiom foo cannot be negated: no negation declared for zz"),
         (["audit", "--system", "{unusable}"], "rule x cannot be instantiated"),
+        (LEMMA + ["{relation}"], "line 33: relation & declared twice"),
     ],
-    ids=["fn-letters", "fn-length", "bench-vars", "bench-sizes", "bench-samples-0",
-         "bench-samples-negative", "lemma-undeclared-rel", "split-path",
-         "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
-         "spec-ac-silent", "spec-repeated-id", "spec-foreign-axiom", "spec-unusable-rule"],
+    ids=["fn-letters", "fn-length", "classify-both", "classify-neither", "bench-vars",
+         "bench-sizes", "bench-samples-0", "bench-samples-negative", "lemma-undeclared-rel",
+         "split-path", "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
+         "spec-ac-silent", "spec-repeated-id", "spec-foreign-axiom", "spec-unusable-rule",
+         "spec-repeated-relation"],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
     em = tmp_path / "em.drv"
@@ -247,6 +259,7 @@ def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
         "twice": text.replace("rule: c1d", "rule: c0d"),
         "foreign": text + "axiom: foo (A zz B) = A\n",
         "unusable": text + "rule: x split_down & zz\n",
+        "relation": text + "relation: & dual=|\n",
     }
     for name, body in specs.items():
         specs[name] = tmp_path / f"{name}.spec"

@@ -6,6 +6,7 @@ import pytest
 from medial.cli import run
 from medial.derivations import (
     Builder,
+    CheckFailure,
     Derivation,
     JointMismatch,
     NonEquationalStep,
@@ -350,30 +351,44 @@ def test_to_text_prints_a_shared_node_in_each_spacing():
     assert to_text(spec, again) == text
 
 
-def test_exact_mark_is_kept_only_where_threading_is_known():
-    d = derive_excluded_middle(spec, "&", parse_formula("(x & y)"))
-    assert d.exact and identity(T).exact
-    loose = Derivation(d.premise, d.steps, d.conclusion)
-    assert not loose.exact
-    # equality, hashing and repr ignore the mark
-    assert loose == d and hash(loose) == hash(d) and repr(loose) == repr(d)
-    # replace builds a new derivation, which nothing has vouched for
-    assert replace(d) == d and not replace(d).exact
-    # exactify returns a marked derivation as it is, and marks what it builds
-    assert exactify(spec, d) is d
-    again = exactify(spec, loose)
-    assert again == d and again is not loose and again.exact
-    # a Builder's result is marked only if all it adopted or spliced was
-    assert Builder(spec, d).derivation().exact
-    assert not Builder(spec, loose).derivation().exact
+def test_check_rejects_ac_only_joints_and_exactify_repairs_them():
+    d = prove_tautology(parse_formula("((x & y) | (~x | ~y))"))
+    assert check(spec, d) is None and check(spec, identity(T)) is None
+    copy = Derivation(d.premise, d.steps, d.conclusion)
+    assert copy == d and hash(copy) == hash(d) and repr(copy) == repr(d)
+    assert replace(d) == d
+    # exactify inserts nothing into a derivation that threads exactly
+    assert exactify(spec, d) == d
+    # a dropped acr step leaves a joint that holds only modulo AC, and a
+    # commuted conclusion is only AC-equal to the last step's result: check
+    # rejects each where it is, and exactify bridges each with an acr step
+    acr = [i for i, s in enumerate(d.steps) if s.rule.scheme is Scheme.AC]
+    assert acr and acr[-1] < len(d.steps) - 1
+    c = d.conclusion
+    cases = [
+        (Derivation(d.premise, d.steps[:i] + d.steps[i + 1 :], c), i,
+         "ThreadBroken: step premise does not match") for i in acr
+    ] + [(Derivation(d.premise, d.steps, Compound(c.rel, c.right, c.left)), len(d.steps),
+          "ThreadBroken: conclusion mismatch")]
+    for loose, index, reason in cases:
+        assert check(spec, loose) == CheckFailure(index, reason)
+        fixed = exactify(spec, loose)
+        assert check(spec, fixed) is None and len(fixed) == len(loose) + 1
+        assert fixed.steps[index].rule.scheme is Scheme.AC
+    # a Builder places what it adopts or splices as it is, and joins exactly
+    # what it appends
+    loose = cases[0][0]
+    assert check(spec, Builder(spec, d).derivation()) is None
+    assert check(spec, Builder(spec, loose).derivation()) == check(spec, loose)
     outer = Compound("|", d.premise, x)
-    for piece, exact in ((d, True), (loose, False)):
+    for piece in (d, loose):
         for start, sides in ((d.premise, ()), (outer, ("L",))):
             b = Builder(spec, start)
             b.splice(sides, piece)
             b.splice(sides, identity(d.conclusion))
-            assert b.derivation().exact is exact
-    b = Builder(spec, loose)
+            failure = check(spec, b.derivation())
+            assert (failure is None) is (piece is d)
+    b = Builder(spec, exactify(spec, loose))
     b.splice((), identity(d.conclusion))
     b.apply_eq((), "or_unit", dict(A=d.conclusion), direction="bwd")
-    assert not b.derivation().exact
+    assert check(spec, b.derivation()) is None

@@ -15,7 +15,7 @@ import pytest
 
 import medial.derivations as derivations
 import medial.system_p as system_p
-from medial.derivations import Derivation, Step, check, mark_exact, to_text
+from medial.derivations import Derivation, Step, check, steps_length, to_text
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import (
     RuleInstance,
@@ -49,7 +49,7 @@ RECORDS = [
             "relations": ("&", "|"), "axiom_id": "ax", "negated": True,
             "direction": "bwd", "cost_memo": None}),
     (STEP, {"context": (PATH,), "rule": RULE}),
-    (DERIVATION, {"premise": x, "steps": (STEP,), "conclusion": y, "exact": False}),
+    (DERIVATION, {"premise": x, "steps": (STEP,), "conclusion": y}),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
 
@@ -93,8 +93,11 @@ def test_rule_instance_hashes_by_rule_id_premise_and_conclusion():
 
 def test_marks_write_through_the_frozen_records():
     d = Derivation(x, (STEP,), y)
-    assert mark_exact(d) is d and d.exact and d == DERIVATION
-    assert weakref.ref(d)() is d
+    assert d == DERIVATION and weakref.ref(d)() is d
+    # a rule instance keeps its cost under the spec that costed it
+    rule = replace(RULE)
+    steps_length(make_p_spec(), (Step((PATH,), rule),))
+    assert rule.cost_memo is not None and rule == RULE
 
 
 def _value(rule: RuleInstance) -> tuple:

@@ -2,7 +2,15 @@ import re
 
 import pytest
 
-from medial.derivations import Builder, Derivation, check, exactify, from_text, to_text
+from medial.derivations import (
+    Builder,
+    CheckFailure,
+    Derivation,
+    check,
+    exactify,
+    from_text,
+    to_text,
+)
 from medial.generators import derive_excluded_middle
 from medial import splitting
 from medial.splitting import (
@@ -219,18 +227,19 @@ def test_shallow_split_survives_spine_regrouping():
     assert all(r.bound_holds for r in rec)
 
 
-def test_eliminate_accepts_ac_joints():
+def test_eliminate_runs_on_exactified_ac_joints():
     # dropping an acr step above the first up-rule leaves a joint that holds
-    # only modulo AC; elimination must not depend on exact threading
+    # only modulo AC: check rejects it, and elimination runs on it exactified
     q = injected_corpus(seed=20240817, size=2)[1]
     j = next(
         j for j, s in enumerate(q.steps[: first_up_index(frag, q)])
         if s.rule.scheme is Scheme.AC
     )
     loose = Derivation(q.premise, q.steps[:j] + q.steps[j + 1 :], q.conclusion)
-    assert check(spec, loose) is None
-    assert exactify(spec, loose) != loose
-    r = eliminate_all_up(frag, loose)
+    assert check(spec, loose) == CheckFailure(j, "ThreadBroken: step premise does not match")
+    fixed = exactify(spec, loose)
+    assert fixed != loose and check(spec, fixed) is None
+    r = eliminate_all_up(frag, fixed)
     assert check(spec, r) is None
     assert first_up_index(frag, r) is None
     assert r.premise == loose.premise and r.conclusion == loose.conclusion
