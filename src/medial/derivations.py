@@ -12,9 +12,14 @@ step.  `exactify` is the one way to turn steps joined only modulo AC into
 a derivation `check` accepts: it inserts the `acr` steps.
 `check`, `exactify` and `from_text` hold the running formula in one
 `terms.Cursor`, so a step rebuilds only what lies between its hole and the
-last one.  `check` rebuilds every medial and equational step from what it
-declares, once per distinct instance, and accepts it only if the rebuilt
-instance is the stored one, labels included.  `converse` runs an
+last one.  `check` judges every medial and equational step from what it
+declares, once per distinct instance (`systems.check_rule_instance`).  It
+threads each run of steps that a `Rope` places once, on a cursor of its
+own, and each later placement of the same run is one rewrite between the
+run's two ends.  That is exactly as strong as walking every flat step: a
+rule reads no context and applies at any path, and a step inside a hole
+leaves the formula outside it unchanged, so a run threads in a context
+exactly when it threads alone from the subterm there.  `converse` runs an
 equational or acr step backwards, optionally between negations;
 `reverse_equational` and `dualize` reverse whole derivations.
 
@@ -28,6 +33,7 @@ AC-equal target.  Steps it places by reference make its result a `Rope`.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +58,7 @@ from .terms import (
     Cursor,
     Formula,
     ParseError,
+    PathMismatch,
     PathStep,
     Variable,
     _refuse_assignment,
@@ -118,9 +125,15 @@ class Rope:
         return self._len
 
     def __getitem__(self, i):
+        return self._steps()[i]
+
+    def __iter__(self):
+        return iter(self._steps())
+
+    def _steps(self) -> tuple:
         if self._flat is None:
             self._flat = tuple([s if c is s.context else Step(c, s.rule) for c, s in placed(self)])
-        return self._flat[i]
+        return self._flat
 
     def __eq__(self, other) -> bool:
         return self[:] == (other[:] if type(other) is Rope else other)
@@ -192,26 +205,68 @@ class CheckFailure:
 
 
 _UNJUDGED = object()  # a verdict-table miss; a verdict is a reason or None
+_BROKEN = "ThreadBroken: step premise does not match"
 
 
 def check(spec: SystemSpec, d: Derivation) -> Optional[CheckFailure]:
-    """None when d is valid for spec; otherwise the first failure.  Each
-    joint must hold exactly, and each distinct rule instance is judged once."""
+    """None when d is valid for spec; otherwise the first failure, at its
+    index among the flat steps.  Each joint must hold exactly, and each
+    distinct rule instance is judged once.
+
+    A `Rope` is walked part by part, on a stack like `placed`'s.  A placed
+    run of steps (the steps of a (context, steps) part) is threaded the
+    first time it is met, on a cursor of its own from the subterm at its
+    context, and its two ends are kept; a later placement of the same run
+    is one rewrite between them.  This is exactly as strong as the flat
+    walk: rules read no context and apply at any path, and a step inside a
+    hole leaves everything outside it unchanged, so a run threads in a
+    context exactly when it threads alone.  Its first step fixes the
+    subterm it starts from, so where a placement finds another one, the
+    flat walk fails at that placement's first step too; and an empty run
+    is skipped, as the flat walk skips it."""
     reason = undeclared_symbol(spec, d.premise)
     if reason is not None:
         return CheckFailure(-1, f"{reason} in premise")
     verdicts: dict = {}  # RuleInstance -> reason or None
-    cursor = Cursor(d.premise)
-    for i, (ctx, step) in enumerate(placed(d.steps)):
-        rule = step.rule
-        if cursor.rewrite(ctx, rule.premise, rule.conclusion) is not None:
-            return CheckFailure(i, "ThreadBroken: step premise does not match")
-        reason = verdicts.get(rule, _UNJUDGED)
-        if reason is _UNJUDGED:
-            reason = verdicts[rule] = check_rule_instance(spec, rule)
-        if reason is not None:
-            return CheckFailure(i, reason)
-    if cursor.formula() is not d.conclusion:
+    threaded: dict = {}  # id(run) -> (premise, conclusion) it threads
+    i, root = 0, Cursor(d.premise)
+    stack = [(root, iter(getattr(d.steps, "parts", d.steps)), None, None)]
+    while stack:
+        cursor, items, run, start = stack[-1]
+        for item in items:
+            if type(item) is not tuple:
+                rule = item.rule
+                if cursor.rewrite(item.context, rule.premise, rule.conclusion) is not None:
+                    return CheckFailure(i, _BROKEN)
+                reason = verdicts.get(rule, _UNJUDGED)
+                if reason is _UNJUDGED:
+                    reason = verdicts[rule] = check_rule_instance(spec, rule)
+                if reason is not None:
+                    return CheckFailure(i, reason)
+                i += 1
+                continue
+            ctx, steps = item  # (context, steps) placed in cursor's formula
+            if not steps:
+                continue
+            ends = threaded.get(id(steps))
+            if ends is not None:
+                if cursor.rewrite(ctx, *ends) is not None:
+                    return CheckFailure(i, _BROKEN)
+                i += len(steps)
+                continue
+            try:
+                sub = cursor.move(ctx)
+            except PathMismatch:
+                return CheckFailure(i, _BROKEN)
+            stack.append((Cursor(sub), iter(getattr(steps, "parts", steps)), steps, sub))
+            break
+        else:
+            stack.pop()
+            if run is not None:  # threaded alone: put its end in its context
+                end = cursor.formula()
+                threaded[id(run)] = (start, end)
+                stack[-1][0].focus = end
+    if root.formula() is not d.conclusion:
         return CheckFailure(len(d.steps), "ThreadBroken: conclusion mismatch")
     return None
 
@@ -501,6 +556,7 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
     premise: Optional[Formula] = None
     conclusion: Optional[Formula] = None
     raw_steps: list[str] = []
+    step_lines = array("I")  # the line number of each step line, compactly
     seen: set = set()  # the sections read so far; only step lines repeat
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -518,9 +574,10 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
         elif key == "premise":
             premise = parse_formula(rest)
         elif key == "conclusion":
-            conclusion = parse_formula(rest)
+            conclusion, conclusion_line = parse_formula(rest), lineno
         elif key == "step":
             raw_steps.append(rest)
+            step_lines.append(lineno)
         else:
             raise ParseError(f"line {lineno}: unknown section {key!r}: {line}")
     if spec is None or premise is None or conclusion is None:
@@ -578,12 +635,16 @@ def from_text(text: str, resolve_system: Callable[[str], SystemSpec]):
             rule = instantiate_rule(spec, decl.scheme, bindings, decl.alpha, decl.beta)
         sub = cursor.move_sides(sides)
         if sub is not rule.premise:
+            k = len(steps)
             raise DerivationError(
-                f"file not exactly threaded at rule {rule_id}: "
-                f"{print_formula(sub)} vs {print_formula(rule.premise)}"
+                f"line {step_lines[k]}, step {k}: file not exactly threaded at rule "
+                f"{rule_id}: {print_formula(sub)} vs {print_formula(rule.premise)}"
             )
         steps.append(Step(tuple(cursor.frames), rule))
         cursor.focus = rule.conclusion
     if cursor.formula() != conclusion:
-        raise DerivationError("conclusion line does not match the threaded result")
+        raise DerivationError(
+            f"line {conclusion_line}, step {len(steps)}: "
+            "conclusion line does not match the threaded result"
+        )
     return spec, Derivation(premise, tuple(steps), conclusion)

@@ -10,8 +10,10 @@ equational instances may use either orientation of an axiom, or of its
 negation (the congruence is closed under the involutive negation).  Each
 of those four orientations is one `OrientedAxiom`, built once per spec,
 which holds the facts every instance of it shares and builds them.  The
-checker rebuilds each step from what it declares and compares the whole
-instance, labels included.  Rule instances are hash-consed while they live:
+checker accepts a step that is the live instance kept under the key of
+what it declares; otherwise it rebuilds the step from those declarations
+and compares the whole instance, labels included.  Rule instances are
+hash-consed while they live:
 `ac_instance`, `OrientedAxiom.instance` and `instantiate_rule` first look up
 the live instance built from the same `spec.ac_token` and inputs in a weak table.
 """
@@ -194,6 +196,16 @@ def _keep(key: tuple, inst: RuleInstance) -> RuleInstance:
     return inst
 
 
+def _eq_key(spec: SystemSpec, axiom_id: str, negated: bool, direction: str, pairs: tuple) -> tuple:
+    """The table key of an equational instance, its bindings as sorted pairs."""
+    return (spec.ac_token, axiom_id, negated, direction, pairs)
+
+
+def _medial_key(spec: SystemSpec, scheme: Scheme, alpha: str, beta: str, get) -> tuple:
+    """The table key of a medial instance; get reads a binding by name."""
+    return (spec.ac_token, scheme, alpha, beta, get("A"), get("B"), get("C"), get("D"))
+
+
 class OrientedAxiom(NamedTuple):
     """One orientation of an axiom or of its negation, premise -> conclusion,
     with the facts its instances share."""
@@ -212,7 +224,7 @@ class OrientedAxiom(NamedTuple):
         metavariables; premise/conclusion are the exact pattern
         instantiations."""
         pairs = tuple(sorted(bindings.items()))
-        key = (spec.ac_token, self.axiom.axiom_id, self.negated, self.direction, pairs)
+        key = _eq_key(spec, self.axiom.axiom_id, self.negated, self.direction, pairs)
         if (inst := _live(key)) is not None:
             return inst
         if bindings.keys() != self.metavars:
@@ -551,7 +563,7 @@ def instantiate_rule(
 ) -> RuleInstance:
     """Build the fully instantiated medial rule for one scheme, labelled by
     the one declared rule of that shape."""
-    key = (spec.ac_token, scheme, alpha, beta, *map(bindings.get, "ABCD"))
+    key = _medial_key(spec, scheme, alpha, beta, bindings.get)
     if (inst := _live(key)) is not None:
         return inst
     if not scheme.is_medial:
@@ -699,6 +711,8 @@ def _searched_first(spec: SystemSpec, o: OrientedAxiom, rel: str, c: Formula) ->
 def undeclared_symbol(spec: SystemSpec, f: Formula) -> Optional[str]:
     """None when f is a formula over spec's alphabet; else a reason naming
     the metavariable or undeclared constant or relation it holds."""
+    if type(f) is Variable:
+        return None
     for t in subterms(f):
         if isinstance(t, Metavar):
             return f"metavariable {t.name}"
@@ -712,9 +726,11 @@ def undeclared_symbol(spec: SystemSpec, f: Formula) -> Optional[str]:
 def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
     """None when the instance is valid for spec, else a reason string.
 
-    A medial or equational step is rebuilt from what it declares (scheme,
-    relations or axiom orientation, bindings) by the constructor that made
-    it, and must equal the rebuilt instance, labels included.  An acr step
+    A medial or equational step is accepted when it is the live instance its
+    constructor keeps under the key of what the step declares (scheme,
+    relations or axiom orientation, bindings); otherwise it is rebuilt by
+    that constructor and must equal the rebuilt instance, labels included.
+    Either way it is judged from its declarations alone.  An acr step
     needs its label, AC-equal formulas (or a live acr instance between them),
     its formulas as its bindings A and B, and no medial or equational fields."""
     if rule.scheme is Scheme.AC:
@@ -735,6 +751,8 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
         if rule.scheme.is_medial:
             if rule.relations is None:
                 return "medial instance lacks relations"
+            if _live(_medial_key(spec, rule.scheme, *rule.relations, bindings.get)) is rule:
+                return None
             rebuilt = instantiate_rule(spec, rule.scheme, bindings, *rule.relations)
         else:
             # equational: the only rules whose bindings can bring in new
@@ -744,6 +762,9 @@ def check_rule_instance(spec: SystemSpec, rule: RuleInstance) -> Optional[str]:
                 reason = undeclared_symbol(spec, value)
                 if reason is not None:
                     return f"{reason} in binding {name}"
+            if _live(_eq_key(spec, rule.axiom_id, rule.negated, rule.direction,
+                             rule.bindings)) is rule:
+                return None
             rebuilt = eq_instance(
                 spec, rule.axiom_id, bindings, rule.negated, rule.direction
             )

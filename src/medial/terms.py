@@ -303,8 +303,10 @@ class Cursor:
             if kept is not step and kept != step:
                 break
             depth += 1
-        cur = self.focus = plug(frames[depth:], self.focus)
-        del frames[depth:]
+        cur = self.focus
+        if depth < len(frames):  # climb back to the frames kept
+            cur = self.focus = plug(frames[depth:], cur)
+            del frames[depth:]
         for step in ctx[depth:]:
             if not isinstance(cur, Compound) or cur.rel != step.rel:
                 raise PathMismatch(f"expected {step.rel!r} node, found {cur}")

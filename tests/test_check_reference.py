@@ -24,11 +24,13 @@ from medial.derivations import (
     Derivation,
     DerivationError,
     JointMismatch,
+    Rope,
     Step,
     check,
     dualize,
     exactify,
     from_text,
+    placed,
     reverse_equational,
     to_text,
 )
@@ -45,7 +47,9 @@ from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import Scheme, ac_instance, check_rule_instance, undeclared_symbol
 from medial.terms import (
     Compound,
+    Cursor,
     PathMismatch,
+    PathStep,
     Variable,
     context_at,
     equal_mod_ac,
@@ -449,10 +453,11 @@ def test_prove_builds_each_lemma_once(monkeypatch):
     assert digest == "dc5031d268c9b6a7e5b382edf966d511d2dc79eba055d0e7727a6eb047e48e67"
 
 
-def _held_steps(d) -> int:
+def _held(d) -> tuple:
     """The Steps held by the distinct tuples and Ropes that d's steps reach,
-    each shared part counted once: what a proof keeps in memory."""
-    seen, runs, held = set(), [d.steps], 0
+    each shared part counted once (what a proof keeps in memory), and the
+    placed parts those hold."""
+    seen, runs, held, placements = set(), [d.steps], 0, 0
     while runs:
         run = runs.pop()
         if id(run) not in seen:
@@ -461,7 +466,8 @@ def _held_steps(d) -> int:
             nested = [item[1] for item in items if type(item) is tuple]
             runs += nested
             held += len(items) - len(nested)
-    return held
+            placements += len(nested)
+    return held, placements
 
 
 # first-failure F_3: every clause (ci | di) holds, or one fails first
@@ -480,7 +486,7 @@ def test_prove_holds_each_seed_and_clause_once(goal, flat, bound):
     # use rebuilt them), while the flat sequence stays the same
     d = prove_tautology(goal)
     assert len(d) == flat
-    assert _held_steps(d) <= bound
+    assert _held(d)[0] <= bound
 
 
 def test_prove_writes_each_atom_seed_once(monkeypatch):
@@ -495,6 +501,186 @@ def test_prove_writes_each_atom_seed_once(monkeypatch):
     monkeypatch.setattr(system_p, "_atom_seed", recorded)
     prove_tautology(_family(5))
     assert len(written) == len(set(written)) >= 10
+
+
+def _first_failure(n):
+    """First-failure F_n over 2n variables: every clause (ci | di) holds, or
+    one fails first."""
+    clauses = [f"(c{i} | d{i})" for i in range(1, n + 1)]
+    fails = [" & ".join(clauses[: i - 1] + [f"~c{i}", f"~d{i}"]) for i in range(1, n + 1)]
+    return "((" + " & ".join(clauses) + ") | (" + ") | (".join(fails) + "))"
+
+
+# the pigeonhole formula PHP_3: three pigeons in two holes
+PHP3 = ("((~p1_1 & ~p1_2) | (~p2_1 & ~p2_2) | (~p3_1 & ~p3_2) | (p1_1 & p2_1) | (p1_1 & p3_1)"
+        " | (p2_1 & p3_1) | (p1_2 & p2_2) | (p1_2 & p3_2) | (p2_2 & p3_2))")
+
+
+def _flat(d):
+    """d with its steps as one flat tuple, built from `placed`: indexing a
+    Rope would keep its flat tuple on the Rope."""
+    steps = tuple([s if c is s.context else Step(c, s.rule) for c, s in placed(d.steps)])
+    return Derivation(d.premise, steps, d.conclusion)
+
+
+def _agrees_flat(d):
+    """check of d, after asserting that d's flat copy gets the same
+    verdict: the same index and reason."""
+    failure = check(spec, d)
+    assert check(spec, _flat(d)) == failure
+    return failure
+
+
+def _shared_runs(d):
+    """The nonempty runs (tuples and Ropes) that d places at least twice
+    among its distinct runs, in the order first reached."""
+    seen, placements, runs = set(), collections.Counter(), [d.steps]
+    first = {}
+    while runs:
+        run = runs.pop()
+        if id(run) in seen:
+            continue
+        seen.add(id(run))
+        for item in getattr(run, "parts", run):
+            if type(item) is tuple and item[1]:
+                placements[id(item[1])] += 1
+                first.setdefault(id(item[1]), item[1])
+                runs.append(item[1])
+    return [run for key, run in first.items() if placements[key] >= 2]
+
+
+def _with_run(d, old, new):
+    """d with every placement of the run old holding new instead; the runs
+    around it are rebuilt once each, so sharing is kept."""
+    memo = {}
+
+    def rebuilt(run):
+        if run is old:
+            return new
+        if id(run) not in memo:
+            items = tuple((item[0], rebuilt(item[1])) if type(item) is tuple else item
+                          for item in getattr(run, "parts", run))
+            memo[id(run)] = Rope(items) if type(run) is Rope else items
+        return memo[id(run)]
+
+    return Derivation(d.premise, rebuilt(d.steps), d.conclusion)
+
+
+def _with_items(run, items):
+    return Rope(tuple(items)) if type(run) is Rope else tuple(items)
+
+
+# an empty part whose context matches nothing: the flat walk never reads it
+NOWHERE = (PathStep("&", "L", Variable("nowhere")),)
+
+
+def _shared_mutants(d, rng, runs):
+    """Mutants of d inside its shared runs: a medial or equational step
+    relabelled, a step dropped, a placement's outermost sibling replaced,
+    and empty parts placed nowhere."""
+    shared = _shared_runs(d)
+    judged = [run for run in shared if any(
+        type(item) is not tuple and item.rule.scheme is not Scheme.AC
+        for item in getattr(run, "parts", run))]
+    out = []
+    for run in rng.sample(judged, runs):
+        items = list(getattr(run, "parts", run))
+        k = rng.choice([k for k, item in enumerate(items)
+                        if type(item) is not tuple and item.rule.scheme is not Scheme.AC])
+        rule = items[k].rule
+        label = "sd" if rule.rule_id != "sd" else "ai0d"
+        step = Step(items[k].context, replace(rule, rule_id=label))
+        out.append(_with_run(d, run, _with_items(run, items[:k] + [step] + items[k + 1:])))
+    for run in rng.sample(shared, runs):
+        items = list(getattr(run, "parts", run))
+        steps = [k for k, item in enumerate(items) if type(item) is not tuple]
+        placements = [k for k, item in enumerate(items)
+                      if type(item) is tuple and item[0] and item[1]]
+        if steps:
+            k = rng.choice(steps)
+            out.append(_with_run(d, run, _with_items(run, items[:k] + items[k + 1:])))
+        if placements:
+            k = rng.choice(placements)
+            ctx, placed_run = items[k]
+            moved = (replace(ctx[0], sibling=Variable("elsewhere")),) + ctx[1:]
+            out.append(_with_run(d, run, _with_items(
+                run, items[:k] + [(moved, placed_run)] + items[k + 1:])))
+        empty = items[:1] + [(NOWHERE, ()), (NOWHERE, Rope(()))] + items[1:]
+        out.append(_with_run(d, run, _with_items(run, empty)))
+    return out
+
+
+def test_check_of_shared_parts_agrees_with_the_flat_walk(height3):
+    # valid proofs, shared and flat
+    goals = [_family(n) for n in range(2, 7)] + [parse_formula(F3), parse_formula(PHP3)]
+    for d in height3.proofs + [prove_tautology(goal) for goal in goals]:
+        assert _agrees_flat(d) is None
+    # mutants inside shared parts, where a shared part is threaded once
+    rng = random.Random(20261020)
+    failures = collections.Counter()
+    for goal, runs in ((_family(5), 6), (parse_formula(F3), 1)):
+        d = prove_tautology(goal)
+        for mutant in _shared_mutants(d, rng, runs):
+            failure = _agrees_flat(mutant)
+            failures[failure and failure.reason.split(":")[0]] += 1
+    assert failures.pop(None) == 7  # the empty parts placed nowhere
+    assert failures == {"ThreadBroken": 14, "step labelled sd differs from the eq": 7}
+
+
+def test_check_judges_a_shared_lemma_at_each_placement():
+    # a lemma T -> (x | ~x), placed by reference on both sides of (T & T)
+    lemma = prove_tautology(parse_formula("(x | ~x)"))
+    n = len(lemma)
+    b = Builder(spec, Compound("&", T, T))
+    b.splice(("L",), lemma)
+    b.splice(("R",), lemma)
+    d = b.derivation()
+    (left, run), (right, again) = d.steps.parts
+    assert run is again is lemma.steps and len(d) == 2 * n
+    assert _agrees_flat(d) is None
+    # the second placement finds F where the lemma starts from T
+    start = Compound("&", T, F)
+    left_of_f = (replace(left[0], sibling=F),)
+    broken = Derivation(start, Rope(((left_of_f, run), (right, run))), d.conclusion)
+    assert _agrees_flat(broken) == CheckFailure(n, "ThreadBroken: step premise does not match")
+    # a bad rule instance inside the lemma fails at its first placement
+    flat = list(placed(run))
+    j = next(j for j, (_, s) in enumerate(flat) if s.rule.scheme is not Scheme.AC)
+    bad = _relabelled(Derivation(lemma.premise, tuple(s for _, s in flat), lemma.conclusion),
+                      j, "ai0d" if flat[j][1].rule.rule_id != "ai0d" else "sd")
+    relabelled = Derivation(d.premise, Rope(((left, bad.steps), (right, bad.steps))),
+                            d.conclusion)
+    failure = _agrees_flat(relabelled)
+    assert failure is not None and failure.step_index == j
+    # empty parts placed nowhere are skipped, as the flat walk skips them
+    empty = Rope(((NOWHERE, ()), (left, run), (NOWHERE, Rope(())), (right, run)))
+    assert _agrees_flat(Derivation(d.premise, empty, d.conclusion)) is None
+
+
+def test_check_threads_each_shared_part_once(monkeypatch):
+    # counts, not times: check moves or rewrites its cursor once per held
+    # step and once per placement, not once per flat step
+    assert parse_formula(_first_failure(3)) == parse_formula(F3)
+    d = prove_tautology(parse_formula(_first_failure(4)))
+    flat = len(d)  # d itself stays out of assertions: its repr is flat
+    assert flat == 1_828_434
+    held, placements = _held(d)
+    calls, inside = [], []
+    for name in ("rewrite", "move"):
+        original = getattr(Cursor, name)
+
+        def counted(self, *args, original=original):
+            if not inside:  # not the move a rewrite makes
+                calls.append(None)
+            inside.append(None)
+            try:
+                return original(self, *args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Cursor, name, counted)
+    assert check(spec, d) is None
+    assert len(calls) <= held + placements < flat // 40
 
 
 def _commuted_conclusion(d):

@@ -210,6 +210,28 @@ def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:4] + lines[5:],
+         "error: line 5, step 2: file not exactly threaded at rule acr: "
+         "(~x | x) vs (~x | x | x)\n"),
+        (lambda lines: lines[:-1] + ["conclusion: (~x | x)"],
+         "error: line 26, step 23: conclusion line does not match the threaded result\n"),
+    ],
+    ids=["dropped-step", "ac-equal-conclusion"],
+)
+def test_check_names_the_line_and_step_a_file_stops_threading_at(tmp_path, capsys, edit,
+                                                                 message):
+    good = tmp_path / "good.drv"
+    assert run(["prove", "(x | ~x)", "--out", str(good)]) == 0
+    bad = tmp_path / "bad.drv"
+    bad.write_text("\n".join(edit(good.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert run(["check", str(bad)]) == 1
+    assert capsys.readouterr().err == message
+
+
 # a command that loads the descriptor it is given
 LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
 
