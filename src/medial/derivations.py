@@ -142,7 +142,8 @@ class Rope:
         return hash(self[:])
 
     def __repr__(self) -> str:
-        return repr(self[:])
+        # sizes only: a shared proof's flat steps can run to millions
+        return f"Rope({self._len} steps in {len(self.parts)} parts)"
 
 
 def placed(steps):

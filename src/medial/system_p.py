@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .derivations import (
@@ -16,14 +17,11 @@ from .derivations import (
 )
 from .generators import contraction
 from .systems import (
-    Axiom,
-    Metavar,
-    RuleDecl,
     Scheme,
     SystemError,
     SystemSpec,
-    RelationSymbol,
     instantiate_rule,
+    spec_from_text,
     validate_spec,
 )
 from .terms import (
@@ -61,57 +59,12 @@ class NotATautology(SystemError):
 # Spec construction
 
 
-def _axioms() -> tuple:
-    A = Metavar("A")
-    B = Metavar("B")
-    U = Metavar("U", sort="constant")
-    nU = Metavar("U", negated=True, sort="constant")
-    X = Metavar("X", sort="literal")
-    nX = Metavar("X", negated=True, sort="literal")
-    return (
-        Axiom("or_unit", Compound(OR, A, F), A),
-        Axiom("p0_select", Compound(P0, A, B), A),
-        Axiom("p1_select", Compound(P1, A, B), B),
-        Axiom("and_false", Compound(AND, U, F), F),
-        Axiom("const_em", Compound(OR, U, nU), T),
-        Axiom("var_em", Compound(OR, X, nX), T),
-        Axiom("const_idem", Compound(OR, U, U), U),
-        Axiom("var_idem", Compound(OR, X, X), X),
-    )
-
-
-_P_RULES = (
-    RuleDecl("ai0d", Scheme.SPLIT_DOWN, P0, OR),
-    RuleDecl("ai1d", Scheme.SPLIT_DOWN, P1, OR),
-    RuleDecl("sd", Scheme.SPLIT_DOWN, AND, OR),
-    RuleDecl("md", Scheme.CONTRACT_DOWN, AND, OR),
-    RuleDecl("c0d", Scheme.CONTRACT_DOWN, P0, OR),
-    RuleDecl("c1d", Scheme.CONTRACT_DOWN, P1, OR),
-    RuleDecl("ai0u", Scheme.SPLIT_UP, P0, AND),
-    RuleDecl("ai1u", Scheme.SPLIT_UP, P1, AND),
-    RuleDecl("su", Scheme.SPLIT_UP, OR, AND),
-    RuleDecl("mu", Scheme.CONTRACT_UP, OR, AND),
-    RuleDecl("c0u", Scheme.CONTRACT_UP, P0, AND),
-    RuleDecl("c1u", Scheme.CONTRACT_UP, P1, AND),
-)
-
 @functools.cache
 def make_p_spec() -> SystemSpec:
-    """The validated system P, built once per process and shared."""
-    spec = SystemSpec(
-        name="P",
-        constants=("T", "F"),
-        constant_negation={"T": "F", "F": "T"},
-        relations=(
-            RelationSymbol(AND, OR, associative=True, commutative=True, unitary="T"),
-            RelationSymbol(OR, AND, associative=True, commutative=True, unitary="F"),
-            RelationSymbol(P0, P0, associative=True, right_weakening=True),
-            RelationSymbol(P1, P1, associative=True, left_weakening=True),
-        ),
-        order=((AND, P0), (AND, P1), (P0, OR), (P1, OR)),
-        axioms=_axioms(),
-        rules=_P_RULES,
-    )
+    """The validated system P, read once per process from the descriptor
+    P.sys shipped beside this module, and shared."""
+    with open(os.path.join(os.path.dirname(__file__), "P.sys"), encoding="utf-8") as f:
+        spec = spec_from_text(f.read())
     issues = validate_spec(spec)
     if issues:
         raise SystemError(f"system P failed validation: {issues}")

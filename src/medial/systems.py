@@ -947,32 +947,8 @@ _FLAGS = {
 }
 
 
-def spec_to_text(spec: SystemSpec) -> str:
-    lines = [f"name: {spec.name}"]
-    lines.append("constants: " + " ".join(sorted(spec.constants)))
-    for c in sorted(spec.constants):
-        lines.append(f"negation: {c} = {spec.constant_negation[c]}")
-    for rel in spec.relations.values():
-        flags = [flag for flag, field in _FLAGS.items() if getattr(rel, field)]
-        if rel.unitary is not None:
-            flags.append(f"unit={rel.unitary}")
-        lines.append(f"relation: {rel.name} dual={rel.dual} " + " ".join(flags))
-    for a, b in sorted(spec.order):
-        lines.append(f"order: {a} < {b}")
-    for ax in spec.axioms:
-        lines.append(
-            f"axiom: {ax.axiom_id} {print_formula(ax.lhs, spaces=False)} = "
-            f"{print_formula(ax.rhs, spaces=False)}"
-        )
-    for decl in spec.rules:
-        lines.append(
-            f"rule: {decl.rule_id} {decl.scheme.value} {decl.alpha} {decl.beta}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def spec_from_text(text: str) -> SystemSpec:
-    name = "unnamed"
+    name = None
     constants: list = []
     negation: dict = {}
     relations: list = []
@@ -987,12 +963,17 @@ def spec_from_text(text: str) -> SystemSpec:
         key, rest = key.strip(), rest.strip()
         try:
             if key == "name":
+                if name is not None:
+                    raise SystemError(f"name declared twice: {name}, then {rest}")
                 name = rest
             elif key == "constants":
                 constants.extend(rest.split())
             elif key == "negation":
                 lhs, _, rhs = rest.partition("=")
-                negation[lhs.strip()] = rhs.strip()
+                c = lhs.strip()
+                if c in negation:
+                    raise SystemError(f"negation of {c} declared twice")
+                negation[c] = rhs.strip()
             elif key == "relation":
                 parts = rest.split()
                 rel_name = parts[0]
@@ -1029,7 +1010,7 @@ def spec_from_text(text: str) -> SystemSpec:
         except TermError as e:
             raise SystemError(f"line {lineno}: {e}") from None
     return SystemSpec(
-        name=name,
+        name="unnamed" if name is None else name,
         constants=constants,
         constant_negation=negation,
         relations=relations,

@@ -3,28 +3,33 @@ up-rule injection."""
 
 from __future__ import annotations
 
+import os
 import random
 
+from medial import system_p
 from medial.derivations import Builder, Derivation
 from medial.generators import derive_excluded_middle
 from medial.system_p import make_p_spec
 from medial.systems import Scheme
-from medial.terms import Compound, Constant, Formula, Metavar, Variable
+from medial.terms import Compound, Constant, Formula, Metavar, Variable, subformula_at_sides
 
 T = Constant("T")
 F = Constant("F")
 P_RELS = ("&", "|", "p0", "p1")
+# the shipped descriptor make_p_spec reads
+with open(os.path.join(os.path.dirname(system_p.__file__), "P.sys"), encoding="utf-8") as _f:
+    P_TEXT = _f.read()
 
 
 def random_formula(rng: random.Random, depth: int, names=("x", "y", "z"),
-                   atom_p: float = 0.35, consts: bool = True) -> Formula:
+                   atom_p: float = 0.35, consts: bool = True, rels=P_RELS) -> Formula:
     if depth == 0 or rng.random() < atom_p:
         if consts and rng.random() < 0.15:
             return Constant(rng.choice("TF"))
         return Variable(rng.choice(names), rng.random() < 0.4)
-    rel = rng.choice(P_RELS)
-    return Compound(rel, random_formula(rng, depth - 1, names, atom_p, consts),
-                    random_formula(rng, depth - 1, names, atom_p, consts))
+    rel = rng.choice(rels)
+    return Compound(rel, random_formula(rng, depth - 1, names, atom_p, consts, rels),
+                    random_formula(rng, depth - 1, names, atom_p, consts, rels))
 
 
 def enumerate_formulas(max_height: int, leaves) -> list:
@@ -77,31 +82,31 @@ def base_down_proof(rng: random.Random) -> Derivation:
 def inject_up_step(rng: random.Random, b: Builder) -> None:
     """Append one splitting up-rule instance (plus the equational setup it
     needs) at a random position of the running conclusion."""
-    from medial.terms import subformula_at_sides
-
-    spec = make_p_spec()
     pos = rng.choice(list(all_tree_positions(b.current)))
-    x = subformula_at_sides(b.current, pos)
     kind = rng.choice(["su", "ai0u", "ai1u"])
     junk = random_formula(rng, 1)
-    b.rewrite(pos, Compound("&", x, T))
     if kind == "su":
-        if not (isinstance(x, Compound) and x.rel == "|"):
-            b.apply_eq(pos + ("L",), "or_unit", dict(A=x), direction="bwd")
-            x = Compound("|", x, F)
-        b.rewrite(pos + ("R",), Compound("&", T, T))
-        b.apply_scheme(pos, Scheme.SPLIT_UP,
-                       dict(A=x.left, B=T, C=x.right, D=T), "|", "&")
-    elif kind == "ai0u":
-        b.rewrite(pos + ("L",), Compound("p0", x, junk))
-        b.rewrite(pos + ("R",), Compound("p0", T, T))
-        b.apply_scheme(pos, Scheme.SPLIT_UP,
-                       dict(A=x, B=T, C=junk, D=T), "p0", "&")
-    else:
-        b.rewrite(pos + ("L",), Compound("p1", junk, x))
-        b.rewrite(pos + ("R",), Compound("p1", T, T))
-        b.apply_scheme(pos, Scheme.SPLIT_UP,
-                       dict(A=junk, B=T, C=x, D=T), "p1", "&")
+        inject_su(b, pos)
+        return
+    x = subformula_at_sides(b.current, pos)
+    b.rewrite(pos, Compound("&", x, T))
+    rel = "p0" if kind == "ai0u" else "p1"
+    a, c = (x, junk) if rel == "p0" else (junk, x)
+    b.rewrite(pos + ("L",), Compound(rel, a, c))
+    b.rewrite(pos + ("R",), Compound(rel, T, T))
+    b.apply_scheme(pos, Scheme.SPLIT_UP, dict(A=a, B=T, C=c, D=T), rel, "&")
+
+
+def inject_su(b: Builder, pos: tuple) -> None:
+    """Append an su instance (plus the equational setup it needs) at pos of
+    the running conclusion; it uses only &, | and the unit axiom of |."""
+    x = subformula_at_sides(b.current, pos)
+    b.rewrite(pos, Compound("&", x, T))
+    if not (isinstance(x, Compound) and x.rel == "|"):
+        b.apply_eq(pos + ("L",), "or_unit", dict(A=x), direction="bwd")
+        x = Compound("|", x, F)
+    b.rewrite(pos + ("R",), Compound("&", T, T))
+    b.apply_scheme(pos, Scheme.SPLIT_UP, dict(A=x.left, B=T, C=x.right, D=T), "|", "&")
 
 
 def injected_corpus(seed: int, size: int, ups: tuple = (1, 3)) -> list:

@@ -657,12 +657,17 @@ def test_check_judges_a_shared_lemma_at_each_placement():
     assert _agrees_flat(Derivation(d.premise, empty, d.conclusion)) is None
 
 
-def test_check_threads_each_shared_part_once(monkeypatch):
+@pytest.fixture(scope="module")
+def f4():
+    assert parse_formula(_first_failure(3)) == parse_formula(F3)
+    return prove_tautology(parse_formula(_first_failure(4)))
+
+
+def test_check_threads_each_shared_part_once(monkeypatch, f4):
     # counts, not times: check moves or rewrites its cursor once per held
     # step and once per placement, not once per flat step
-    assert parse_formula(_first_failure(3)) == parse_formula(F3)
-    d = prove_tautology(parse_formula(_first_failure(4)))
-    flat = len(d)  # d itself stays out of assertions: its repr is flat
+    d = f4
+    flat = len(d)
     assert flat == 1_828_434
     held, placements = _held(d)
     calls, inside = [], []
@@ -681,6 +686,14 @@ def test_check_threads_each_shared_part_once(monkeypatch):
         monkeypatch.setattr(Cursor, name, counted)
     assert check(spec, d) is None
     assert len(calls) <= held + placements < flat // 40
+
+
+def test_repr_of_a_shared_proof_stays_small(f4):
+    # a failing assertion that names a derivation prints its repr: the rope
+    # gives its sizes, and builds no flat tuple of its 1,828,434 steps
+    assert len(repr(f4)) < 2000
+    assert repr(f4.steps) == f"Rope(1828434 steps in {len(f4.steps.parts)} parts)"
+    assert f4.steps._flat is None
 
 
 def _commuted_conclusion(d):

@@ -13,9 +13,9 @@ import medial
 from medial.cli import build_parser, run
 from medial.derivations import Builder, to_text
 from medial.system_p import make_p_spec
-from medial.systems import spec_to_text
 from medial.terms import Constant, parse_formula
 
+from helpers import P_TEXT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -260,28 +260,31 @@ LEMMA = ["prove-lemma", "excluded-middle", "x", "--system"]
         (LEMMA + ["{foreign}"], "axiom foo cannot be negated: no negation declared for zz"),
         (["audit", "--system", "{unusable}"], "rule x cannot be instantiated"),
         (LEMMA + ["{relation}"], "line 33: relation & declared twice"),
+        (LEMMA + ["{name}"], "line 33: name declared twice: P, then Q"),
+        (LEMMA + ["{negation}"], "line 33: negation of F declared twice"),
     ],
     ids=["fn-letters", "fn-length", "classify-both", "classify-neither", "bench-vars",
          "bench-sizes", "bench-samples-0", "bench-samples-negative", "lemma-undeclared-rel",
          "split-path", "spec-axiom", "spec-kind", "spec-unbalanced", "spec-sortless",
          "spec-ac-silent", "spec-repeated-id", "spec-foreign-axiom", "spec-unusable-rule",
-         "spec-repeated-relation"],
+         "spec-repeated-relation", "spec-repeated-name", "spec-repeated-negation"],
 )
 def test_malformed_arguments_exit_2(tmp_path, capsys, argv, message):
     em = tmp_path / "em.drv"
     assert run(["prove-lemma", "excluded-middle", "(x & y)", "--out", str(em)]) == 0
-    text = spec_to_text(make_p_spec())
     specs = {
-        "spec": re.sub(r"(?m)^axiom: .*$", "axiom: foo", text, 1),
+        "spec": re.sub(r"(?m)^axiom: .*$", "axiom: foo", P_TEXT, 1),
         # the old axiom line format, which carried the axiom's family number
-        "kind": text.replace("axiom: or_unit ", "axiom: or_unit kind=3 "),
-        "unbalanced": text.replace("(A|F) = A", "(A|F = A"),
-        "sortless": text.replace("(A|F) = A", "(Q|F) = Q"),
-        "silent": text + "axiom: comm_and (A&B) = (B&A)\n",
-        "twice": text.replace("rule: c1d", "rule: c0d"),
-        "foreign": text + "axiom: foo (A zz B) = A\n",
-        "unusable": text + "rule: x split_down & zz\n",
-        "relation": text + "relation: & dual=|\n",
+        "kind": P_TEXT.replace("axiom: or_unit ", "axiom: or_unit kind=3 "),
+        "unbalanced": P_TEXT.replace("(A|F) = A", "(A|F = A"),
+        "sortless": P_TEXT.replace("(A|F) = A", "(Q|F) = Q"),
+        "silent": P_TEXT + "axiom: comm_and (A&B) = (B&A)\n",
+        "twice": P_TEXT.replace("rule: c1d", "rule: c0d"),
+        "foreign": P_TEXT + "axiom: foo (A zz B) = A\n",
+        "unusable": P_TEXT + "rule: x split_down & zz\n",
+        "relation": P_TEXT + "relation: & dual=|\n",
+        "name": P_TEXT + "name: Q\n",
+        "negation": P_TEXT + "negation: F = F\n",
     }
     for name, body in specs.items():
         specs[name] = tmp_path / f"{name}.spec"
@@ -376,11 +379,10 @@ def test_taut_accepts_a_deep_chain(capsys):
 
 
 def test_check_validates_spec_file(tmp_path, capsys):
-    spec = make_p_spec()
     proof = tmp_path / "proof.drv"
     assert run(["prove", "(x | ~x)", "--out", str(proof)]) == 0
-    for name, text in [("good.spec", spec_to_text(spec)),
-                       ("bad.spec", spec_to_text(spec).replace("& dual=|", "& dual=zz"))]:
+    for name, text in [("good.spec", P_TEXT),
+                       ("bad.spec", P_TEXT.replace("& dual=|", "& dual=zz"))]:
         (tmp_path / name).write_text(text)
         drv = tmp_path / f"{name}.drv"
         drv.write_text(proof.read_text().replace("system: P", f"system: {tmp_path / name}"))

@@ -35,7 +35,7 @@ from medial.splitting import (
     make_fragment,
 )
 from medial.system_p import make_p_spec, prove_tautology
-from medial.systems import Scheme, instantiate, spec_from_text, spec_to_text
+from medial.systems import Scheme, instantiate, spec_from_text
 from medial.terms import (
     Compound,
     Constant,
@@ -47,7 +47,7 @@ from medial.terms import (
     parse_formula,
 )
 
-from helpers import ac_flag_shapes, injected_corpus, random_formula
+from helpers import P_TEXT, ac_flag_shapes, injected_corpus, random_formula
 
 spec = make_p_spec()
 PAIRS = spec.weak_units
@@ -57,7 +57,7 @@ T, F = Constant("T"), Constant("F")
 def _fresh_spec():
     """A copy of P with caches of its own, so that counts do not depend on
     what other tests left in the shared spec's caches."""
-    return spec_from_text(spec_to_text(spec))
+    return spec_from_text(P_TEXT)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +138,7 @@ def test_named_pads_are_what_the_search_finds(monkeypatch):
 
 def test_a_pad_another_axiom_could_answer_first_is_searched():
     # idempotence ahead of the unit axiom answers F -> (F | F) by itself
-    text = spec_to_text(spec).replace(
+    text = P_TEXT.replace(
         "axiom: or_unit", "axiom: idem (A|A) = A\naxiom: or_unit"
     )
     own = spec_from_text(text)

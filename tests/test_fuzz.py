@@ -11,9 +11,8 @@ import pytest
 from medial.cli import run
 from medial.derivations import to_text
 from medial.system_p import make_p_spec
-from medial.systems import spec_to_text
 
-from helpers import injected_corpus
+from helpers import P_TEXT, injected_corpus
 
 SEED = 20261018
 MUTANTS = 60  # per source text
@@ -78,7 +77,7 @@ def test_cli_answers_every_mutant(tmp_path, monkeypatch, capsys):
     rng = random.Random(SEED)
     mutant = tmp_path / "mutant"
     cases = [(text, [["check", str(mutant)]]) for text in _derivation_texts(tmp_path)]
-    cases.append((spec_to_text(make_p_spec()), [["audit", "--system", str(mutant)]]))
+    cases.append((P_TEXT, [["audit", "--system", str(mutant)]]))
     for formula in ("((x & ~y) | (y p0 (T & z)))", "(~x p1 (x | F))"):
         cases.append((formula, [["taut", "{}"], ["eval", "{}", "--assign", "x=1,y=0"]]))
     codes = collections.Counter()

@@ -13,7 +13,7 @@ from medial.r23 import random_clone_formula
 from medial.derivations import Builder, Rope, check, dualize, from_text, length, to_text
 from medial.splitting import HOLE, eliminate_all_up, instantiate_hole, make_fragment
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
-from medial.systems import spec_from_text, spec_to_text
+from medial.systems import spec_from_text
 from medial.terms import (
     Compound,
     Variable,
@@ -23,7 +23,7 @@ from medial.terms import (
     print_formula,
 )
 
-from helpers import enumerate_formulas, injected_corpus
+from helpers import P_TEXT, enumerate_formulas, injected_corpus
 
 
 @contextlib.contextmanager
@@ -152,7 +152,7 @@ def test_rule_instance_table_empties_with_the_proof():
 
 
 def test_a_used_spec_is_freed_by_reference_counting():
-    own = spec_from_text(spec_to_text(make_p_spec()))
+    own = spec_from_text(P_TEXT)
     corpus = injected_corpus(seed=20240817, size=5)
     with _cyclic_garbage() as kinds:
         gc.disable()  # what goes below must go by reference counting
@@ -188,7 +188,7 @@ def test_elimination_keeps_no_formula_on_the_fragment():
     # eliminating the corpus through one fragment leaves the intern table
     # at its start size: the fragment keeps no costed rule, and no table of
     # pads, fills or parsed bindings outlives its call
-    own = spec_from_text(spec_to_text(make_p_spec()))
+    own = spec_from_text(P_TEXT)
     texts = [to_text(own, d) for d in injected_corpus(seed=20240817, size=100)]
 
     def eliminate_corpus(frag):

@@ -25,11 +25,10 @@ from medial.systems import (
     eq_instance,
     instantiate_rule,
     spec_from_text,
-    spec_to_text,
 )
 from medial.terms import Compound, PathStep, Variable, parse_formula
 
-from helpers import enumerate_formulas
+from helpers import P_TEXT, enumerate_formulas
 
 
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
@@ -134,7 +133,7 @@ def test_synthesis_builds_each_rule_instance_once_while_it_lives(monkeypatch):
     # after another, built 203,489 rule instances when each call built its own.
     # They are proved in a copy of P, whose instances are its own, so that
     # no live proof of another test lends this one its instances
-    spec = spec_from_text(spec_to_text(make_p_spec()))
+    spec = spec_from_text(P_TEXT)
     monkeypatch.setattr(system_p, "make_p_spec", lambda: spec)
     tautologies = [f for f in enumerate_formulas(3, LEAVES) if is_tautology(f)]
     built = 0
@@ -173,7 +172,7 @@ def test_constructors_return_the_live_instance_per_descriptor():
     shuffled = dict(reversed(MEDIAL.items()), E=y)
     assert instantiate_rule(spec, Scheme.SPLIT_DOWN, shuffled, "&", "|") is first[2]
     # a copy of the descriptor has a token of its own, so instances of its own
-    own = spec_from_text(spec_to_text(spec))
+    own = spec_from_text(P_TEXT)
     copies = _built(own)
     assert all(a == b and a is not b for a, b in zip(first, copies))
     assert all(check_rule_instance(own, r) is None for r in first + copies)

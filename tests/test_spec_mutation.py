@@ -8,10 +8,10 @@ import random
 from medial.derivations import Builder, check, from_text, to_text
 from medial.splitting import eliminate_all_up, make_fragment
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
-from medial.systems import eq_instance, instantiate_rule, spec_from_text, spec_to_text
+from medial.systems import eq_instance, instantiate_rule, spec_from_text
 from medial.terms import Constant, TermError, Variable
 
-from helpers import injected_corpus, random_formula
+from helpers import P_TEXT, injected_corpus, random_formula
 
 SEED = 20261019
 spec = make_p_spec()
@@ -63,7 +63,7 @@ def test_a_file_is_rejected_exactly_when_it_uses_the_deleted_line():
     files = _sample()
     texts = [to_text(spec, d) for d in files]
     used = [{s.rule.rule_id for s in d.steps} for d in files]
-    full = spec_to_text(spec)
+    full = P_TEXT
     whole = spec_from_text(full)
     parsed = [from_text(t, lambda name: whole)[1] for t in texts]
     assert [n for n, d in enumerate(parsed) if check(whole, d) is not None] == []

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -29,10 +30,10 @@ from medial.splitting import (
     shallow_split,
 )
 from medial.system_p import make_p_spec
-from medial.systems import RelationSymbol, Scheme, SystemSpec
+from medial.systems import RelationSymbol, Scheme, SystemSpec, spec_from_text, validate_spec
 from medial.terms import Compound, Constant, Variable, negate, parse_formula
 
-from helpers import injected_corpus
+from helpers import P_TEXT, all_tree_positions, inject_su, injected_corpus, random_formula
 
 spec = make_p_spec()
 frag = make_fragment(spec)
@@ -43,6 +44,37 @@ def test_fragment_rule_lists():
     assert set(frag.down_rules) == {"ai0d", "ai1d", "sd"}
     assert set(frag.up_rules) == {"ai0u", "ai1u", "su"}
     assert spec.weak_units == (("|", "F", "T"),)
+
+
+def test_splitting_is_descriptor_generic():
+    # P without its projections: & and | with their units, excluded middle,
+    # idempotence on atoms, sd/md and su/mu.  The splitter reads all it
+    # needs from the descriptor, so cut elimination holds here too
+    kept = [line for line in P_TEXT.splitlines(keepends=True)
+            if "p0" not in line and "p1" not in line]
+    assert len(P_TEXT.splitlines()) - len(kept) == 16
+    own = spec_from_text("".join(kept).replace("name: P\n", "name: AndOr\n") + "order: & < |\n")
+    assert validate_spec(own) == []
+    own_frag = make_fragment(own)
+    assert (own_frag.down_rules, own_frag.up_rules) == (("sd",), ("su",))
+    rng = random.Random(20240817)
+    failed, records = [], []
+    for n in range(100):
+        base = derive_excluded_middle(own, "&", random_formula(rng, 2, rels=("&", "|")))
+        b = Builder(own, base.premise)
+        b.splice((), base)
+        for _ in range(rng.randint(1, 3)):
+            inject_su(b, rng.choice(list(all_tree_positions(b.current))))
+        d = b.derivation()
+        assert check(own, d) is None and first_up_index(own_frag, d) is not None
+        out = eliminate_all_up(own_frag, d, records)
+        if not (check(own, out) is None
+                and (out.premise, out.conclusion) == (d.premise, d.conclusion)
+                and first_up_index(own_frag, out) is None
+                and all(in_down_fragment(s) for s in out.steps)):
+            failed.append(n)
+    assert failed == []
+    assert records and all(r.bound_holds for r in records)
 
 
 def test_fragment_requires_weak_relation():

@@ -19,7 +19,6 @@ from medial.systems import (
     instantiate_rule,
     iter_matches,
     spec_from_text,
-    spec_to_text,
     validate_spec,
 )
 from medial.terms import (
@@ -32,7 +31,7 @@ from medial.terms import (
     subterms,
 )
 
-from helpers import ac_flag_shapes, enumerate_formulas, random_formula
+from helpers import P_TEXT, ac_flag_shapes, enumerate_formulas, random_formula
 
 spec = make_p_spec()
 a, b, c, d = (Variable(n) for n in "abcd")
@@ -66,13 +65,13 @@ def test_validate_flags_exclusive():
 
 def test_validate_flags_repeated_rule_shape():
     # a step of either rule would be rebuilt under one label only
-    twin = spec_from_text(spec_to_text(spec) + "rule: sd2 split_down & |\n")
+    twin = spec_from_text(P_TEXT + "rule: sd2 split_down & |\n")
     assert validate_spec(twin) == ["rule sd shares its shape with sd2"]
 
 
 def test_validate_reports_repeated_axiom_id():
     # the second const_idem would replace the first in every table keyed by id
-    twin = spec_from_text(spec_to_text(spec).replace("axiom: var_idem", "axiom: const_idem"))
+    twin = spec_from_text(P_TEXT.replace("axiom: var_idem", "axiom: const_idem"))
     assert len(twin.axioms_by_id) == len(twin.axioms) - 1
     assert validate_spec(twin) == ["axiom id const_idem declared 2 times"]
 
@@ -80,16 +79,16 @@ def test_validate_reports_repeated_axiom_id():
 def test_validate_reports_repeated_rule_id():
     # a p1 contraction labelled c0d would be written as a step that reads
     # back as the p0 rule of that id
-    twin = spec_from_text(spec_to_text(spec).replace("rule: c1d", "rule: c0d"))
+    twin = spec_from_text(P_TEXT.replace("rule: c1d", "rule: c0d"))
     assert twin.rules_by_id["c0d"].alpha == "p1"
     assert validate_spec(twin) == ["rule id c0d declared 2 times"]
 
 
 def test_validate_reports_axiom_with_undeclared_symbol():
     # reported before the unit probe, which would negate zz
-    own = spec_from_text(spec_to_text(spec) + "axiom: foo (A zz B) = A\n")
+    own = spec_from_text(P_TEXT + "axiom: foo (A zz B) = A\n")
     assert validate_spec(own) == ["axiom foo cannot be negated: no negation declared for zz"]
-    own = spec_from_text(spec_to_text(spec).replace("negation: F = T\n", ""))
+    own = spec_from_text(P_TEXT.replace("negation: F = T\n", ""))
     assert [i for i in validate_spec(own) if i.startswith("axiom")] == [
         "axiom or_unit cannot be negated: no negation declared for F",
         "axiom and_false cannot be negated: no negation declared for F",
@@ -97,13 +96,12 @@ def test_validate_reports_axiom_with_undeclared_symbol():
 
 
 def test_validate_reports_rules_that_cannot_be_instantiated():
-    text = spec_to_text(spec)
     for line, issue in (
         ("rule: x split_down & zz", "split_down needs order between &,zz"),
         ("rule: x eq_down & |", "eq_down is not a medial scheme"),
         ("rule: x split_up & |", "split_up needs order between &,|"),
     ):
-        issues = validate_spec(spec_from_text(text + line + "\n"))
+        issues = validate_spec(spec_from_text(P_TEXT + line + "\n"))
         assert issues == [f"rule x cannot be instantiated: {issue}"]
 
 
@@ -170,10 +168,8 @@ def test_match_pattern_respects_sorts():
 
 
 def test_spec_file_round_trip():
-    text = spec_to_text(spec)
-    again = spec_from_text(text)
+    again = spec_from_text(P_TEXT)
     assert validate_spec(again) == []
-    assert spec_to_text(again) == text
     rule = instantiate_rule(again, Scheme.SPLIT_DOWN, ABCD, "&", "|")
     assert rule.rule_id == "sd"
 
@@ -231,7 +227,7 @@ def _reference_eq_step_for(spec, lhs, rhs):
 
 def _fresh_p_spec():
     """A private copy of P, so the queries below fill no shared cache."""
-    return spec_from_text(spec_to_text(make_p_spec()))
+    return spec_from_text(P_TEXT)
 
 
 def _one_step_instances(spec, oriented, bindings_by_sort):
@@ -265,7 +261,7 @@ def test_validate_reports_ac_silent_axioms():
     flags = ("assoc",) * 4 + ("comm",) * 2
     for name, (lhs, rhs), flag in zip(names, ac_flag_shapes(), flags):
         sides = " = ".join(print_formula(p, spaces=False) for p in (lhs, rhs))
-        own = spec_from_text(spec_to_text(spec) + f"axiom: {name} {sides}\n")
+        own = spec_from_text(P_TEXT + f"axiom: {name} {sides}\n")
         assert validate_spec(own) == [f"axiom {name} is AC-silent: {lhs.rel} is declared {flag}"]
     for sides, issue in (
         ("(A&(B|C)) = (A&(C|B))", "is AC-silent: | is declared comm"),
@@ -274,7 +270,7 @@ def test_validate_reports_ac_silent_axioms():
         ("(((A|B) p0 C) p0 D) = ((B|A) p0 (C p0 D))", "is AC-silent: p0 is declared assoc"),
         ("(A|B) = (A|B)", "has one formula on both sides"),
     ):
-        own = spec_from_text(spec_to_text(spec) + f"axiom: silent {sides}\n")
+        own = spec_from_text(P_TEXT + f"axiom: silent {sides}\n")
         assert validate_spec(own) == [f"axiom silent {issue}"]
 
 

@@ -8,7 +8,7 @@ import pytest
 from medial import terms
 from medial.r23 import make_r23_spec
 from medial.system_p import make_p_spec
-from medial.systems import spec_from_text, spec_to_text
+from medial.systems import spec_from_text
 from medial.terms import (
     Compound,
     Constant,
@@ -31,7 +31,7 @@ from medial.terms import (
     variables,
 )
 
-from helpers import random_formula
+from helpers import P_TEXT, random_formula
 
 spec = make_p_spec()
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -431,10 +431,10 @@ def test_ac_memo_holds_no_formula():
 
 def test_ac_memo_answers_each_spec_with_its_own_form():
     # the same relation symbol, associative in both specs, commutative in one
-    text = spec_to_text(spec)
     flags = "relation: & dual=| assoc comm unit=T"
-    assert flags in text
-    loose = spec_from_text(text.replace(flags, "relation: & dual=| assoc unit=T"))
+    assert flags in P_TEXT
+    loose_text = P_TEXT.replace(flags, "relation: & dual=| assoc unit=T")
+    loose = spec_from_text(loose_text)
     assert loose.is_associative("&") and not loose.is_commutative("&")
     f = parse_formula("((y & x) | (z & (y & x)))")
     for _ in range(3):
@@ -449,7 +449,7 @@ def test_ac_memo_answers_each_spec_with_its_own_form():
         for _ in range(2):
             a = ac_canonical(spec, g)
             b = ac_canonical(loose, g)
-            assert a is ac_canonical(spec_from_text(text), g)
-            assert b is ac_canonical(spec_from_text(spec_to_text(loose)), g)
+            assert a is ac_canonical(spec_from_text(P_TEXT), g)
+            assert b is ac_canonical(spec_from_text(loose_text), g)
         differ += a is not b
     assert differ > 0

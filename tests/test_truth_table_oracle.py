@@ -8,10 +8,10 @@ import random
 from medial.derivations import Builder, check
 from medial.splitting import eliminate_all_up, make_fragment
 from medial.system_p import all_valuations, evaluate, make_p_spec
-from medial.systems import spec_from_text, spec_to_text
+from medial.systems import spec_from_text
 from medial.terms import Compound, Constant, Variable, variables
 
-from helpers import injected_corpus
+from helpers import P_TEXT, injected_corpus
 
 spec = make_p_spec()
 T = Constant("T")
@@ -56,7 +56,7 @@ def test_eliminated_and_synthesised_steps_are_sound(height3):
 
 def test_an_unsound_axiom_is_caught():
     # a descriptor may declare an unsound axiom; check accepts its steps
-    own = spec_from_text(spec_to_text(spec) + "axiom: drop (A|B) = A\n")
+    own = spec_from_text(P_TEXT + "axiom: drop (A|B) = A\n")
     x, y = Variable("x"), Variable("y")
     b = Builder(own, Compound("&", Compound("|", x, y), T))
     b.rewrite(("L",), x)
