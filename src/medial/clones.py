@@ -5,27 +5,28 @@ against generator presentations."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .system_p import all_valuations, evaluate
 from .systems import SystemError
-from .terms import Formula, variables
+from .terms import Formula, _Record, variables
 
 
 class ArityCap(SystemError):
     pass
 
 
-@dataclass(frozen=True)
-class BoolFn:
+class BoolFn(_Record):
     """Truth table with rows ordered by input tuple read as binary,
     all-false row first."""
+
+    __slots__ = _fields = ("arity", "table")
 
     arity: int
     table: tuple
 
-    def __post_init__(self):
+    def __init__(self, arity: int, table: tuple) -> None:
+        super().__init__(arity, table)
         if len(self.table) != 2 ** self.arity:
             raise SystemError("table length must be 2^arity")
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .systems import (
@@ -43,7 +42,7 @@ from .systems import (
     SortViolation,
     SystemError,
     SystemSpec,
-    _WeakReferable,
+    _set_cost_memo,
     ac_instance,
     check_rule_instance,
     eq_instance,
@@ -61,7 +60,7 @@ from .terms import (
     PathMismatch,
     PathStep,
     Variable,
-    _refuse_assignment,
+    _Record,
     context_at,
     equal_mod_ac,
     negate,
@@ -90,9 +89,9 @@ class NonEquationalStep(DerivationError):
     pass
 
 
-@_refuse_assignment
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(_Record):
+    __slots__ = _fields = ("context", "rule")
+
     context: ContextPath
     rule: RuleInstance
 
@@ -160,9 +159,10 @@ def placed(steps):
             stack.pop()
 
 
-@_refuse_assignment
-@dataclass(frozen=True, slots=True)
-class Derivation(_WeakReferable):
+class Derivation(_Record):
+    _fields = ("premise", "steps", "conclusion")
+    __slots__ = _fields + ("__weakref__",)
+
     premise: Formula
     steps: Sequence  # a tuple of Steps, or a Rope
     conclusion: Formula
@@ -176,10 +176,9 @@ class Derivation(_WeakReferable):
         return len(self.steps)
 
 
-# slot setters, as in terms: faster than a generated frozen __init__
-_set_context, _set_rule = Step.context.__set__, Step.rule.__set__
-_set_premise, _set_steps = Derivation.premise.__set__, Derivation.steps.__set__
-_set_conclusion = Derivation.conclusion.__set__
+# slot setters, as in terms: faster than a call through _Record.__init__
+_set_context, _set_rule = Step._setters
+_set_premise, _set_steps, _set_conclusion = Derivation._setters
 
 
 def identity(f: Formula) -> Derivation:
@@ -196,10 +195,14 @@ def after_step(d: Derivation, i: int) -> Derivation:
     return Derivation(d.steps[i].after, d.steps[i + 1 :], d.conclusion)
 
 
-@dataclass(frozen=True)
-class CheckFailure:
+class CheckFailure(_Record):
+    __slots__ = _fields = ("step_index", "reason")
+
     step_index: int
     reason: str
+
+    def __init__(self, step_index: int, reason: str) -> None:
+        super().__init__(step_index, reason)
 
     def __str__(self) -> str:
         return f"step {self.step_index}: {self.reason}"
@@ -320,7 +323,7 @@ def steps_length(spec: SystemSpec, steps) -> int:
         memo = step.rule.cost_memo
         if memo is None or memo[0] is not token:
             memo = (token, step_cost(spec, step))
-            object.__setattr__(step.rule, "cost_memo", memo)
+            _set_cost_memo(step.rule, memo)
         total += memo[1]
     return total
 

@@ -7,12 +7,11 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .system_p import AUDIT_BINDINGS, TRUTH_TABLES, all_valuations, audit_instances, evaluate
 from .systems import Metavar, RelationSymbol, SystemError, SystemSpec, instantiate
-from .terms import Compound, Constant, Formula, Variable, subterms, variables
+from .terms import Compound, Constant, Formula, Variable, _Record, subterms, variables
 
 # the rows evaluate reads, for the eight implication/projection relations
 R23_TABLES = {
@@ -52,11 +51,15 @@ def make_r23_spec() -> SystemSpec:
     )
 
 
-@dataclass(frozen=True)
-class R23Rule:
+class R23Rule(_Record):
+    __slots__ = _fields = ("rule_id", "premise", "conclusion")
+
     rule_id: str
     premise: Formula  # pattern over metavariables A, B, C, D
     conclusion: Formula
+
+    def __init__(self, rule_id: str, premise: Formula, conclusion: Formula) -> None:
+        super().__init__(rule_id, premise, conclusion)
 
 
 def _family(prefix: str, f: str, fp: str, glb: str, lub: str,

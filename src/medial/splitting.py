@@ -10,7 +10,6 @@ ends at the formula it is pinned to is returned as it is, not rebuilt."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .derivations import (
@@ -30,8 +29,10 @@ from .systems import (
     Scheme,
     SystemSpec,
     ac_instance,
+    eq_instance,
     eq_step_for,
     instantiate,
+    instantiate_rule,
     unit_axiom,
 )
 from .terms import (
@@ -40,6 +41,7 @@ from .terms import (
     Formula,
     PathStep,
     Variable,
+    _Record,
     ac_canonical,
     context_at,
     equal_mod_ac,
@@ -73,11 +75,15 @@ class FragmentError(SplittingError):
 # Fragments
 
 
-@dataclass(frozen=True)
-class SplittableFragment:
+class SplittableFragment(_Record):
+    __slots__ = _fields = ("spec", "down_rules", "up_rules")
+
     spec: SystemSpec
     down_rules: tuple  # splitting down-rule ids
     up_rules: tuple  # the corresponding splitting up-rule ids
+
+    def __init__(self, spec: SystemSpec, down_rules: tuple, up_rules: tuple) -> None:
+        super().__init__(spec, down_rules, up_rules)
 
     def weak_for(self, premise: Formula) -> tuple:
         """(beta, unit, co_unit), the units as constants, of the weak
@@ -143,13 +149,19 @@ def first_up_index(frag: SplittableFragment, d: Derivation) -> Optional[int]:
 # Shallow splitting
 
 
-@dataclass
-class SplitRecord:
+class SplitRecord(_Record, frozen=False):
+    __slots__ = _fields = ("alpha", "kind", "len_p", "len_q0", "len_q1")
+
     alpha: str
     kind: str
     len_p: int
     len_q0: Optional[int]
     len_q1: Optional[int]
+
+    def __init__(self, alpha: str, kind: str, len_p: int, len_q0: Optional[int],
+                 len_q1: Optional[int]) -> None:
+        self.alpha, self.kind, self.len_p = alpha, kind, len_p
+        self.len_q0, self.len_q1 = len_q0, len_q1
 
     @property
     def bound_holds(self) -> bool:
@@ -160,8 +172,9 @@ class SplitRecord:
         return (self.len_q1 or 0) <= self.len_p
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(_Record):
+    __slots__ = _fields = ("kind", "alpha", "k0", "k1", "d", "q0", "q1")
+
     kind: str
     alpha: str
     k0: Formula
@@ -169,6 +182,10 @@ class SplitResult:
     d: Derivation  # from (k0 ~alpha k1) to B
     q0: Optional[Derivation]  # from ~u_beta to (A0 beta k0)
     q1: Optional[Derivation]  # from ~u_beta to (A1 beta k1)
+
+    def __init__(self, kind: str, alpha: str, k0: Formula, k1: Formula, d: Derivation,
+                 q0: Optional[Derivation], q1: Optional[Derivation]) -> None:
+        super().__init__(kind, alpha, k0, k1, d, q0, q1)
 
 
 # the side of its node that a weakening erases
@@ -804,11 +821,16 @@ def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
         return _fill(spec, f, x, memo)
 
     def fix_rule(rule: RuleInstance) -> RuleInstance:
-        premise, conclusion = fill(rule.premise), fill(rule.conclusion)
-        bindings = tuple((k, fill(v)) for k, v in rule.bindings)
-        if (premise, conclusion, bindings) == (rule.premise, rule.conclusion, rule.bindings):
+        # an instance is fixed by what it declares: refilled, it is rebuilt
+        # by its constructor, so it is the live instance check knows
+        bindings = tuple([(k, fill(v)) for k, v in rule.bindings])
+        if bindings == rule.bindings:
             return rule  # no hole in it: the rule as it is, its cost kept
-        return replace(rule, premise=premise, conclusion=conclusion, bindings=bindings)
+        if rule.scheme is Scheme.AC:
+            return ac_instance(spec, bindings[0][1], bindings[1][1])
+        if rule.scheme.is_medial:
+            return instantiate_rule(spec, rule.scheme, dict(bindings), *rule.relations)
+        return eq_instance(spec, rule.axiom_id, dict(bindings), rule.negated, rule.direction)
 
     steps = tuple(
         Step(
@@ -821,11 +843,15 @@ def instantiate_hole(spec: SystemSpec, d: Derivation, x: Formula) -> Derivation:
     return Derivation(fill(d.premise), steps, fill(d.conclusion))
 
 
-@dataclass(frozen=True)
-class ContextReduction:
+class ContextReduction(_Record):
+    __slots__ = _fields = ("k", "ctx", "q")
+
     k: Formula
     ctx: Derivation  # from (HOLE beta K) to S{HOLE}
     q: Derivation  # from ~u_beta to (A beta K)
+
+    def __init__(self, k: Formula, ctx: Derivation, q: Derivation) -> None:
+        super().__init__(k, ctx, q)
 
 
 def context_reduce(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -37,7 +36,7 @@ from .terms import (
     Variable,
     _InternRef,
     _forget,
-    _refuse_assignment,
+    _Record,
     equal_mod_ac,
     join,
     negate,
@@ -92,26 +91,38 @@ class Scheme(Enum):
         )
 
 
-@dataclass(frozen=True)
-class RelationSymbol:
+class RelationSymbol(_Record):
+    __slots__ = _fields = ("name", "dual", "associative", "commutative", "unitary",
+                           "right_weakening", "left_weakening")
+
     name: str
     dual: str
-    associative: bool = False
-    commutative: bool = False
-    unitary: Optional[str] = None  # unit constant name
-    right_weakening: bool = False
-    left_weakening: bool = False
+    associative: bool
+    commutative: bool
+    unitary: Optional[str]  # unit constant name
+    right_weakening: bool
+    left_weakening: bool
+
+    def __init__(self, name: str, dual: str, associative: bool = False,
+                 commutative: bool = False, unitary: Optional[str] = None,
+                 right_weakening: bool = False, left_weakening: bool = False) -> None:
+        super().__init__(name, dual, associative, commutative, unitary, right_weakening,
+                         left_weakening)
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(_Record):
     """One equational axiom lhs = rhs, its sides distinct modulo AC (which
     relation flags declare); patterns may contain metavariables whose sort
     restricts matching (formula / constant / literal)."""
 
+    __slots__ = _fields = ("axiom_id", "lhs", "rhs")
+
     axiom_id: str
     lhs: Formula
     rhs: Formula
+
+    def __init__(self, axiom_id: str, lhs: Formula, rhs: Formula) -> None:
+        super().__init__(axiom_id, lhs, rhs)
 
     def metavars(self) -> set[str]:
         return {t.name for t in subterms(self.lhs) if isinstance(t, Metavar)} | {
@@ -119,35 +130,35 @@ class Axiom:
         }
 
 
-@dataclass(frozen=True)
-class RuleDecl:
+class RuleDecl(_Record):
+    __slots__ = _fields = ("rule_id", "scheme", "alpha", "beta")
+
     rule_id: str
     scheme: Scheme
     alpha: str
     beta: str
 
+    def __init__(self, rule_id: str, scheme: Scheme, alpha: str, beta: str) -> None:
+        super().__init__(rule_id, scheme, alpha, beta)
 
-class _WeakReferable:  # dataclass's weakref_slot needs Python 3.11
-    __slots__ = ("__weakref__",)
 
+class RuleInstance(_Record):
+    _fields = ("scheme", "rule_id", "premise", "conclusion", "bindings", "relations",
+               "axiom_id", "negated", "direction")
+    # cost_memo is (spec.ac_token, length cost), set by derivations.steps_length
+    # the first time it costs the instance for that spec; not part of the instance
+    __slots__ = _fields + ("cost_memo", "__weakref__")
 
-@_refuse_assignment
-@dataclass(frozen=True, slots=True)
-class RuleInstance(_WeakReferable):
     scheme: Scheme
     rule_id: str
     premise: Formula
     conclusion: Formula
     bindings: tuple  # tuple[tuple[str, Formula], ...], sorted by name
-    relations: Optional[tuple] = None  # (alpha, beta) for medial schemes
-    axiom_id: Optional[str] = None
-    negated: bool = False  # equational: instance of the negated axiom
-    direction: str = "fwd"  # equational only: fwd (lhs->rhs) or bwd
-    # (spec.ac_token, length cost), set by derivations.steps_length the first
-    # time it costs the instance for that spec; not part of the instance
-    cost_memo: Optional[tuple] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    relations: Optional[tuple]  # (alpha, beta) for medial schemes
+    axiom_id: Optional[str]
+    negated: bool  # equational: instance of the negated axiom
+    direction: str  # equational only: fwd (lhs->rhs) or bwd
+    cost_memo: Optional[tuple]
 
     def __init__(self, scheme: Scheme, rule_id: str, premise: Formula, conclusion: Formula,
                  bindings: tuple, relations: Optional[tuple] = None, axiom_id: Optional[str] = None,
@@ -173,10 +184,10 @@ class RuleInstance(_WeakReferable):
         raise KeyError(name)
 
 
-# slot setters, in field order: faster than a generated frozen __init__
+# slot setters, in field order: faster than a call through _Record.__init__
 (_set_scheme, _set_rule_id, _set_premise, _set_conclusion, _set_bindings, _set_relations,
- _set_axiom_id, _set_negated, _set_direction, _set_cost_memo) = [
-    getattr(RuleInstance, f.name).__set__ for f in fields(RuleInstance)]
+ _set_axiom_id, _set_negated, _set_direction) = RuleInstance._setters
+_set_cost_memo = RuleInstance.cost_memo.__set__
 
 # (spec.ac_token, constructor inputs) -> weak reference to the live rule
 # instance built from them; an acr key has 3 items, an equational 5, a

@@ -17,8 +17,8 @@ A+C, in order under A alone, swapped under C alone) are equal.
 
 from __future__ import annotations
 
+import operator
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, Sequence, Union
 
 
@@ -32,6 +32,10 @@ class PathMismatch(TermError):
 
 class ParseError(TermError):
     pass
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a name of a frozen record."""
 
 
 # key -> weak reference to the one live term with that key.  A compound's
@@ -76,6 +80,60 @@ class _Term:
     def __repr__(self) -> str:
         fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
         return f"{type(self).__name__}({fields})"
+
+
+def _refuse_assignment(self, name: str, *value) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+class _Record:
+    """Base of the kernel's slotted records.  A record class names its
+    fields (two or more), in its constructor's order, in `_fields`: its
+    `__slots__`, less any slot kept outside its value.  It writes its own
+    `__init__`, which sets them through their slot setters (`_setters`, in
+    field order) or through `_Record.__init__`.  From `_fields` the base
+    derives once per class, with no generated source, equality by value
+    between records of one class, a `Name(field=value, ...)` repr and
+    pickling through the constructor.  A frozen record (the default) hashes
+    by its values and refuses to set or delete any name, raising
+    FrozenInstanceError; one declared `frozen=False` is mutable and
+    unhashable.  A method the class defines itself is kept."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        super().__init_subclass__()
+        fields, name = cls._fields, cls.__qualname__
+        values = operator.attrgetter(*fields)  # a tuple, for two names or more
+        cls._setters = tuple([getattr(cls, f).__set__ for f in fields])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        def __repr__(self):
+            pairs = ", ".join([f"{f}={v!r}" for f, v in zip(fields, values(self))])
+            return f"{name}({pairs})"
+
+        def __reduce__(self):
+            return self.__class__, values(self)
+
+        methods = dict(__eq__=__eq__, __hash__=__hash__ if frozen else None,
+                       __repr__=__repr__, __reduce__=__reduce__)
+        if frozen:
+            methods.update(__setattr__=_refuse_assignment, __delattr__=_refuse_assignment)
+        for attr, method in methods.items():
+            if attr not in cls.__dict__:
+                setattr(cls, attr, method)
+
+    def __init__(self, *values) -> None:
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
 
 
 def _intern_atom(cls, key: tuple):
@@ -218,18 +276,9 @@ def size(f: Formula) -> int:
 # Contexts
 
 
-def _refuse_assignment(cls):
-    """cls, a frozen slotted dataclass, refusing to set or delete any name: the
-    refusal that slots=True keeps calls super() on the class it replaced."""
-    def refuse(self, name, *value):
-        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
-    cls.__setattr__ = cls.__delattr__ = refuse
-    return cls
+class PathStep(_Record):
+    __slots__ = _fields = ("rel", "hole_side", "sibling")
 
-
-@_refuse_assignment
-@dataclass(frozen=True, slots=True)
-class PathStep:
     rel: str
     hole_side: str  # "L" | "R"
     sibling: Formula
@@ -240,9 +289,8 @@ class PathStep:
         _set_sibling(self, sibling)
 
 
-# slot setters, as for Compound: faster than a generated frozen __init__
-_set_step_rel, _set_hole_side = PathStep.rel.__set__, PathStep.hole_side.__set__
-_set_sibling = PathStep.sibling.__set__
+# slot setters, as for Compound: faster than a call through _Record.__init__
+_set_step_rel, _set_hole_side, _set_sibling = PathStep._setters
 
 
 ContextPath = tuple  # tuple[PathStep, ...], outermost first

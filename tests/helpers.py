@@ -1,5 +1,5 @@
-"""Shared test machinery: random formulas, proof corpus generation and
-up-rule injection."""
+"""Shared test machinery: random formulas, proof corpus generation,
+up-rule injection, and reading and copying the kernel's records."""
 
 from __future__ import annotations
 
@@ -19,6 +19,22 @@ P_RELS = ("&", "|", "p0", "p1")
 # the shipped descriptor make_p_spec reads
 with open(os.path.join(os.path.dirname(system_p.__file__), "P.sys"), encoding="utf-8") as _f:
     P_TEXT = _f.read()
+
+
+def fields(record) -> tuple:
+    """The field names of a kernel record, in order: those that make its
+    value (`_fields`), then any slot kept beside them, as RuleInstance's
+    cost_memo."""
+    return tuple([name for name in type(record).__slots__ if name != "__weakref__"])
+
+
+def replace(record, **changes):
+    """A copy of a kernel record with changes, built through its constructor,
+    so that a slot kept beside its value starts afresh (dataclasses.replace)."""
+    unknown = changes.keys() - set(record._fields)
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no field {', '.join(sorted(unknown))}")
+    return type(record)(*[changes.get(f, getattr(record, f)) for f in record._fields])
 
 
 def random_formula(rng: random.Random, depth: int, names=("x", "y", "z"),

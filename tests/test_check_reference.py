@@ -11,7 +11,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -58,7 +57,7 @@ from medial.terms import (
     subformula_at_sides,
 )
 
-from helpers import F, T, enumerate_formulas, injected_corpus, random_formula
+from helpers import F, T, enumerate_formulas, injected_corpus, random_formula, replace
 
 spec = make_p_spec()
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,7 @@ from medial.terms import (
     print_formula,
 )
 
-from helpers import random_formula
+from helpers import random_formula, replace
 
 spec = make_p_spec()
 T = Constant("T")

@@ -7,7 +7,6 @@ each rule instance is costed once, `instantiate_hole` fills each node once,
 import collections
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,14 @@ from medial.splitting import (
     make_fragment,
 )
 from medial.system_p import make_p_spec, prove_tautology
-from medial.systems import Scheme, instantiate, spec_from_text
+from medial.systems import (
+    Scheme,
+    ac_instance,
+    eq_instance,
+    instantiate,
+    instantiate_rule,
+    spec_from_text,
+)
 from medial.terms import (
     Compound,
     Constant,
@@ -47,7 +53,7 @@ from medial.terms import (
     parse_formula,
 )
 
-from helpers import P_TEXT, ac_flag_shapes, injected_corpus, random_formula
+from helpers import P_TEXT, ac_flag_shapes, injected_corpus, random_formula, replace
 
 spec = make_p_spec()
 PAIRS = spec.weak_units
@@ -314,7 +320,9 @@ def _negated_hole_context():
     return [up, dualize(spec, up), b.derivation()]
 
 
-def test_instantiate_hole_agrees_with_reference():
+def _hole_fills() -> list:
+    """(context derivation, formula to fill its hole with): the negated-hole
+    contexts, and the context reductions of the injected corpus."""
     frag = make_fragment(spec)
     contexts = _negated_hole_context()
     assert any(
@@ -331,10 +339,32 @@ def test_instantiate_hole_agrees_with_reference():
             continue
         fills.append((ctx, sigma.rule.conclusion))
     assert len(fills) > 50
-    for d, x in fills:
+    return fills
+
+
+def test_instantiate_hole_agrees_with_reference():
+    for d, x in _hole_fills():
         filled = instantiate_hole(spec, d, x)
         reference = _reference_instantiate_hole(spec, d, x)
         assert filled == reference
+
+
+def test_instantiate_hole_emits_the_live_instances():
+    # each filled rule is the instance its constructor keeps for what it
+    # declares, so check accepts it by identity, without rebuilding it
+    rebuilt = 0
+    for d, x in _hole_fills():
+        for step, filled in zip(d.steps, instantiate_hole(spec, d, x).steps):
+            r = filled.rule
+            if r.scheme is Scheme.AC:
+                live = ac_instance(spec, r.premise, r.conclusion)
+            elif r.scheme.is_medial:
+                live = instantiate_rule(spec, r.scheme, dict(r.bindings), *r.relations)
+            else:
+                live = eq_instance(spec, r.axiom_id, dict(r.bindings), r.negated, r.direction)
+            assert live is r
+            rebuilt += r is not step.rule
+    assert rebuilt > 100
 
 
 # ---------------------------------------------------------------------------

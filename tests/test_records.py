@@ -1,21 +1,39 @@
-"""The kernel's records, RuleInstance, Step, PathStep and Derivation, are
-slotted and frozen: they carry no __dict__, refuse assignment to any name,
-take exactly their init fields and read every field back.  A RuleInstance
-hashes by rule id, premise and conclusion alone, and `check` still judges
-each distinct instance value once.  The rule-instance constructors return
-the live instance built from the same inputs, per descriptor, and `check`
-still rejects an altered copy of one."""
+"""The kernel's records are slotted classes on one base, `terms._Record`.
+RuleInstance, Step, PathStep and Derivation are frozen: they carry no
+__dict__, refuse assignment to any name, take exactly their init fields
+and read every field back.  Every record prints as it did when it was a
+dataclass, and importing the kernel loads neither `dataclasses` nor
+`inspect`.  A RuleInstance hashes by rule id, premise and conclusion
+alone, and `check` still judges each distinct instance value once.  The
+rule-instance constructors return the live instance built from the same
+inputs, per descriptor, and `check` still rejects an altered copy of one."""
 
 import collections
+import copy as _copy
 import inspect
+import os
+import pickle
+import subprocess
+import sys
 import weakref
-from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
 import medial.derivations as derivations
 import medial.system_p as system_p
-from medial.derivations import Derivation, Step, check, steps_length, to_text
+import medial.systems as systems
+from medial.clones import NOT, BoolFn
+from medial.derivations import (
+    CheckFailure,
+    Derivation,
+    Step,
+    check,
+    identity,
+    steps_length,
+    to_text,
+)
+from medial.r23 import R23Rule
+from medial.splitting import ContextReduction, SplitRecord, SplitResult, make_fragment
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
 from medial.systems import (
     RuleInstance,
@@ -26,9 +44,16 @@ from medial.systems import (
     instantiate_rule,
     spec_from_text,
 )
-from medial.terms import Compound, PathStep, Variable, parse_formula
+from medial.terms import (
+    Compound,
+    FrozenInstanceError,
+    Metavar,
+    PathStep,
+    Variable,
+    parse_formula,
+)
 
-from helpers import P_TEXT, enumerate_formulas
+from helpers import P_TEXT, enumerate_formulas, fields, replace
 
 
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
@@ -51,6 +76,9 @@ RECORDS = [
     (DERIVATION, {"premise": x, "steps": (STEP,), "conclusion": y}),
 ]
 IDS = [type(record).__name__ for record, _ in RECORDS]
+# the constructor defaults of each record that has any
+DEFAULTS = {RuleInstance: {"relations": None, "axiom_id": None, "negated": False,
+                           "direction": "fwd"}}
 
 
 @pytest.mark.parametrize("record, values", RECORDS, ids=IDS)
@@ -58,8 +86,8 @@ def test_record_is_slotted_and_frozen(record, values):
     assert not hasattr(record, "__dict__")
     for f in fields(record):
         with pytest.raises(FrozenInstanceError):
-            setattr(record, f.name, None)
-    assert {f.name: getattr(record, f.name) for f in fields(record)} == values
+            setattr(record, f, None)
+    assert {f: getattr(record, f) for f in fields(record)} == values
 
 
 @pytest.mark.parametrize("record, values", RECORDS, ids=IDS)
@@ -77,7 +105,7 @@ def test_record_takes_exactly_its_init_fields(record, values):
     cls = type(record)
     empty = inspect.Parameter.empty
     signature = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
-    init = [(f.name, empty if f.default is MISSING else f.default) for f in fields(cls) if f.init]
+    init = [(f, DEFAULTS.get(cls, {}).get(f, empty)) for f in cls._fields]
     assert signature == init
     copy = replace(record)
     assert copy is not record and copy == record and hash(copy) == hash(record)
@@ -99,8 +127,99 @@ def test_marks_write_through_the_frozen_records():
     assert rule.cost_memo is not None and rule == RULE
 
 
+# the parts of the pinned reprs below
+X, Y = "Variable(name='x', negated=False)", "Variable(name='y', negated=False)"
+MA, MB = ("Metavar(name='A', negated=False, sort='formula')",
+          "Metavar(name='B', negated=False, sort='formula')")
+PATH_REPR = f"PathStep(rel='|', hole_side='L', sibling={Y})"
+RULE_REPR = (f"RuleInstance(scheme=<Scheme.EQ: 'eq_down'>, rule_id='eq:ax', premise={X}, "
+             f"conclusion=Compound(rel='&', left={X}, right={Y}), bindings=(('A', {X}),), "
+             "relations=('&', '|'), axiom_id='ax', negated=True, direction='bwd')")
+STEP_REPR = f"Step(context=({PATH_REPR},), rule={RULE_REPR})"
+ID_X = f"Derivation(premise={X}, steps=(), conclusion={X})"
+ID_Y = f"Derivation(premise={Y}, steps=(), conclusion={Y})"
+
+
+def _one_of_each_record() -> list:
+    """(record, its repr as the kernel printed it while its records were
+    dataclasses); P's descriptor prints as <spec>."""
+    spec = make_p_spec()
+    rule = replace(RULE)
+    steps_length(spec, (Step((PATH,), rule),))  # the cost it keeps is not printed
+    A, B = Metavar("A"), Metavar("B")
+    return [
+        (PATH, PATH_REPR),
+        (spec.relation("&"), "RelationSymbol(name='&', dual='|', associative=True, "
+         "commutative=True, unitary='T', right_weakening=False, left_weakening=False)"),
+        (spec.axioms_by_id["or_unit"], f"Axiom(axiom_id='or_unit', lhs=Compound(rel='|', "
+         f"left={MA}, right=Constant(name='F')), rhs={MA})"),
+        (spec.rules[0], "RuleDecl(rule_id='ai0d', scheme=<Scheme.SPLIT_DOWN: 'split_down'>, "
+         "alpha='p0', beta='|')"),
+        (rule, RULE_REPR),
+        (STEP, STEP_REPR),
+        (DERIVATION, f"Derivation(premise={X}, steps=({STEP_REPR},), conclusion={Y})"),
+        (CheckFailure(3, "ThreadBroken: step premise does not match"),
+         "CheckFailure(step_index=3, reason='ThreadBroken: step premise does not match')"),
+        (make_fragment(spec), "SplittableFragment(spec=<spec>, down_rules=('ai0d', 'ai1d', "
+         "'sd'), up_rules=('ai0u', 'ai1u', 'su'))"),
+        (SplitRecord("&", "unitary", 4, 2, None),
+         "SplitRecord(alpha='&', kind='unitary', len_p=4, len_q0=2, len_q1=None)"),
+        (SplitResult("unitary", "&", x, y, identity(x), None, identity(y)),
+         f"SplitResult(kind='unitary', alpha='&', k0={X}, k1={Y}, d={ID_X}, q0=None, "
+         f"q1={ID_Y})"),
+        (ContextReduction(x, identity(y), identity(x)),
+         f"ContextReduction(k={X}, ctx={ID_Y}, q={ID_X})"),
+        (NOT, "BoolFn(arity=1, table=(True, False))"),
+        (R23Rule("L.x", Compound("->", A, B), Compound("<-", B, A)),
+         f"R23Rule(rule_id='L.x', premise=Compound(rel='->', left={MA}, right={MB}), "
+         f"conclusion=Compound(rel='<-', left={MB}, right={MA}))"),
+    ]
+
+
+def test_every_record_prints_as_before():
+    # a message that embeds a record, such as "length bound violated:
+    # SplitRecord(...)", reads as it did
+    spec = make_p_spec()
+    pinned = _one_of_each_record()
+    assert len({type(record) for record, _ in pinned}) == 14
+    for record, text in pinned:
+        assert repr(record).replace(repr(spec), "<spec>") == text
+
+
+def test_records_compare_hash_and_pickle_by_value():
+    # a copy is rebuilt through the constructor; pickling goes the same way
+    assert all(pickle.loads(pickle.dumps(record)) == record for record, _ in RECORDS)
+    for record, _ in _one_of_each_record():
+        copy = _copy.copy(record)
+        assert copy == record and copy is not record
+        assert record != tuple([getattr(record, f) for f in record._fields])
+        if type(record) is SplitRecord:  # the one mutable record
+            with pytest.raises(TypeError):
+                hash(record)
+            copy.len_p += 1
+            assert copy != record
+        else:
+            assert hash(copy) == hash(record)
+            with pytest.raises(FrozenInstanceError):
+                copy.foo = 1
+    assert issubclass(FrozenInstanceError, AttributeError)
+    with pytest.raises(systems.SystemError, match="table length"):
+        BoolFn(1, (True,))
+
+
+def test_importing_the_kernel_loads_neither_dataclasses_nor_inspect():
+    # the command line imports every kernel module; its start-up runs no
+    # record decorator, and so compiles no generated source
+    src = os.path.dirname(os.path.dirname(os.path.abspath(derivations.__file__)))
+    code = ("import sys, medial.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 def _value(rule: RuleInstance) -> tuple:
-    return tuple([getattr(rule, f.name) for f in fields(rule) if f.compare])
+    return tuple([getattr(rule, f) for f in rule._fields])
 
 
 def test_check_judges_each_distinct_instance_value_once(monkeypatch, height3):
