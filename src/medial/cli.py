@@ -296,7 +296,7 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ParseError, OSError) as e:
+    except (ParseError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

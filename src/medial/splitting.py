@@ -3,9 +3,11 @@ elimination of splitting up-rules.
 
 Shallow splitting decomposes a proof of (A0 a A1) b B into component
 proofs by induction on the derivation, analysing the step adjacent to
-the conclusion.  Unhandled step shapes raise IrreducibleCase instead of
-guessing; the acceptance corpus must exercise none.  A part that already
-ends at the formula it is pinned to is returned as it is, not rebuilt."""
+the conclusion; a run of steps there inside the split node is walked in
+one loop, the length bound asserted per step.  Unhandled step shapes
+raise IrreducibleCase instead of guessing; the acceptance corpus must
+exercise none.  A part that already ends at the formula it is pinned to
+is returned as it is, not rebuilt."""
 
 from __future__ import annotations
 
@@ -252,6 +254,13 @@ def _is_prefix(a: tuple, b: tuple) -> bool:
     return b[: len(a)] == a
 
 
+def _inside(step: Step, occ: tuple) -> bool:
+    """Does step rewrite strictly inside the node at occ, other than by acr?"""
+    ctx = step.context
+    return (len(ctx) > len(occ) and step.rule.scheme is not Scheme.AC
+            and all(c.hole_side == o for c, o in zip(ctx, occ)))
+
+
 def _pinned(spec: SystemSpec, d: Derivation, target: Formula) -> Derivation:
     """d closed onto target: d itself when it already ends there (formulas
     are hash-consed), else d and an acr step onto target."""
@@ -292,20 +301,29 @@ class _Splitter:
             if b.current != btree:
                 _steer_units(spec, beta, self.u, b, btree, "split remainder")
             dd = b.derivation(btree)
-        rec = SplitRecord(alpha, kind, self._length(P), self._length(q0), self._length(q1))
+        self._record(alpha, kind, self._length(P), self._length(q0), self._length(q1))
+        return SplitResult(kind, alpha, k0, k1, dd, q0, q1)
+
+    def _record(self, alpha: str, kind: str, len_p: int, len_q0, len_q1) -> None:
+        """Log one split's lengths and assert the bound on them."""
+        rec = SplitRecord(alpha, kind, len_p, len_q0, len_q1)
         if self.recorder is not None:
             self.recorder.append(rec)
         if not rec.bound_holds:
             raise SplittingError(f"length bound violated: {rec}")
-        return SplitResult(kind, alpha, k0, k1, dd, q0, q1)
 
     # -- main recursion ----------------------------------------------------
     def split(self, P: Derivation, occ: tuple) -> SplitResult:
-        """Analyse the step next to P's conclusion.  Each case returns its
-        parts (k0, k1, d, q0, q1), which _normalize pins to the node."""
-        self.calls += 1
+        """Analyse the step next to P's conclusion, or walk a run of them
+        inside the node; _normalize pins each case's (k0, k1, d, q0, q1)."""
+        top = len(P.steps)  # where the run of steps inside the node starts
+        while top and _inside(P.steps[top - 1], occ):
+            top -= 1
+        self.calls += 1 + len(P.steps) - top
         if self.calls > 200000:
             raise IrreducibleCase("splitting recursion exceeded its budget")
+        if top < len(P.steps):
+            return self._walk_inside(P, occ, top)
         spec, beta = self.spec, self.beta
         if occ == ():
             # pad: read the conclusion as (node beta u); the pad is applied
@@ -347,8 +365,6 @@ class _Splitter:
                 res = self.split(P1, found[0])
                 parts = (res.k1, res.k0, res.d, res.q1, res.q0) if found[1] else (
                     res.k0, res.k1, res.d, res.q0, res.q1)
-        elif len(p) > len(occ) and _is_prefix(occ, p):
-            parts = self._inside_component(P1, occ, sigma)
         elif p == occ:
             if scheme is not Scheme.EQ:
                 raise IrreducibleCase(f"{sigma.rule.rule_id} rewrites the split node directly")
@@ -445,17 +461,31 @@ class _Splitter:
         return b.derivation(Compound(beta, tree, k)), k
 
     # -- cases -------------------------------------------------------------
-    def _inside_component(self, P1, occ, sigma) -> tuple:
-        """The step rewrites inside one component of the node."""
-        res = self.split(P1, occ)
-        side, *rel_path = sigma.sides[len(occ) :]
-        qs = [res.q0, res.q1]
-        host = 0 if side == "L" else 1
-        if qs[host] is not None:
-            b = Builder(self.spec, qs[host])
-            b.apply(("L", *rel_path), sigma.rule)
-            qs[host] = b.derivation()
-        return (res.k0, res.k1, res.d, *qs)
+    def _walk_inside(self, P, occ, top) -> SplitResult:
+        """Steps top.. of P rewrite inside the node: split the proof above
+        them once, then apply each to the component proof hosting it, the
+        lengths kept as running sums and the bound asserted per step.  At
+        the root the node is read padded, and the proof above each step is a split too."""
+        spec, n = self.spec, len(occ)
+        above = before_step(P, top)
+        res = self.split(above, occ)
+        len_p = self._length(above)
+        lens = [self._length(res.q0), self._length(res.q1)]
+        qs, builders = [res.q0, res.q1], [None, None]
+        for sigma in P.steps[top:]:
+            if not occ:
+                self._record(res.alpha, res.kind, len_p, *lens)
+            cost = steps_length(spec, (sigma,))
+            host = 0 if sigma.context[n].hole_side == "L" else 1
+            if qs[host] is not None:
+                if builders[host] is None:
+                    builders[host] = Builder(spec, qs[host])
+                builders[host].apply(("L",) + sigma.sides[n + 1 :], sigma.rule)
+                lens[host] += cost
+            len_p += cost
+            self._record(res.alpha, res.kind, len_p, *lens)
+        q0, q1 = (q if b is None else b.derivation() for q, b in zip(qs, builders))
+        return SplitResult(res.kind, res.alpha, res.k0, res.k1, res.d, q0, q1)
 
     def _make_pair_proof(self, atom: Formula) -> Derivation:
         """~u_beta -> (atom beta ~atom) for an atomic literal or constant."""

@@ -210,6 +210,17 @@ def test_check_malformed_file_exits_2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["check"], ["eliminate-up"], ["split", "--at", "-"]],
+                         ids=["check", "eliminate-up", "split"])
+def test_undecodable_file_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.drv"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(argv[:1] + [str(bad)] + argv[1:]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

@@ -110,7 +110,10 @@ def _pads_reached(monkeypatch, frag, corpus):
 def test_named_pads_are_what_the_search_finds(monkeypatch):
     frag = make_fragment(spec)
     assert set(spec.pads) == {("|", F), ("&", T)}
-    reached = _pads_reached(monkeypatch, frag, injected_corpus(seed=20240817, size=100))
+    # the benchmark corpus and the first 40 proofs of the 4-6 up-rule set
+    corpus = injected_corpus(seed=20240817, size=100) + injected_corpus(
+        seed=20261019 + 4, size=40, ups=(4, 6))
+    reached = _pads_reached(monkeypatch, frag, corpus)
     assert len(reached) > 1000
     assert {(t.rel, t.right) for _, t in reached} == set(spec.pads)
     rng = random.Random(20261019)
@@ -427,7 +430,7 @@ def test_splitting_builds_a_builder_only_where_a_part_changes(monkeypatch):
     for d in corpus:
         eliminate_all_up(frag, d, records)
     assert len(records) == 3650
-    assert len(built) <= 5000
+    assert len(built) <= 3300  # 4,848 while each step inside a node took one
 
 
 def test_dense_elimination_output_is_pinned():
@@ -440,4 +443,26 @@ def test_dense_elimination_output_is_pinned():
     text = "".join(to_text(spec, e) for e in out)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "cff9f3694a80ba97b2e3375eace6493d34e53983bbe1a2c5c3fea0784fe06263"
+    )
+
+
+def test_dense_proofs_eliminate_under_the_default_recursion_limit():
+    """Proofs whose split nodes hold long runs of steps inside them, under
+    the default recursion limit; the pin is their output under a raised
+    limit, where a walk of a few frames per step also finished."""
+    frag = make_fragment(spec)
+    sets = [(injected_corpus(seed=20261019 + lo, size=100, ups=(lo, hi)), picks)
+            for lo, hi, picks in [(7, 9, (34, 91)), (10, 12, (60, 93))]]
+    text = ""
+    for corpus, picks in sets:
+        for i in picks:
+            d, records = corpus[i], []
+            e = eliminate_all_up(frag, d, records)
+            assert derivations.check(spec, e) is None
+            assert first_up_index(frag, e) is None
+            assert (e.premise, e.conclusion) == (d.premise, d.conclusion)
+            assert records and all(r.bound_holds for r in records)
+            text += to_text(spec, e)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ec040b244c67088a90a6ea6b8db4670602818360935fdf5ba88eb48765142d16"
     )

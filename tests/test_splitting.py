@@ -259,6 +259,28 @@ def test_shallow_split_survives_spine_regrouping():
     assert all(r.bound_holds for r in rec)
 
 
+def test_shallow_split_walks_a_long_run_inside_the_root_node():
+    # T -> (T & T), then 1,000 pad and unpad pairs inside its left
+    # component: a run walked in one loop splits under the default
+    # recursion limit
+    F = Constant("F")
+    b = Builder(spec, T)
+    b.apply_eq((), "const_idem", dict(U=F), negated=True, direction="bwd")
+    for _ in range(1000):
+        b.apply_eq(("L",), "or_unit", dict(A=T), direction="bwd")
+        b.apply_eq(("L",), "or_unit", dict(A=T), direction="fwd")
+    rec = []
+    res = shallow_split(frag, b.derivation(), (), rec)
+    # the prefix's record, then two per step: the proof above it, and its own
+    assert len(rec) == 1 + 2 * 2000
+    assert all(r.bound_holds for r in rec)
+    assert len(res.q0.steps) == 2001 and len(res.q1.steps) == 1
+    for piece in (res.q0, res.q1, res.d):
+        assert check(spec, piece) is None
+    assert res.q0.conclusion == Compound("|", T, res.k0)
+    assert res.d.conclusion == F
+
+
 def test_eliminate_runs_on_exactified_ac_joints():
     # dropping an acr step above the first up-rule leaves a joint that holds
     # only modulo AC: check rejects it, and elimination runs on it exactified
