@@ -285,28 +285,41 @@ class _Prover:
     formula's variables, each contraction, keyed by (relation, formula),
     each atom seed T -> (a | T), keyed by a and its value, and each seeded
     clause, keyed by the _seed of each element it inserted, is built once
-    and spliced by reference wherever it recurs.  The sorted variables of
-    each formula, which key its line lemmas, are read once as well."""
+    and spliced by reference wherever it recurs.  The atom seeds and the
+    clauses of one atom's seed live on the spec (`spec.atom_lemmas`) and
+    serve every proof: at most four per atom, so the vocabulary bounds
+    them.  The sorted variables of each formula, which key its line
+    lemmas, are read once as well."""
 
     def __init__(self, spec: SystemSpec):
         self.spec, self.lemmas, self.names = spec, {}, {}
 
+    def _table(self, key: tuple) -> dict:
+        """The table that holds key's lemma: the spec's for an atom seed or
+        the clause of one atom's seed, this proof's for any other."""
+        tag = key[0]
+        if tag is _ATOM_SEED or tag is _CLAUSE and len(key[1]) == 1 and is_atom(key[1][0][0]):
+            return self.spec.atom_lemmas
+        return self.lemmas
+
     def _lemma(self, key: tuple, build, *args) -> Derivation:
         """The lemma at key, built as build(*args) where it is new."""
-        done = self.lemmas.get(key)
+        table = self._table(key)
+        done = table.get(key)
         if done is None:
-            done = self.lemmas[key] = build(*args)
+            done = table[key] = build(*args)
         return done
 
     def clause(self, seeds: tuple, valuation: Mapping[str, bool]) -> Derivation:
         """Proof from T of (T | e_k | ... | e_1), or bare T, from the _seed of each
         e_i; each prefix is built once, in a loop from the longest one built."""
+        keys = [(_CLAUSE, seeds[:k]) for k in range(len(seeds) + 1)]
         built = len(seeds)
-        while built and (_CLAUSE, seeds[:built]) not in self.lemmas:
+        while built and keys[built] not in self._table(keys[built]):
             built -= 1
-        P = self.lemmas[_CLAUSE, seeds[:built]] if built else identity(T)
-        for k in range(built + 1, len(seeds) + 1):
-            P = self.lemmas[_CLAUSE, seeds[:k]] = self.chain_insert(seeds[:k], P, valuation)
+        P = self._table(keys[built])[keys[built]] if built else identity(T)
+        for key in keys[built + 1:]:
+            P = self._table(key)[key] = self.chain_insert(key[1], P, valuation)
         return P
 
     def chain_insert(self, seeds: tuple, P: Derivation,

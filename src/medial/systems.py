@@ -262,11 +262,12 @@ class SystemSpec:
     """System descriptor: declarations fixed at construction, caches that
     fill as it is used (not thread-safe).  Hash/eq by identity.
 
-    The caches: `eq_cache` (eq_step_for's answers, for the spec's life), and
-    the oriented axiom table, the weak units and the unit pads, each built
-    on first use.  AC-canonical forms are not kept here: each is memoised
-    on its interned term, keyed by `ac_token`, and goes when that term
-    goes."""
+    The caches: `eq_cache` (eq_step_for's answers, for the spec's life),
+    `atom_lemmas` (system_p._Prover's atom seeds and one-atom clauses, at
+    most four per atom), and the oriented axiom table, the weak units and
+    the unit pads, each built on first use.  AC-canonical forms are not
+    kept here: each is memoised on its interned term, keyed by `ac_token`,
+    and goes when that term goes."""
 
     def __init__(
         self,
@@ -292,6 +293,7 @@ class SystemSpec:
         # keys the AC-canonical forms memoised on terms (terms.ac_canonical)
         self.ac_token = object()
         self.eq_cache: dict = {}
+        self.atom_lemmas: dict = {}
 
     @staticmethod
     def _transitive_closure(pairs: frozenset) -> frozenset:

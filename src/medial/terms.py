@@ -453,14 +453,27 @@ def join(rel: str, operands: Sequence[Formula]) -> Formula:
     return out
 
 
-def _sort_key(f: Formula):
+def _sort_key(f: Formula) -> tuple:
+    """f's place in the fixed total order of AC operands.  A compound's key
+    is one flat pre-order tuple, built on a stack of its own, of 3 and the
+    relation for each compound and the key of each atom.  The encoding is
+    prefix-free, so keys compare as the nested keys (3, rel, left's,
+    right's) would."""
     if isinstance(f, Constant):
         return (0, f.name)
     if isinstance(f, Variable):
         return (1, f.name, f.negated)
     if isinstance(f, Metavar):
         return (2, f.name, f.negated)
-    return (3, f.rel, _sort_key(f.left), _sort_key(f.right))
+    key, todo = [], [f]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Compound):
+            key += (3, t.rel)
+            todo += (t.right, t.left)
+        else:
+            key += _sort_key(t)  # an atom: one call deep
+    return tuple(key)
 
 
 def ac_canonical(spec, f: Formula) -> Formula:

@@ -43,7 +43,13 @@ from medial.splitting import (
     make_fragment,
 )
 from medial.system_p import is_tautology, make_p_spec, prove_tautology
-from medial.systems import Scheme, ac_instance, check_rule_instance, undeclared_symbol
+from medial.systems import (
+    Scheme,
+    ac_instance,
+    check_rule_instance,
+    spec_from_text,
+    undeclared_symbol,
+)
 from medial.terms import (
     Compound,
     Cursor,
@@ -57,7 +63,7 @@ from medial.terms import (
     subformula_at_sides,
 )
 
-from helpers import F, T, enumerate_formulas, injected_corpus, random_formula, replace
+from helpers import P_TEXT, F, T, enumerate_formulas, injected_corpus, random_formula, replace
 
 spec = make_p_spec()
 LEAVES = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
@@ -489,7 +495,11 @@ def test_prove_holds_each_seed_and_clause_once(goal, flat, bound):
 
 
 def test_prove_writes_each_atom_seed_once(monkeypatch):
-    # one proof builds the seed T -> (a | T) of each atom a and value once
+    # the seed T -> (a | T) of each atom a and value is built once per spec:
+    # in a copy of P whose table starts empty, one proof writes each seed
+    # once, and a second proof writes none and prints the same text
+    own = spec_from_text(P_TEXT)
+    monkeypatch.setattr(system_p, "make_p_spec", lambda: own)
     written = []
     original = system_p._atom_seed
 
@@ -498,8 +508,11 @@ def test_prove_writes_each_atom_seed_once(monkeypatch):
         return original(spec, atom, true)
 
     monkeypatch.setattr(system_p, "_atom_seed", recorded)
-    prove_tautology(_family(5))
+    text = to_text(own, prove_tautology(_family(5)))
     assert len(written) == len(set(written)) >= 10
+    written.clear()
+    assert to_text(own, prove_tautology(_family(5))) == text
+    assert written == []
 
 
 def _first_failure(n):

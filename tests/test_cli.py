@@ -15,7 +15,7 @@ from medial.derivations import Builder, to_text
 from medial.system_p import make_p_spec
 from medial.terms import Constant, parse_formula
 
-from helpers import P_TEXT
+from helpers import P_TEXT, injected_corpus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -368,16 +368,26 @@ def test_deeply_nested_formula_exits_2(capsys):
     assert "error: formula nested too deeply" in capsys.readouterr().err
 
 
-def test_kernel_recursion_exits_1(tmp_path, capsys):
-    # a 3,000-operand chain parses; canonicalising it below a conjunction
-    # orders the operands by a key that recurses past the limit
+def test_check_accepts_a_deep_chain(tmp_path, capsys):
+    # a 3,000-operand chain regrouped below a conjunction: canonicalising
+    # it orders the operands by keys built without recursion
     ops = ["x", "y"] * 1500
     chain, turned = (f"({'|'.join(o)})" for o in (ops, ops[1:] + ops[:1]))
     drv = tmp_path / "deep.drv"
     drv.write_text(f"system: P\npremise: (a & {chain})\n"
                    f"step: rule=acr path=- A=(a&{chain}) B=({turned}&a)\n"
                    f"conclusion: ({turned} & a)\n")
-    assert run(["check", str(drv)]) == 1
+    assert run(["check", str(drv)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 1 steps")
+
+
+def test_kernel_recursion_exits_1(tmp_path, capsys):
+    # proof 18 of the 16-up-rule dense set (73 steps) parses; the splitter
+    # recurses once per step above a split and passes the limit on it
+    d = injected_corpus(seed=20261019 + 16, size=19, ups=(16, 16))[18]
+    drv = tmp_path / "dense18.drv"
+    drv.write_text(to_text(make_p_spec(), d))
+    assert run(["eliminate-up", str(drv), "--out", str(tmp_path / "out.drv")]) == 1
     err = capsys.readouterr().err
     assert "recursion limit reached in the kernel" in err and "nested" not in err
 

@@ -466,3 +466,22 @@ def test_dense_proofs_eliminate_under_the_default_recursion_limit():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ec040b244c67088a90a6ea6b8db4670602818360935fdf5ba88eb48765142d16"
     )
+
+
+@pytest.mark.parametrize("i, digest", [
+    (30, "f3d232764e8f61e68217c5c511fd8acd460a6e0b9b7848bf1a69b636368b2b4b"),
+    (82, "032dd3a199b50045229daf2c9eff1041a9ba12c1e7a4ecaf692cdbc230fdd32a"),
+    (89, "7072abf2e9b0bcfb04bf342b0f30fdc2b9d5c2e2c328f8c9a1a118189fc68cf5"),
+])
+def test_deep_operand_orders_eliminate_under_the_default_recursion_limit(i, digest):
+    """Proofs of the 16-up-rule set whose splits canonicalise terms deeper
+    than the stack once allowed; the pin is each output under a raised
+    limit, where the recursive operand order also finished."""
+    frag = make_fragment(spec)
+    d, records = injected_corpus(seed=20261019 + 16, size=i + 1, ups=(16, 16))[i], []
+    e = eliminate_all_up(frag, d, records)
+    assert derivations.check(spec, e) is None
+    assert first_up_index(frag, e) is None
+    assert (e.premise, e.conclusion) == (d.premise, d.conclusion)
+    assert records and all(r.bound_holds for r in records)
+    assert hashlib.sha256(to_text(spec, e).encode()).hexdigest() == digest

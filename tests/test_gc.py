@@ -84,8 +84,9 @@ def test_kernel_calls_leave_no_cyclic_garbage():
 
 
 def test_lemma_table_dies_with_the_proof(monkeypatch):
-    # the lemmas a proof builds are held by its call alone: the spec gains
-    # no attribute, and by reference counting alone each lemma derivation
+    # the lemmas a proof builds, but for the atom seeds and one-atom clauses
+    # that spec.atom_lemmas keeps, are held by its call alone: the spec
+    # gains no attribute, and by reference counting alone each contraction
     # is freed when the call returns, and the steps placed from it when
     # the proof is
     spec = make_p_spec()
@@ -115,7 +116,7 @@ def test_lemma_table_dies_with_the_proof(monkeypatch):
 
 def test_synthesis_leaves_only_what_the_spec_keeps():
     # proving, printing and checking keeps no formula beyond the few that
-    # the spec's caches (eq_cache, the oriented axioms) hold
+    # the spec's caches (eq_cache, atom_lemmas, the oriented axioms) hold
     spec = make_p_spec()
     leaves = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
     goals = [f for f in enumerate_formulas(3, leaves) if is_tautology(f)][:300]
@@ -128,6 +129,32 @@ def test_synthesis_leaves_only_what_the_spec_keeps():
         assert check(spec, d) is None
     del d
     assert len(terms._interned) - start <= 64
+
+
+def test_atom_lemmas_stay_bounded_and_change_no_output(monkeypatch):
+    # the atom seeds and one-atom clauses that a copy of P keeps serve every
+    # later proof: 300 goals proved in two seed-fixed orders, the first from
+    # an empty table and the second from a full one, print the same text,
+    # and the table holds at most four lemmas per atom met, keyed by atoms
+    own = spec_from_text(P_TEXT)
+    monkeypatch.setattr(system_p, "make_p_spec", lambda: own)
+    leaves = (Variable("x"), Variable("x", True), Variable("y"), Variable("y", True))
+    goals = [f for f in enumerate_formulas(3, leaves) if is_tautology(f)][:300]
+    texts = []
+    for seed in (1, 2):
+        random.Random(seed).shuffle(goals)
+        texts.append({f: to_text(own, prove_tautology(f)) for f in goals})
+    assert texts[0] == texts[1]
+    parts, todo = [], list(own.atom_lemmas)
+    while todo:  # the parts of every key, through its nested tuples
+        part = todo.pop()
+        if type(part) is tuple:
+            todo += part
+        else:
+            parts.append(part)
+    assert not any(isinstance(part, Compound) for part in parts)
+    atoms = {part for part in parts if isinstance(part, (Variable, terms.Constant))}
+    assert atoms and len(own.atom_lemmas) <= 4 * len(atoms)
 
 
 def test_rule_instance_table_empties_with_the_proof():

@@ -21,6 +21,7 @@ from medial.terms import (
     ac_canonical,
     context_at,
     equal_mod_ac,
+    join,
     negate,
     parse_formula,
     plug,
@@ -184,6 +185,35 @@ def test_ac_canonical_idempotent_random():
         f = random_formula(rng, 4)
         c = ac_canonical(spec, f)
         assert ac_canonical(spec, c) == c
+
+
+def _nested_key(f):
+    """The operand order as nested tuples, built by recursion."""
+    if isinstance(f, Constant):
+        return (0, f.name)
+    if isinstance(f, Variable):
+        return (1, f.name, f.negated)
+    if isinstance(f, Metavar):
+        return (2, f.name, f.negated)
+    return (3, f.rel, _nested_key(f.left), _nested_key(f.right))
+
+
+def test_operand_order_is_the_nested_order_without_recursion():
+    # the flat keys order operands as the nested ones do, so every canonical
+    # form stays the same; a 3,000-operand chain below a conjunction orders
+    # without recursion
+    rng = random.Random(31)
+    fs = [random_formula(rng, 4) for _ in range(300)]
+    fs += [Compound("|", Metavar(n, neg, "formula"), f)
+           for n in "AB" for neg in (False, True) for f in fs[:10]]
+    for _ in range(20_000):
+        a, b = rng.choice(fs), rng.choice(fs)
+        ka, kb = terms._sort_key(a), terms._sort_key(b)
+        na, nb = _nested_key(a), _nested_key(b)
+        assert (ka < kb, ka == kb) == (na < nb, na == nb)
+    a = Variable("a")
+    f = Compound("&", join("|", [x, y] * 1500), a)
+    assert ac_canonical(spec, f) == Compound("&", a, join("|", [x] * 1500 + [y] * 1500))
 
 
 def test_equal_mod_ac():
